@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -90,7 +91,9 @@ def _parse_mode(value: Any) -> SimilarityMode:
 def build_parser() -> _Parser:
     parser = _Parser(prog="keydyn", description="Keystroke-dynamics verification toolkit")
     parser.add_argument("--config", help="key = value config file supplying option defaults")
-    parser.add_argument("--jobs", type=int, help="worker processes for matrix scoring (default 1)")
+    parser.add_argument(
+        "--jobs", type=int, help="accepted for compatibility, must be >= 1; scoring runs in one process"
+    )
     parser.add_argument("--seed", type=int, help="seed for synthetic generation (default 0)")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
@@ -158,18 +161,13 @@ def _print_warnings(summary: ParseResult) -> None:
         print(f"warning: {warning}", file=sys.stderr)
 
 
-def _corpus_stats(corpus: Corpus) -> dict[str, Any]:
-    keystrokes = 0
-    per_platform: dict[str, int] = {}
-    for log in corpus.sessions.values():
-        pairs = len(pair_events(log).pairs)
-        keystrokes += pairs
-        per_platform[log.platform] = per_platform.get(log.platform, 0) + pairs
+def _corpus_stats(corpus: Corpus, per_platform: Counter[str]) -> dict[str, Any]:
+    """Corpus totals; ``per_platform`` holds the paired keystrokes of each platform."""
     return {
         "users": len(corpus.roster),
         "sessions": len(corpus.sessions),
         "events": sum(len(log.events) for log in corpus.sessions.values()),
-        "keystrokes": keystrokes,
+        "keystrokes": sum(per_platform.values()),
         "per_platform": per_platform,
     }
 
@@ -180,12 +178,15 @@ def cmd_extract(args: argparse.Namespace, config: dict[str, Any]) -> int:
     corpus, summary = _load_inputs(args.inputs)
     _print_warnings(summary)
     out_dir.mkdir(parents=True, exist_ok=True)
+    keystrokes: Counter[str] = Counter()
     for key in sorted(corpus.sessions):
         log = corpus.sessions[key]
-        profile = session_features(log, kinds)
+        pairs = pair_events(log).pairs
+        keystrokes[log.platform] += len(pairs)
+        profile = session_features(log, kinds, pairs)
         name = f"{log.user_id}_{log.platform}_s{log.session_id}.json"
         (out_dir / name).write_text(profile_to_json(profile), encoding="utf-8")
-    stats = _corpus_stats(corpus)
+    stats = _corpus_stats(corpus, keystrokes)
     print(f"profiles written: {len(corpus.sessions)} -> {out_dir}")
     print(f"users: {stats['users']}  sessions: {stats['sessions']}  events: {stats['events']}")
     platform_bits = "  ".join(f"{p}={n}" for p, n in sorted(stats["per_platform"].items()))
@@ -207,40 +208,27 @@ def _parse_scenario_text(text: str) -> evaluation.Scenario:
     raise UsageError(f"bad --scenario {text!r}; expected same:<P>, cross:<P1>:<P2>, or combined:<P1>,<P2>:<P3>")
 
 
-def cmd_score(args: argparse.Namespace, config: dict[str, Any], jobs: int) -> int:
+def cmd_score(args: argparse.Namespace, config: dict[str, Any]) -> int:
     out_dir = Path(_require(_pick(args.out, config, "out", None), "--out"))
     scenario = _parse_scenario_text(_require(_pick(args.scenario, config, "scenario", None), "--scenario"))
     scorers = _csv_tuple(_pick(args.scorers, config, "scorers", ",".join(evaluation.ALL_SCORERS)))
     mode = _parse_mode(_pick(args.similarity_mode, config, "similarity_mode", SimilarityMode.AS_PUBLISHED.value))
-    threshold = _pick(args.threshold, config, "threshold", 1.5)
     kinds = _parse_kinds(_pick(args.kinds, config, "kinds", None) or [k.value for k in ALL_KINDS])
     formats = _csv_tuple(_pick(args.formats, config, "formats", "csv,json"))
 
-    unknown = [s for s in scorers if s not in evaluation.ALL_SCORERS]
-    if unknown:
-        raise UsageError(f"unknown scorers {unknown}; choose from {list(evaluation.ALL_SCORERS)}")
+    try:
+        threshold = float(_pick(args.threshold, config, "threshold", 1.5))
+        # validates the scorer labels and the threshold before any input is read
+        evaluation.BenchmarkConfig(scorers=scorers, similarity_mode=mode, threshold=threshold)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     corpus, summary = _load_inputs(args.inputs)
     _print_warnings(summary)
     data = evaluation.build_scenario_data(corpus, scenario, kinds=kinds)
-
-    base_needed = any(s in evaluation.FUSION_SCORERS for s in scorers)
-    matrices: dict[str, matrix.ScoreMatrix] = {}
-    from .verifiers import Verifier, prepare_profile
-
-    enroll = {u: prepare_profile(p) for u, p in data.enroll.items()}
-    probe = {u: prepare_profile(p) for u, p in data.probe.items()}
-    for verifier in (Verifier.SIMILARITY, Verifier.ABSOLUTE, Verifier.ITAD):
-        if verifier.value in scorers or base_needed:
-            spec = matrix.ScorerSpec(verifier, mode, threshold)
-            matrices[verifier.value] = matrix.build_matrix_prepared(
-                enroll, probe, spec, scenario=scenario.name, jobs=jobs
-            )
-    if base_needed:
-        triple = [matrices[v] for v in evaluation.BASE_SCORERS]
-        for method in matrix.FusionMethod:
-            if method.value in scorers:
-                matrices[method.value] = matrix.fuse(triple, method)
+    matrices = matrix.score_matrices(
+        data.enroll, data.probe, scorers, mode=mode, threshold=threshold, scenario=scenario.name
+    )
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for label in scorers:
@@ -256,7 +244,7 @@ def cmd_score(args: argparse.Namespace, config: dict[str, Any], jobs: int) -> in
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace, config: dict[str, Any], jobs: int) -> int:
+def cmd_evaluate(args: argparse.Namespace, config: dict[str, Any]) -> int:
     out_dir = Path(_require(_pick(args.out, config, "out", None), "--out"))
     try:
         bench = evaluation.BenchmarkConfig(
@@ -268,7 +256,6 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, Any], jobs: int) ->
             k_max=int(_pick(args.k_max, config, "k_max", 5)),
             scenario_kinds=_csv_tuple(_pick(args.scenarios, config, "scenarios", "same,cross,combined")),
             kinds=_parse_kinds(_pick(args.kinds, config, "kinds", None) or [k.value for k in ALL_KINDS]),
-            jobs=jobs,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -310,7 +297,10 @@ def cmd_synth(args: argparse.Namespace, config: dict[str, Any], seed: int) -> in
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "corpus.csv"
     path.write_text(serialize_corpus(corpus), encoding="utf-8")
-    stats = _corpus_stats(corpus)
+    keystrokes: Counter[str] = Counter()
+    for log in corpus.sessions.values():
+        keystrokes[log.platform] += len(pair_events(log).pairs)
+    stats = _corpus_stats(corpus, keystrokes)
     print(f"corpus written: {path}")
     print(
         f"users: {stats['users']}  sessions: {stats['sessions']}  "
@@ -358,9 +348,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "extract":
             return cmd_extract(args, config)
         if args.command == "score":
-            return cmd_score(args, config, jobs)
+            return cmd_score(args, config)
         if args.command == "evaluate":
-            return cmd_evaluate(args, config, jobs)
+            return cmd_evaluate(args, config)
         if args.command == "synth":
             return cmd_synth(args, config, seed)
         if args.command == "report":

@@ -50,6 +50,12 @@ class ShapeMismatchError(KeydynError):
     code = "SHAPE_MISMATCH"
 
 
+class NonFiniteScoreError(KeydynError, ValueError):
+    """A score matrix holds a NaN or infinite value."""
+
+    code = "NON_FINITE_SCORE"
+
+
 class SamePlatformError(KeydynError):
     code = "SAME_PLATFORM"
 

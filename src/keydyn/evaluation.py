@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Iterable
@@ -19,8 +18,8 @@ from .errors import (
 )
 from .features import ALL_KINDS, FeatureDictionary, Kind, merge, session_features
 from .ingest import Corpus
-from .matrix import FusionMethod, ScoreMatrix, ScorerSpec, build_matrix_prepared, fuse
-from .verifiers import PreparedProfile, SimilarityMode, Verifier, prepare_profile
+from .matrix import FusionMethod, ScoreMatrix, score_matrices
+from .verifiers import ScorerSpec, SimilarityMode, Verifier
 
 # (platform, session ids) cells required from each user for one side
 SideSpec = tuple[tuple[str, tuple[int, ...]], ...]
@@ -247,7 +246,6 @@ class BenchmarkConfig:
     probe_sessions: tuple[int, ...] = DEFAULT_PROBE_SESSIONS
     kinds: tuple[Kind, ...] = ALL_KINDS
     scenario_kinds: tuple[str, ...] = ("same", "cross", "combined")
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         unknown = [s for s in self.scorers if s not in ALL_SCORERS]
@@ -257,14 +255,12 @@ class BenchmarkConfig:
             raise ValueError("at least one scorer must be selected")
         if not self.scenario_kinds:
             raise ValueError("at least one scenario kind must be selected")
-        if not self.threshold > 1:
-            raise ValueError(f"threshold must be > 1, got {self.threshold}")
+        ScorerSpec(Verifier.ABSOLUTE, self.similarity_mode, self.threshold)  # validates the threshold
 
     def describe(self) -> dict:
         doc = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
         doc["similarity_mode"] = self.similarity_mode.value
         doc["kinds"] = [k.value for k in self.kinds]
-        del doc["jobs"]  # execution detail; reports must not depend on it
         return doc
 
 
@@ -311,7 +307,7 @@ def _dataset_summary(corpus: Corpus) -> dict:
 def run_benchmark(corpus: Corpus, config: BenchmarkConfig = BenchmarkConfig()) -> EvaluationReport:
     """Run every configured scenario x scorer and collect k-rank accuracies.
 
-    Deterministic for a given corpus and config, including under ``jobs > 1``.
+    Deterministic for a given corpus and config.
     """
     if not corpus.sessions:
         raise NoEligibleUsersError("corpus holds no sessions")
@@ -320,52 +316,23 @@ def run_benchmark(corpus: Corpus, config: BenchmarkConfig = BenchmarkConfig()) -
     )
     report = EvaluationReport(config=config.describe(), dataset=_dataset_summary(corpus))
 
-    wants_fusion = any(s in FUSION_SCORERS for s in config.scorers)
     session_cache: dict[tuple[str, str, int], FeatureDictionary] = {}
-    prepared_cache: dict[tuple, PreparedProfile] = {}
-
-    def prepared_side(users: list[str], spec: SideSpec) -> dict[str, PreparedProfile]:
-        side = {}
-        for user in users:
-            key = (user, spec)
-            if key not in prepared_cache:
-                profile = _merged_profile(corpus, user, spec, config.kinds, session_cache)
-                prepared_cache[key] = prepare_profile(profile)
-            side[user] = prepared_cache[key]
-        return side
-
-    executor = ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else None
-    try:
-        for scenario in scenarios:
-            eligible, excluded = _eligible_users(corpus, scenario)
-            enroll = prepared_side(eligible, scenario.enroll_spec)
-            probe = prepared_side(eligible, scenario.probe_spec)
-            report.scenarios.append(ScenarioSummary(scenario.name, scenario.kind, len(eligible), tuple(excluded)))
-
-            base: dict[str, ScoreMatrix] = {}
-            for verifier in (Verifier.SIMILARITY, Verifier.ABSOLUTE, Verifier.ITAD):
-                if verifier.value in config.scorers or wants_fusion:
-                    spec = ScorerSpec(verifier, config.similarity_mode, config.threshold)
-                    base[verifier.value] = build_matrix_prepared(
-                        enroll, probe, spec, scenario=scenario.name, jobs=config.jobs, executor=executor
-                    )
-            matrices = dict(base)
-            if wants_fusion:
-                triple = [base[v] for v in BASE_SCORERS]
-                for method in FusionMethod:
-                    if method.value in config.scorers:
-                        matrices[method.value] = fuse(triple, method)
-
-            n = len(eligible)
-            for scorer in config.scorers:
-                m = matrices[scorer]
-                for k in range(1, min(config.k_max, n) + 1):
-                    report.rows.append(
-                        ResultRow(scenario.name, scenario.kind, scorer, k, k_rank_accuracy(m, k))
-                    )
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for scenario in scenarios:
+        data = build_scenario_data(corpus, scenario, kinds=config.kinds, session_cache=session_cache)
+        n = len(data.enroll)
+        report.scenarios.append(ScenarioSummary(scenario.name, scenario.kind, n, data.excluded))
+        matrices = score_matrices(
+            data.enroll,
+            data.probe,
+            config.scorers,
+            mode=config.similarity_mode,
+            threshold=config.threshold,
+            scenario=scenario.name,
+        )
+        for scorer in config.scorers:
+            for k in range(1, min(config.k_max, n) + 1):
+                accuracy = k_rank_accuracy(matrices[scorer], k)
+                report.rows.append(ResultRow(scenario.name, scenario.kind, scorer, k, accuracy))
 
     report.rows.sort(key=lambda r: (r.scenario, r.scorer, r.k))
     return report

@@ -167,9 +167,19 @@ def extract_features(pairs: Sequence[PairedKeystroke], kinds: Sequence[Kind] = A
     return FeatureDictionary(merged)
 
 
-def session_features(log: SessionLog, kinds: Sequence[Kind] = ALL_KINDS) -> FeatureDictionary:
-    """Pair one session's events and extract its feature dictionary."""
-    fd = extract_features(pair_events(log).pairs, kinds)
+def session_features(
+    log: SessionLog,
+    kinds: Sequence[Kind] = ALL_KINDS,
+    pairs: Sequence[PairedKeystroke] | None = None,
+) -> FeatureDictionary:
+    """Extract one session's feature dictionary from its paired keystrokes.
+
+    ``pairs`` is the session's pairing when the caller already holds it;
+    without it the session's events are paired here.
+    """
+    if pairs is None:
+        pairs = pair_events(log).pairs
+    fd = extract_features(pairs, kinds)
     return replace(
         fd,
         user_id=log.user_id,

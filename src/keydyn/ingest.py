@@ -9,6 +9,7 @@ spelled ``COMMA``.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -158,15 +159,20 @@ class ParseResult:
 def parse_log(data: bytes | str, *, strict: bool = True, source: str | None = None) -> ParseResult:
     """Parse canonical CSV into session logs.
 
-    Rows with an unknown action, malformed timestamp, negative time, or the
-    wrong field count are rejected: in strict mode the first one raises
+    Rows with an unknown action, malformed timestamp, negative or non-finite
+    time, or the wrong field count are rejected: in strict mode the first one raises
     :class:`MalformedRowError`, otherwise each is recorded as a warning and
     skipped. Duplicate rows are kept. Events are sorted by time (stable), and
     sessions whose rows arrived out of order are counted in
-    ``resorted_sessions``.
+    ``resorted_sessions``. Bytes that are not valid UTF-8 raise
+    :class:`MalformedRowError` in either mode.
     """
     if isinstance(data, bytes):
-        text = data.decode("utf-8")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            row = data.count(b"\n", 0, exc.start) + 1
+            raise MalformedRowError(row, f"invalid UTF-8 at byte {exc.start}", source) from None
     else:
         text = data
     lines = text.splitlines()
@@ -209,8 +215,8 @@ def parse_log(data: bytes | str, *, strict: bool = True, source: str | None = No
         except ValueError:
             reject(row_no, f"malformed timestamp {time_raw!r}")
             continue
-        if time_ms != time_ms or time_ms < 0:
-            reject(row_no, f"negative or NaN timestamp {time_raw!r}")
+        if not math.isfinite(time_ms) or time_ms < 0:
+            reject(row_no, f"negative or non-finite timestamp {time_raw!r}")
             continue
         event = KeyEvent(canonicalize_key(key_raw), Action(action_raw), time_ms)
         grouped.setdefault((user_id, platform, session_id), []).append(event)

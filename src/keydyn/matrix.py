@@ -3,39 +3,28 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
-from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import RosterMismatchError, ShapeMismatchError
+from .errors import NonFiniteScoreError, RosterMismatchError, ShapeMismatchError
 from .verifiers import (
     DEFAULT_ABSOLUTE_THRESHOLD,
     PreparedProfile,
     ProfileLike,
+    ScorerSpec,
     SimilarityMode,
     Verifier,
     absolute_from_prepared,
+    feature_ids,
     itad_from_prepared,
     prepare_profile,
     similarity_from_prepared,
 )
-
-
-@dataclass(frozen=True)
-class ScorerSpec:
-    """A verifier plus its settings; identifies one score-matrix producer."""
-
-    verifier: Verifier
-    mode: SimilarityMode = SimilarityMode.AS_PUBLISHED
-    threshold: float = DEFAULT_ABSOLUTE_THRESHOLD
-
-    @property
-    def label(self) -> str:
-        return self.verifier.value
 
 
 class FusionMethod(str, Enum):
@@ -64,60 +53,65 @@ class ScoreMatrix:
             raise ShapeMismatchError(
                 f"values shape {self.values.shape} does not match roster of {len(self.roster)}"
             )
-
-
-def _score_pair(spec: ScorerSpec, enroll: PreparedProfile, probe: PreparedProfile) -> float:
-    if spec.verifier is Verifier.SIMILARITY:
-        return similarity_from_prepared(enroll, probe, spec.mode)
-    if spec.verifier is Verifier.ABSOLUTE:
-        return absolute_from_prepared(enroll, probe, spec.threshold)
-    return itad_from_prepared(enroll, probe)
-
-
-def _score_rows(
-    args: tuple[ScorerSpec, list[PreparedProfile], dict[str, PreparedProfile], list[str]],
-) -> list[list[float]]:
-    spec, probe_chunk, enroll_map, roster = args
-    return [[_score_pair(spec, enroll_map[u], probe) for u in roster] for probe in probe_chunk]
+        if not np.isfinite(self.values).all():
+            raise NonFiniteScoreError(f"score matrix {self.scorer!r} holds a non-finite value")
 
 
 def build_matrix_prepared(
-    enroll: dict[str, PreparedProfile],
-    probe: dict[str, PreparedProfile],
+    enroll: Mapping[str, PreparedProfile],
+    probe: Mapping[str, PreparedProfile],
     spec: ScorerSpec,
     *,
     scenario: str = "",
-    jobs: int = 1,
-    executor: Executor | None = None,
 ) -> ScoreMatrix:
     """Score every probe user against every enrollment user.
 
     ``values[i][j]`` is the score of probe ``roster[i]`` against enrollment
-    ``roster[j]``. With ``jobs > 1`` rows are scored in contiguous chunks on
-    a process pool; assembly order is fixed, so the result is identical to
-    the sequential one.
+    ``roster[j]``. Both sides must be prepared with one vocabulary.
     """
     if set(enroll) != set(probe):
         raise RosterMismatchError(
             f"enroll/probe user sets differ: {sorted(set(enroll) ^ set(probe))}"
         )
     roster = sorted(enroll)
-    n = len(roster)
-    probes = [probe[u] for u in roster]
-
-    if jobs <= 1 or n < 2:
-        rows = _score_rows((spec, probes, enroll, roster))
+    enroll_side = [enroll[u] for u in roster]
+    probe_side = [probe[u] for u in roster]
+    if spec.verifier is Verifier.SIMILARITY:
+        values = similarity_from_prepared(enroll_side, probe_side, spec.mode)
+    elif spec.verifier is Verifier.ABSOLUTE:
+        values = absolute_from_prepared(enroll_side, probe_side, spec.threshold)
     else:
-        chunks = [c for c in np.array_split(np.arange(n), jobs) if c.size]
-        tasks = [(spec, [probes[i] for i in chunk], enroll, roster) for chunk in chunks]
-        if executor is None:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                blocks = list(pool.map(_score_rows, tasks))
-        else:
-            blocks = list(executor.map(_score_rows, tasks))
-        rows = [row for block in blocks for row in block]
+        values = itad_from_prepared(enroll_side, probe_side)
+    return ScoreMatrix(tuple(roster), values, spec.label, scenario)
 
-    return ScoreMatrix(tuple(roster), np.array(rows, dtype=np.float64), spec.label, scenario)
+
+def score_matrices(
+    enroll: Mapping[str, ProfileLike],
+    probe: Mapping[str, ProfileLike],
+    scorers: Sequence[str],
+    *,
+    mode: SimilarityMode = SimilarityMode.AS_PUBLISHED,
+    threshold: float = DEFAULT_ABSOLUTE_THRESHOLD,
+    scenario: str = "",
+) -> dict[str, ScoreMatrix]:
+    """One scenario's matrices for the given scorer labels, keyed by label.
+
+    Base verifier labels are ``sim``, ``abs`` and ``itad``; a fusion label
+    (``fmean``...) fuses all three, which are then built even when not
+    requested. Both sides are prepared once, with one shared vocabulary.
+    """
+    ids = feature_ids(itertools.chain(enroll.values(), probe.values()))
+    enroll_prep = {u: prepare_profile(p, ids) for u, p in enroll.items()}
+    probe_prep = {u: prepare_profile(p, ids) for u, p in probe.items()}
+    fusions = [method for method in FusionMethod if method.value in scorers]
+    matrices: dict[str, ScoreMatrix] = {}
+    for verifier in Verifier:
+        if verifier.value in scorers or fusions:
+            spec = ScorerSpec(verifier, mode, threshold)
+            matrices[verifier.value] = build_matrix_prepared(enroll_prep, probe_prep, spec, scenario=scenario)
+    for method in fusions:
+        matrices[method.value] = fuse([matrices[v.value] for v in Verifier], method)
+    return {label: matrices[label] for label in scorers}
 
 
 def build_score_matrix(
@@ -128,13 +122,10 @@ def build_score_matrix(
     mode: SimilarityMode = SimilarityMode.AS_PUBLISHED,
     threshold: float = DEFAULT_ABSOLUTE_THRESHOLD,
     scenario: str = "",
-    jobs: int = 1,
 ) -> ScoreMatrix:
     """Build one verifier's score matrix from raw profile maps."""
-    spec = ScorerSpec(verifier, mode, threshold)
-    enroll_prep = {u: prepare_profile(p) for u, p in enroll.items()}
-    probe_prep = {u: prepare_profile(p) for u, p in probe.items()}
-    return build_matrix_prepared(enroll_prep, probe_prep, spec, scenario=scenario, jobs=jobs)
+    label = verifier.value
+    return score_matrices(enroll, probe, (label,), mode=mode, threshold=threshold, scenario=scenario)[label]
 
 
 def fuse(matrices: Sequence[ScoreMatrix], method: FusionMethod) -> ScoreMatrix:

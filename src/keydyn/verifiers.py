@@ -4,13 +4,21 @@ All three compare an enrollment pattern A against a probe pattern B over
 their common feature set and return a match score in [0, 1]. Profiles are
 any Mapping from feature key to a non-empty sequence of durations;
 :class:`~keydyn.features.FeatureDictionary` qualifies.
+
+Scoring runs on a columnar form: :func:`feature_ids` interns the feature
+keys of a roster to ints, :func:`prepare_profile` turns one profile into
+sorted per-feature value runs with their medians, and each
+``*_from_prepared`` kernel scores a whole probe x enrollment matrix, looping
+over probe users only. The pair-level ``*_score`` functions are 1x1 calls
+into the same kernels.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +46,23 @@ class SimilarityMode(str, Enum):
 
 
 DEFAULT_ABSOLUTE_THRESHOLD = 1.5
+
+
+@dataclass(frozen=True)
+class ScorerSpec:
+    """A verifier plus its settings; identifies one score-matrix producer."""
+
+    verifier: Verifier
+    mode: SimilarityMode = SimilarityMode.AS_PUBLISHED
+    threshold: float = DEFAULT_ABSOLUTE_THRESHOLD
+
+    def __post_init__(self) -> None:
+        if not self.threshold > 1:
+            raise ValueError(f"threshold must be > 1, got {self.threshold}")
+
+    @property
+    def label(self) -> str:
+        return self.verifier.value
 
 
 @dataclass(frozen=True)
@@ -79,101 +104,271 @@ def ecdf(values: Sequence[float], query: float) -> float:
     return sum(1 for v in values if v <= query) / len(values)
 
 
-class PreparedFeature(NamedTuple):
-    values: np.ndarray  # sorted ascending, float64
-    median: float
-    std: float  # nan when count < 2
-    count: int
+class PreparedProfile(NamedTuple):
+    """One profile in columnar form, features in ascending id order.
 
-
-PreparedProfile = dict[FeatureKey, PreparedFeature]
-
-
-def prepare_profile(profile: ProfileLike) -> PreparedProfile:
-    """Precompute per-feature sorted values, median, and std.
-
-    Prepare each profile once when scoring many pairs; all scoring kernels
-    operate on this form.
+    Feature ``i`` has id ``fids[i]`` and owns the run
+    ``values[offsets[i]:offsets[i + 1]]``, sorted ascending.
     """
-    prepared: PreparedProfile = {}
-    for key, raw in profile.items():
-        arr = np.sort(np.asarray(raw, dtype=np.float64))
-        n = arr.size
-        if n == 0:
-            raise EmptyListError(f"empty value list for feature {key}")
-        mid = n // 2
-        med = float(arr[mid]) if n % 2 == 1 else (float(arr[mid - 1]) + float(arr[mid])) / 2
-        std = float(np.std(arr, ddof=1)) if n >= 2 else float("nan")
-        prepared[key] = PreparedFeature(arr, med, std, n)
-    return prepared
+
+    fids: np.ndarray  # int64, ascending interned feature ids
+    offsets: np.ndarray  # int64, CSR offsets into values, len(fids) + 1
+    values: np.ndarray  # float64, ascending within each feature
+    median: np.ndarray  # float64 per feature
+    count: np.ndarray  # int64 per feature
 
 
-def _similarity_counts(enroll: PreparedProfile, probe: PreparedProfile) -> tuple[int, int]:
-    """Return (k, t): features where at most half the probe values fall in band."""
-    common = enroll.keys() & probe.keys()
-    k = 0
-    for f in common:
-        pa = enroll[f]
-        pb = probe[f]
-        # std undefined for a single sample: fall back to that value / 4
-        sigma = pa.std if pa.count >= 2 else pa.values[0] / 4.0
-        lo = pa.median - sigma
-        hi = pa.median + sigma
-        # strict open interval; inverted/empty band counts nothing
-        v = int(np.searchsorted(pb.values, hi, side="left")) - int(np.searchsorted(pb.values, lo, side="right"))
-        if v < 0:
-            v = 0
-        if v / pb.count <= 0.5:
-            k += 1
-    return k, len(common)
+def feature_ids(profiles: Iterable[ProfileLike]) -> dict[FeatureKey, int]:
+    """Intern every feature key of the given profiles to an int, in sorted key order.
+
+    Because ids ascend with the keys, kernels that walk features in id order
+    walk them in sorted-key order, so a score does not depend on which other
+    profiles shared the vocabulary.
+    """
+    keys: set[FeatureKey] = set()
+    for profile in profiles:
+        keys.update(profile.keys())
+    return {key: i for i, key in enumerate(sorted(keys))}
 
 
-def similarity_from_prepared(enroll: PreparedProfile, probe: PreparedProfile, mode: SimilarityMode) -> float:
-    k, t = _similarity_counts(enroll, probe)
-    if t == 0:
-        return 0.0
-    # k/t + (t-k)/t == 1.0 holds exactly in binary floating point
-    return k / t if mode is SimilarityMode.AS_PUBLISHED else (t - k) / t
+def prepare_profile(profile: ProfileLike, ids: Mapping[FeatureKey, int] | None = None) -> PreparedProfile:
+    """Sort one profile's values per feature and precompute the medians.
+
+    ``ids`` must hold every key of ``profile``, and profiles scored against
+    each other must share it (see :func:`feature_ids`); by default the
+    profile's own keys are interned.
+    """
+    if ids is None:
+        ids = feature_ids((profile,))
+    runs = list(profile.values())
+    count = np.fromiter(map(len, runs), np.int64, len(runs))
+    if not count.all():
+        key = next(k for k, v in profile.items() if len(v) == 0)
+        raise EmptyListError(f"empty value list for feature {key}")
+    fids = np.fromiter((ids[key] for key in profile), np.int64, len(runs))
+    values = np.fromiter(itertools.chain.from_iterable(runs), np.float64, int(count.sum()))
+    # one sort puts features in id order and values ascending within each
+    values = values[np.lexsort((values, np.repeat(fids, count)))]
+    order = np.argsort(fids)
+    fids, count = fids[order], count[order]
+    offsets = np.zeros(fids.size + 1, np.int64)
+    np.cumsum(count, out=offsets[1:])
+    starts = offsets[:-1]
+
+    mid = starts + count // 2
+    median = values[mid]
+    even = np.flatnonzero(count % 2 == 0)
+    median[even] = (values[mid[even] - 1] + values[mid[even]]) / 2
+    return PreparedProfile(fids, offsets, values, median, count)
 
 
-def _medians_match(med_a: float, med_b: float, threshold: float) -> bool:
-    if med_a > 0 and med_b > 0:
-        return max(med_a, med_b) / min(med_a, med_b) <= threshold
-    if med_a == 0 and med_b == 0:
-        return True
-    if med_a == 0 or med_b == 0:
-        return False
-    if (med_a > 0) != (med_b > 0):
-        return False
-    # both negative: compare magnitudes, ratio >= 1 by construction
-    hi = max(abs(med_a), abs(med_b))
-    lo = min(abs(med_a), abs(med_b))
-    return hi / lo <= threshold
+def _run_std(values: np.ndarray, starts: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``np.std(run, ddof=1)`` of each run ``values[starts[i]:starts[i] + count[i]]``.
+
+    nan where a run holds one value. Repeats the steps of ``np.std`` row-wise
+    over the runs of each length; a row-wise reduction sums each row as the
+    1-D call does, so every result is bit-identical to the per-run call.
+    """
+    std = np.full(count.size, np.nan)
+    for n in set(count.tolist()) - {1}:
+        rows = np.flatnonzero(count == n)
+        runs = values[starts[rows, None] + np.arange(n)]
+        runs -= np.add.reduce(runs, axis=1, keepdims=True) / n
+        runs *= runs
+        std[rows] = np.sqrt(np.add.reduce(runs, axis=1) / (n - 1))
+    return std
 
 
-def absolute_from_prepared(enroll: PreparedProfile, probe: PreparedProfile, threshold: float) -> float:
-    common = enroll.keys() & probe.keys()
-    if not common:
-        return 0.0
-    matches = sum(1 for f in common if _medians_match(enroll[f].median, probe[f].median, threshold))
-    return matches / len(common)
+class _Entries(NamedTuple):
+    """The (enrollment user, feature) entries of a roster side, user-major."""
+
+    user: np.ndarray  # roster index of each entry
+    fid: np.ndarray  # ascending within each user
+    count: np.ndarray
+    median: np.ndarray
 
 
-def itad_from_prepared(enroll: PreparedProfile, probe: PreparedProfile) -> float:
-    common = enroll.keys() & probe.keys()
-    if not common:
-        return 0.0
-    total = 0.0
-    count = 0
-    # fixed accumulation order keeps the float result reproducible
-    for f in sorted(common):
-        pa = enroll[f]
-        pb = probe[f]
-        p = np.searchsorted(pa.values, pb.values, side="right") / pa.count
-        s = np.where(pb.values <= pa.median, p, 1.0 - p)
-        total += float(s.sum())
-        count += pb.count
-    return total / count
+def _entries(profiles: Sequence[PreparedProfile]) -> _Entries:
+    return _Entries(
+        np.repeat(np.arange(len(profiles)), [p.fids.size for p in profiles]),
+        np.concatenate([p.fids for p in profiles]),
+        np.concatenate([p.count for p in profiles]),
+        np.concatenate([p.median for p in profiles]),
+    )
+
+
+def _value_fids(profiles: Sequence[PreparedProfile]) -> np.ndarray:
+    """Feature id of every value of the concatenated profiles."""
+    return np.concatenate([np.repeat(p.fids, p.count) for p in profiles])
+
+
+def _vocabulary_size(*fids: np.ndarray) -> int:
+    return 1 + max((int(f.max()) for f in fids if f.size), default=-1)
+
+
+def _joint_ranks(fids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense rank of each (fid, value) pair in lexicographic order, and that order.
+
+    Equal pairs share a rank, so within one feature rank order is value
+    order, ties included, and the ranks of different features never
+    interleave. Integer ranks thus stand in exactly for the values in every
+    comparison, unlike float offsets per feature, which would round.
+    """
+    # sort by value, then stably by feature; pairs that tie may land in any
+    # order, as they share a rank. Feature ids that fit 16 bits get a radix sort.
+    by_value = np.argsort(values)
+    narrow = np.int16 if fids.size == 0 or fids.max() < 2**15 else np.int32
+    order = by_value[np.argsort(fids[by_value].astype(narrow), kind="stable")]
+    del by_value
+    new = np.empty(order.size, bool)
+    new[:1] = True
+    sorted_fids = fids[order]
+    np.not_equal(sorted_fids[1:], sorted_fids[:-1], out=new[1:])
+    del sorted_fids
+    sorted_values = values[order]
+    new[1:] |= sorted_values[1:] != sorted_values[:-1]
+    del sorted_values
+    ranks = np.empty(order.size, np.int32 if order.size < 2**31 else np.int64)
+    ranks[order] = np.cumsum(new, dtype=ranks.dtype)
+    return ranks, order
+
+
+def _divide_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den per cell, 0.0 where den is 0 (no common feature)."""
+    out = np.zeros(num.shape)
+    np.divide(num, den, out=out, where=den > 0)
+    return out
+
+
+def similarity_from_prepared(
+    enroll: Sequence[PreparedProfile], probe: Sequence[PreparedProfile], mode: SimilarityMode
+) -> np.ndarray:
+    """Similarity of every probe (rows) against every enrollment (columns)."""
+    scores = np.zeros((len(probe), len(enroll)))
+    if not enroll or not probe:
+        return scores
+    e = _entries(enroll)
+    values = np.concatenate([p.values for p in enroll])
+    starts = np.cumsum(e.count) - e.count
+    # std undefined for a single sample: fall back to that value / 4
+    sigma = np.where(e.count >= 2, _run_std(values, starts, e.count), values[starts] / 4.0)
+    del values
+    probe_fids = _value_fids(probe)
+    ranks, _ = _joint_ranks(
+        np.concatenate([probe_fids, e.fid, e.fid]),
+        np.concatenate([*(p.values for p in probe), e.median - sigma, e.median + sigma]),
+    )
+    n_values = probe_fids.size
+    lo, hi = ranks[n_values : n_values + e.fid.size], ranks[n_values + e.fid.size :]
+
+    probe_count = np.zeros(_vocabulary_size(e.fid, probe_fids), np.int64)
+    at = 0
+    for i, p in enumerate(probe):
+        own = ranks[at : at + p.values.size]  # ascending: runs in id order, sorted within
+        at += p.values.size
+        probe_count[p.fids] = p.count
+        u = probe_count[e.fid]
+        probe_count[p.fids] = 0
+        # probe values strictly inside (lo, hi); an inverted band gives v < 0, counted as none
+        v = np.searchsorted(own, hi, side="left") - np.searchsorted(own, lo, side="right")
+        common = u > 0
+        t = np.bincount(e.user[common], minlength=len(enroll))
+        # 2v <= u is v/u <= 0.5 without rounding
+        k = np.bincount(e.user[common & (2 * v <= u)], minlength=len(enroll))
+        # k/t + (t-k)/t == 1.0 holds exactly in binary floating point
+        scores[i] = _divide_rows(k if mode is SimilarityMode.AS_PUBLISHED else t - k, t)
+    return scores
+
+
+def _medians_match(med_a: np.ndarray, med_b: np.ndarray, threshold: float) -> np.ndarray:
+    """Element-wise Absolute agreement of two median arrays.
+
+    Same-sign medians agree when the larger magnitude over the smaller is at
+    most ``threshold``; two exact zeros agree; anything else does not.
+    """
+    abs_a, abs_b = np.abs(med_a), np.abs(med_b)
+    same_sign = ((med_a > 0) & (med_b > 0)) | ((med_a < 0) & (med_b < 0))
+    with np.errstate(all="ignore"):  # 0/0, x/0 and overflow only reach masked-out cells
+        within = np.maximum(abs_a, abs_b) / np.minimum(abs_a, abs_b) <= threshold
+    return (same_sign & within) | ((med_a == 0) & (med_b == 0))
+
+
+def absolute_from_prepared(
+    enroll: Sequence[PreparedProfile], probe: Sequence[PreparedProfile], threshold: float
+) -> np.ndarray:
+    """Absolute score of every probe (rows) against every enrollment (columns)."""
+    scores = np.zeros((len(probe), len(enroll)))
+    if not enroll or not probe:
+        return scores
+    e = _entries(enroll)
+    size = _vocabulary_size(e.fid, *(p.fids for p in probe))
+    present = np.zeros(size, bool)
+    probe_median = np.zeros(size)
+    for i, p in enumerate(probe):
+        present[p.fids] = True
+        probe_median[p.fids] = p.median
+        common = np.flatnonzero(present[e.fid])
+        present[p.fids] = False
+        users = e.user[common]
+        match = _medians_match(e.median[common], probe_median[e.fid[common]], threshold)
+        t = np.bincount(users, minlength=len(enroll))
+        scores[i] = _divide_rows(np.bincount(users[match], minlength=len(enroll)), t)
+    return scores
+
+
+def itad_from_prepared(enroll: Sequence[PreparedProfile], probe: Sequence[PreparedProfile]) -> np.ndarray:
+    """ITAD score of every probe (rows) against every enrollment (columns).
+
+    A probe value y of a common feature with n enrollment values, c of them
+    <= y, contributes c/n when y is at most the enrollment median m and
+    1 - c/n above it. Summed over the probe values of one feature, the
+    numerators equal the sum over enrollment values x of
+    |#{y < x} - #{y <= m}|, an exact integer; each feature adds that sum
+    over n, and a pair adds its features in ascending id order.
+    """
+    scores = np.zeros((len(probe), len(enroll)))
+    if not enroll or not probe:
+        return scores
+    e = _entries(enroll)
+    probe_fids = _value_fids(probe)
+    ranks, order = _joint_ranks(
+        np.concatenate([_value_fids(enroll), probe_fids, e.fid]),
+        np.concatenate([*(p.values for p in enroll), *(p.values for p in probe), e.median]),
+    )
+    n_values = int(e.count.sum())
+    probe_ranks = ranks[n_values : n_values + probe_fids.size]
+    median_rank = ranks[n_values + probe_fids.size :]
+    # every enrollment value in (feature, value) order, with its rank and its entry
+    order = order[order < n_values]
+    value_rank = ranks[order]
+    value_entry = np.repeat(np.arange(e.fid.size), e.count)[order]
+    del ranks, order
+
+    probe_count = np.zeros(_vocabulary_size(e.fid, probe_fids), np.int64)
+    at = 0
+    for i, p in enumerate(probe):
+        own = probe_ranks[at : at + p.values.size]  # ascending: runs in id order, sorted within
+        at += p.values.size
+        probe_count[p.fids] = p.count
+        n_probe = probe_count[e.fid]
+        probe_count[p.fids] = 0
+        # below[k]: probe values ranked under the k-th enrollment value
+        below = np.bincount(np.searchsorted(value_rank, own, side="right"), minlength=n_values + 1)
+        np.cumsum(below, out=below)
+        gap = below[:n_values] - np.searchsorted(own, median_rank, side="right")[value_entry]
+        tail = np.bincount(value_entry, weights=np.abs(gap, out=gap), minlength=e.fid.size)
+        common = n_probe > 0
+        users = e.user[common]
+        # bincount adds in entry order: per pair, ascending feature id
+        total = np.bincount(users, weights=tail[common] / e.count[common], minlength=len(enroll))
+        scores[i] = _divide_rows(total, np.bincount(users, weights=n_probe[common], minlength=len(enroll)))
+    return scores
+
+
+def _prepare_pair(enroll: ProfileLike, probe: ProfileLike) -> tuple[list[PreparedProfile], list[PreparedProfile]]:
+    """A one-user roster on each side, for scoring one pair as a 1x1 matrix."""
+    ids = feature_ids((enroll, probe))
+    return [prepare_profile(enroll, ids)], [prepare_profile(probe, ids)]
 
 
 def similarity_score(
@@ -188,7 +383,7 @@ def similarity_score(
     AS_PUBLISHED counts the feature when v/u <= 0.5, CORRECTED when > 0.5;
     the score is counted features over total common features.
     """
-    return similarity_from_prepared(prepare_profile(enroll), prepare_profile(probe), mode)
+    return float(similarity_from_prepared(*_prepare_pair(enroll, probe), mode)[0, 0])
 
 
 def absolute_score(
@@ -202,9 +397,8 @@ def absolute_score(
     ``threshold``. Medians of opposite sign never agree; a zero median agrees
     only with another exact zero; negative pairs compare by magnitude.
     """
-    if not threshold > 1:
-        raise ValueError(f"threshold must be > 1, got {threshold}")
-    return absolute_from_prepared(prepare_profile(enroll), prepare_profile(probe), threshold)
+    spec = ScorerSpec(Verifier.ABSOLUTE, threshold=threshold)
+    return float(absolute_from_prepared(*_prepare_pair(enroll, probe), spec.threshold)[0, 0])
 
 
 def itad_score(enroll: ProfileLike, probe: ProfileLike) -> float:
@@ -214,7 +408,7 @@ def itad_score(enroll: ProfileLike, probe: ProfileLike) -> float:
     y's side of the enrollment median; the score is the mean over one flat
     list across all common features, so values from large lists weigh more.
     """
-    return itad_from_prepared(prepare_profile(enroll), prepare_profile(probe))
+    return float(itad_from_prepared(*_prepare_pair(enroll, probe))[0, 0])
 
 
 def score_profiles(

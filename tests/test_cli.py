@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from keydyn import cli, features
 from keydyn.cli import load_config_file, main
 from keydyn.ingest import CSV_HEADER
 
@@ -62,6 +63,28 @@ def test_extract_warns_on_malformed_row(tmp_path, capsys):
     assert len(list(out.glob("*.json"))) == 1
 
 
+def test_extract_invalid_utf8_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(CSV_HEADER.encode() + b"\nu1,F,1,a,P,0\nu1,F,1,\xff,R,60\n")
+    code = main(["extract", str(bad), "--out", str(tmp_path / "profiles")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "MALFORMED_ROW" in err and ":3:" in err and "UTF-8" in err
+
+
+def test_extract_pairs_each_session_once(corpus_dir, tmp_path, monkeypatch, capsys):
+    paired = []
+
+    def counting(real):
+        return lambda log: paired.append(log.session_key) or real(log)
+
+    monkeypatch.setattr(cli, "pair_events", counting(cli.pair_events))
+    monkeypatch.setattr(features, "pair_events", counting(features.pair_events))
+    assert main(["extract", str(corpus_dir / "corpus.csv"), "--out", str(tmp_path / "profiles")]) == 0
+    assert len(paired) == len(set(paired)) == 4 * 3 * 6
+    assert "keystrokes:" in capsys.readouterr().out
+
+
 def test_evaluate_default_grid(corpus_dir, tmp_path, capsys):
     out = tmp_path / "report"
     code = main(["evaluate", str(corpus_dir), "--out", str(out)])
@@ -118,6 +141,14 @@ def test_score_bad_scenario_is_usage_error(corpus_dir, tmp_path, capsys):
     assert main(["score", str(corpus_dir), "--scenario", "same:F:T", "--out", str(tmp_path / "x")]) == 1
     assert main(["score", str(corpus_dir), "--scenario", "cross:F:F", "--out", str(tmp_path / "x")]) == 1
     capsys.readouterr()
+
+
+def test_score_threshold_not_above_one_is_usage_error(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["score", str(corpus_dir), "--scenario", "same:F", "--out", str(out), "--threshold", "0.5"])
+    assert code == 1
+    assert "threshold must be > 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_rendering(corpus_dir, tmp_path, capsys):

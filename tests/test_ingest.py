@@ -83,6 +83,7 @@ def test_parse_out_of_order_rows_resorted():
         ("u1,F,1,a,X,0", "action"),
         ("u1,F,1,a,P,abc", "timestamp"),
         ("u1,F,1,a,P,-5", "timestamp"),
+        ("u1,F,1,a,R,inf", "timestamp"),
         ("u1,F,x,a,P,0", "session_id"),
         ("u1,F,1,a,P", "fields"),
         (",F,1,a,P,0", "empty"),

@@ -5,20 +5,22 @@ import itertools
 import numpy as np
 import pytest
 
-from keydyn.errors import RosterMismatchError, ShapeMismatchError
-from keydyn.features import unigraph_key
+from keydyn.errors import KeydynError, RosterMismatchError, ShapeMismatchError
+from keydyn.evaluation import k_rank_accuracy
+from keydyn.features import unigraph_key, wordhold_key
 from keydyn.matrix import (
     FusionMethod,
     ScoreMatrix,
-    ScorerSpec,
-    build_matrix_prepared,
     build_score_matrix,
     fuse,
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
 )
-from keydyn.verifiers import SimilarityMode, Verifier, prepare_profile
+from keydyn.verifiers import SimilarityMode, Verifier
+
+from conftest import FEATURE_POOL, random_profile
+from oracles import oracle_absolute, oracle_itad, oracle_similarity
 
 U = unigraph_key
 
@@ -65,6 +67,56 @@ def test_matrix_shape_validation():
         ScoreMatrix(("u1", "u2"), np.zeros((3, 3)))
 
 
+def test_matrix_rejects_non_finite_values():
+    with pytest.raises(KeydynError):
+        k_rank_accuracy(ScoreMatrix(("a", "b"), [[np.nan, 0.9], [0.1, np.nan]]), 1)
+    with pytest.raises(KeydynError):
+        ScoreMatrix(("a",), [[np.inf]])
+
+
+# enrollment runs whose bands and medians land exactly on values below:
+# (100, 120) from std 10; (82.5, 137.5) from a single 110; an inverted band
+# from a single negative value; zero medians; an empty band from std 0
+TIE_RUNS = ([100.0, 110.0, 120.0], [110.0], [-40.0], [0.0], [-5.0, 0.0, 5.0], [7.0, 7.0, 7.0, 7.0])
+TIE_VALUES = (100.0, 110.0, 120.0, 82.5, 137.5, -40.0, -30.0, -50.0, 0.0, 5.0, 7.0)
+
+
+def tie_heavy_profile(rng):
+    profile = {}
+    for index in rng.choice(len(FEATURE_POOL), size=int(rng.integers(0, 6)), replace=False):
+        draw = rng.random()
+        if draw < 0.4:
+            values = list(TIE_RUNS[rng.integers(len(TIE_RUNS))])
+        elif draw < 0.8:
+            values = [float(v) for v in rng.choice(TIE_VALUES, size=int(rng.integers(1, 6)))]
+        else:
+            values = [float(v) for v in 10 * rng.integers(-3, 4, size=int(rng.integers(1, 8)))]
+        profile[FEATURE_POOL[index]] = values
+    return profile
+
+
+def test_whole_matrices_match_oracles_cell_by_cell(rng):
+    cases = (
+        (Verifier.SIMILARITY, SimilarityMode.AS_PUBLISHED, oracle_similarity),
+        (Verifier.SIMILARITY, SimilarityMode.CORRECTED, lambda a, b: oracle_similarity(a, b, corrected=True)),
+        (Verifier.ABSOLUTE, SimilarityMode.AS_PUBLISHED, oracle_absolute),
+        (Verifier.ITAD, SimilarityMode.AS_PUBLISHED, oracle_itad),
+    )
+    for trial in range(80):
+        users = [f"u{i}" for i in range(1 if trial < 4 else int(rng.integers(2, 7)))]
+        make = tie_heavy_profile if trial % 2 == 0 else random_profile
+        enroll = {u: make(rng) for u in users}
+        probe = {u: make(rng) for u in users}
+        if trial % 5 == 0:
+            enroll[users[-1]] = {wordhold_key("zzz"): [50.0]}  # no feature in common with any probe
+        for verifier, mode, oracle in cases:
+            m = build_score_matrix(enroll, probe, verifier, mode=mode)
+            for i, probe_user in enumerate(m.roster):
+                for j, enroll_user in enumerate(m.roster):
+                    want = oracle(enroll[enroll_user], probe[probe_user])
+                    assert abs(m.values[i, j] - want) <= 1e-12, (trial, verifier, mode, i, j)
+
+
 def test_separated_synthetic_users_dominate_diagonal():
     from keydyn.evaluation import split_same_platform
     from keydyn.synth import SynthSpec, generate_corpus
@@ -75,18 +127,6 @@ def test_separated_synthetic_users_dominate_diagonal():
     for i in range(3):
         off = [m.values[i, j] for j in range(3) if j != i]
         assert m.values[i, i] > max(off)
-
-
-def test_parallel_rows_equal_sequential():
-    maps_e = profiles(u1=80.0, u2=150.0, u3=230.0, u4=310.0, u5=390.0)
-    maps_p = profiles(u1=82.0, u2=155.0, u3=228.0, u4=500.0, u5=391.0)
-    enroll = {u: prepare_profile(p) for u, p in maps_e.items()}
-    probe = {u: prepare_profile(p) for u, p in maps_p.items()}
-    spec = ScorerSpec(Verifier.ITAD)
-    seq = build_matrix_prepared(enroll, probe, spec, jobs=1)
-    par = build_matrix_prepared(enroll, probe, spec, jobs=3)
-    assert np.array_equal(seq.values, par.values)
-    assert seq.roster == par.roster
 
 
 # -- fusion --------------------------------------------------------------------
