@@ -78,6 +78,14 @@ def _parse_kinds(value: Any) -> tuple[Kind, ...]:
         raise UsageError(f"bad feature kind: {exc}") from None
 
 
+def _parse_formats(value: Any, allowed: tuple[str, ...]) -> tuple[str, ...]:
+    formats = _csv_tuple(value)
+    unknown = [f for f in formats if f not in allowed]
+    if unknown or not formats:
+        raise UsageError(f"bad --formats {list(formats)}; choose from {list(allowed)}")
+    return formats
+
+
 def _parse_mode(value: Any) -> SimilarityMode:
     try:
         return SimilarityMode(str(value))
@@ -143,19 +151,6 @@ def _require(value: Any, flag: str) -> Any:
     return value
 
 
-def _load_inputs(inputs: Sequence[str]) -> tuple[Corpus, ParseResult]:
-    corpora = [read_corpus(path, strict=False) for path in inputs]
-    logs = [log for corpus, _ in corpora for log in corpus.sessions.values()]
-    combined = Corpus.from_logs(logs)
-    summary = ParseResult(sessions=logs)
-    for _, res in corpora:
-        summary.warnings.extend(res.warnings)
-        summary.rows_total += res.rows_total
-        summary.rows_rejected += res.rows_rejected
-        summary.resorted_sessions += res.resorted_sessions
-    return combined, summary
-
-
 def _print_warnings(summary: ParseResult) -> None:
     for warning in summary.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -175,7 +170,7 @@ def _corpus_stats(corpus: Corpus, per_platform: Counter[str]) -> dict[str, Any]:
 def cmd_extract(args: argparse.Namespace, config: dict[str, Any]) -> int:
     out_dir = Path(_require(_pick(args.out, config, "out", None), "--out"))
     kinds = _parse_kinds(_pick(args.kinds, config, "kinds", None) or [k.value for k in ALL_KINDS])
-    corpus, summary = _load_inputs(args.inputs)
+    corpus, summary = read_corpus(args.inputs, strict=False)
     _print_warnings(summary)
     out_dir.mkdir(parents=True, exist_ok=True)
     keystrokes: Counter[str] = Counter()
@@ -214,7 +209,7 @@ def cmd_score(args: argparse.Namespace, config: dict[str, Any]) -> int:
     scorers = _csv_tuple(_pick(args.scorers, config, "scorers", ",".join(evaluation.ALL_SCORERS)))
     mode = _parse_mode(_pick(args.similarity_mode, config, "similarity_mode", SimilarityMode.AS_PUBLISHED.value))
     kinds = _parse_kinds(_pick(args.kinds, config, "kinds", None) or [k.value for k in ALL_KINDS])
-    formats = _csv_tuple(_pick(args.formats, config, "formats", "csv,json"))
+    formats = _parse_formats(_pick(args.formats, config, "formats", "csv,json"), ("csv", "json"))
 
     try:
         threshold = float(_pick(args.threshold, config, "threshold", 1.5))
@@ -223,7 +218,7 @@ def cmd_score(args: argparse.Namespace, config: dict[str, Any]) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    corpus, summary = _load_inputs(args.inputs)
+    corpus, summary = read_corpus(args.inputs, strict=False)
     _print_warnings(summary)
     data = evaluation.build_scenario_data(corpus, scenario, kinds=kinds)
     matrices = matrix.score_matrices(
@@ -259,9 +254,9 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, Any]) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    formats = _csv_tuple(_pick(args.formats, config, "formats", "json,csv"))
+    formats = _parse_formats(_pick(args.formats, config, "formats", "json,csv"), ("json", "csv"))
 
-    corpus, summary = _load_inputs(args.inputs)
+    corpus, summary = read_corpus(args.inputs, strict=False)
     _print_warnings(summary)
     report = evaluation.run_benchmark(corpus, bench)
 

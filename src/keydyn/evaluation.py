@@ -255,6 +255,11 @@ class BenchmarkConfig:
             raise ValueError("at least one scorer must be selected")
         if not self.scenario_kinds:
             raise ValueError("at least one scenario kind must be selected")
+        if self.k_max < 1:
+            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+        overlap = sorted(set(self.enroll_sessions) & set(self.probe_sessions))
+        if overlap:
+            raise ValueError(f"enroll and probe sessions overlap: {overlap}")
         ScorerSpec(Verifier.ABSOLUTE, self.similarity_mode, self.threshold)  # validates the threshold
 
     def describe(self) -> dict:

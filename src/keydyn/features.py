@@ -9,7 +9,7 @@ keys, so verifiers see a single common-feature set.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -100,12 +100,17 @@ class FeatureDictionary(Mapping[FeatureKey, "list[float]"]):
 Profile = FeatureDictionary
 
 
+def _keyed(kind: Kind, grouped: dict) -> FeatureDictionary:
+    """Wrap each raw label of ``grouped`` in its feature key once, in insertion order."""
+    return FeatureDictionary({FeatureKey(kind, label): values for label, values in grouped.items()})
+
+
 def extract_unigraphs(pairs: Sequence[PairedKeystroke]) -> FeatureDictionary:
     """Key hold times: release minus press per occurrence of each key."""
-    entries: dict[FeatureKey, list[float]] = {}
-    for pair in pairs:
-        entries.setdefault(unigraph_key(pair.key), []).append(pair.release_ms - pair.press_ms)
-    return FeatureDictionary(entries)
+    grouped: defaultdict[str, list[float]] = defaultdict(list)
+    for key, press_ms, release_ms in pairs:
+        grouped[key].append(release_ms - press_ms)
+    return _keyed(Kind.UNIGRAPH, grouped)
 
 
 def extract_digraphs(pairs: Sequence[PairedKeystroke]) -> FeatureDictionary:
@@ -114,11 +119,10 @@ def extract_digraphs(pairs: Sequence[PairedKeystroke]) -> FeatureDictionary:
     The latency is press(next) - release(previous); rollover typing makes
     negative values legitimate and they are retained. No pause filtering.
     """
-    entries: dict[FeatureKey, list[float]] = {}
-    for first, second in zip(pairs, pairs[1:]):
-        key = digraph_key(first.key, second.key)
-        entries.setdefault(key, []).append(second.press_ms - first.release_ms)
-    return FeatureDictionary(entries)
+    grouped: defaultdict[tuple[str, str], list[float]] = defaultdict(list)
+    for (first, _, release_ms), (second, press_ms, _) in zip(pairs, pairs[1:]):
+        grouped[first, second].append(press_ms - release_ms)
+    return _keyed(Kind.DIGRAPH, grouped)
 
 
 def _is_word_char(key: str) -> bool:
@@ -133,23 +137,21 @@ def extract_wordholds(pairs: Sequence[PairedKeystroke]) -> FeatureDictionary:
     not edit retroactively: the word as typed so far is emitted. A trailing
     word at end of session is emitted without a terminator.
     """
-    entries: dict[FeatureKey, list[float]] = {}
-    run: list[PairedKeystroke] = []
-
-    def flush() -> None:
-        if run:
-            word = "".join(p.key for p in run)
-            hold = run[-1].release_ms - run[0].press_ms
-            entries.setdefault(wordhold_key(word), []).append(hold)
-            run.clear()
-
-    for pair in pairs:
-        if _is_word_char(pair.key):
-            run.append(pair)
-        else:
-            flush()
-    flush()
-    return FeatureDictionary(entries)
+    grouped: defaultdict[str, list[float]] = defaultdict(list)
+    word: list[str] = []
+    first_press = last_release = 0.0
+    for key, press_ms, release_ms in pairs:
+        if _is_word_char(key):
+            if not word:
+                first_press = press_ms
+            word.append(key)
+            last_release = release_ms
+        elif word:
+            grouped["".join(word)].append(last_release - first_press)
+            word = []
+    if word:
+        grouped["".join(word)].append(last_release - first_press)
+    return _keyed(Kind.WORDHOLD, grouped)
 
 
 _EXTRACTORS = {

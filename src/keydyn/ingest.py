@@ -2,18 +2,23 @@
 
 The canonical interchange format is CSV with header
 ``user_id,platform,session_id,key,action,time_ms``, action ``P`` or ``R``,
-UTF-8, LF line endings. Fields never contain commas: a literal comma key is
-spelled ``COMMA``.
+UTF-8, LF line endings; one leading byte-order mark is ignored. Fields never
+contain commas: a literal comma key is spelled ``COMMA``.
+
+``KeyEvent`` and ``PairedKeystroke`` are named tuples: a corpus holds one per
+row, so they cost no more than a plain tuple to build and to unpack.
 """
 
 from __future__ import annotations
 
 import io
-import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
+from operator import gt, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DuplicateSessionError, EmptyInputError, MalformedRowError
 
@@ -79,8 +84,7 @@ def canonicalize_key(label: str) -> str:
     return _SPECIAL_ALIASES.get(label.lower(), label.upper())
 
 
-@dataclass(frozen=True)
-class KeyEvent:
+class KeyEvent(NamedTuple):
     key: str
     action: Action
     time_ms: float
@@ -100,8 +104,7 @@ class SessionLog:
         return (self.user_id, self.platform, self.session_id)
 
 
-@dataclass(frozen=True)
-class PairedKeystroke:
+class PairedKeystroke(NamedTuple):
     key: str
     press_ms: float
     release_ms: float
@@ -156,6 +159,35 @@ class ParseResult:
     resorted_sessions: int = 0
 
 
+_ACTIONS = {"P": Action.PRESS, "R": Action.RELEASE}
+_EMPTY_FIELD = "empty user_id, platform, or key"
+_INF = float("inf")
+_time_ms = itemgetter(2)
+
+
+def _session_head(
+    head: str, grouped: dict[tuple[str, str, int], list[KeyEvent]]
+) -> list[KeyEvent] | tuple[str, bool]:
+    """Validate one raw ``user_id,platform,session_id`` row head.
+
+    Returns the event list of the session it names (shared by every head
+    that names the same session), or ``(reason, late)`` when the head
+    rejects its rows. A late reason, a malformed session id, gives way to
+    an empty key, which a row checks first.
+    """
+    fields = head.split(",")
+    if len(fields) != 3:
+        return f"expected 6 fields, got {len(fields) + 3}", False
+    user_id, platform, session_raw = (f.strip() for f in fields)
+    if not user_id or not platform:
+        return _EMPTY_FIELD, False
+    try:
+        session_id = int(session_raw)
+    except ValueError:
+        return f"malformed session_id {session_raw!r}", True
+    return grouped.setdefault((user_id, platform, session_id), [])
+
+
 def parse_log(data: bytes | str, *, strict: bool = True, source: str | None = None) -> ParseResult:
     """Parse canonical CSV into session logs.
 
@@ -166,6 +198,10 @@ def parse_log(data: bytes | str, *, strict: bool = True, source: str | None = No
     sessions whose rows arrived out of order are counted in
     ``resorted_sessions``. Bytes that are not valid UTF-8 raise
     :class:`MalformedRowError` in either mode.
+
+    Each distinct row head (``user_id,platform,session_id``) is validated
+    once and each distinct key label canonicalized once; every row still
+    gets every check, in the order above.
     """
     if isinstance(data, bytes):
         try:
@@ -175,6 +211,8 @@ def parse_log(data: bytes | str, *, strict: bool = True, source: str | None = No
             raise MalformedRowError(row, f"invalid UTF-8 at byte {exc.start}", source) from None
     else:
         text = data
+    if text.startswith("\ufeff"):
+        text = text[1:]
     lines = text.splitlines()
     if not lines:
         raise EmptyInputError("empty input" + (f": {source}" if source else ""))
@@ -183,6 +221,8 @@ def parse_log(data: bytes | str, *, strict: bool = True, source: str | None = No
 
     result = ParseResult(sessions=[])
     grouped: dict[tuple[str, str, int], list[KeyEvent]] = {}
+    heads: dict[str, list[KeyEvent] | tuple[str, bool]] = {}
+    keys: dict[str, str] = {}  # raw key field -> canonical key, "" when blank
 
     def reject(row: int, reason: str) -> None:
         if strict:
@@ -190,44 +230,57 @@ def parse_log(data: bytes | str, *, strict: bool = True, source: str | None = No
         result.rows_rejected += 1
         result.warnings.append(f"row {row}: {reason} (skipped)")
 
-    for row_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+    rows_total = 0
+    for row_no, line in enumerate(islice(lines, 1, None), start=2):
+        if not line or line.isspace():
             continue
-        result.rows_total += 1
-        fields = line.split(",")
-        if len(fields) != 6:
+        rows_total += 1
+        fields = line.rsplit(",", 3)
+        if len(fields) != 4:
             reject(row_no, f"expected 6 fields, got {len(fields)}")
             continue
-        user_id, platform, session_raw, key_raw, action_raw, time_raw = (f.strip() for f in fields)
-        if not user_id or not platform or not key_raw:
-            reject(row_no, "empty user_id, platform, or key")
+        head, key_raw, action_raw, time_raw = fields
+        events = heads.get(head)
+        if events is None:
+            events = heads[head] = _session_head(head, grouped)
+        key = keys.get(key_raw)
+        if key is None:
+            key = key_raw.strip()
+            key = keys[key_raw] = canonicalize_key(key) if key else ""
+        if events.__class__ is tuple:
+            reason, late = events
+            reject(row_no, _EMPTY_FIELD if late and not key else reason)
             continue
+        if not key:
+            reject(row_no, _EMPTY_FIELD)
+            continue
+        action = _ACTIONS.get(action_raw)
+        if action is None:
+            action = _ACTIONS.get(action_raw.strip())
+            if action is None:
+                reject(row_no, f"unknown action {action_raw.strip()!r}")
+                continue
         try:
-            session_id = int(session_raw)
+            time_ms = float(time_raw)  # float() ignores the padding strip() would remove
         except ValueError:
-            reject(row_no, f"malformed session_id {session_raw!r}")
+            reject(row_no, f"malformed timestamp {time_raw.strip()!r}")
             continue
-        if action_raw not in ("P", "R"):
-            reject(row_no, f"unknown action {action_raw!r}")
+        if not 0.0 <= time_ms < _INF:  # also false for NaN
+            reject(row_no, f"negative or non-finite timestamp {time_raw.strip()!r}")
             continue
-        try:
-            time_ms = float(time_raw)
-        except ValueError:
-            reject(row_no, f"malformed timestamp {time_raw!r}")
-            continue
-        if not math.isfinite(time_ms) or time_ms < 0:
-            reject(row_no, f"negative or non-finite timestamp {time_raw!r}")
-            continue
-        event = KeyEvent(canonicalize_key(key_raw), Action(action_raw), time_ms)
-        grouped.setdefault((user_id, platform, session_id), []).append(event)
+        events.append(KeyEvent(key, action, time_ms))
+    result.rows_total = rows_total
 
-    if result.rows_total == 0:
+    if rows_total == 0:
         raise EmptyInputError("no data rows" + (f": {source}" if source else ""))
 
     for key in sorted(grouped):
         events = grouped[key]
-        if any(a.time_ms > b.time_ms for a, b in zip(events, events[1:])):
-            events = sorted(events, key=lambda e: e.time_ms)
+        if not events:  # every row of the session was rejected
+            continue
+        times = list(map(_time_ms, events))
+        if any(map(gt, times, islice(times, 1, None))):
+            events = sorted(events, key=_time_ms)
             result.resorted_sessions += 1
             result.warnings.append(f"session {key}: out-of-order timestamps, re-sorted")
         user_id, platform, session_id = key
@@ -249,27 +302,34 @@ def serialize_corpus(corpus: Corpus) -> str:
     return out.getvalue()
 
 
-def read_corpus(path: str | Path, *, strict: bool = True) -> tuple[Corpus, ParseResult]:
-    """Load one CSV file or every ``*.csv`` under a directory into a corpus."""
-    path = Path(path)
-    if path.is_dir():
-        files = sorted(path.glob("*.csv"))
-        if not files:
-            raise EmptyInputError(f"no .csv files in {path}")
-    else:
-        files = [path]
+def read_corpus(
+    paths: str | os.PathLike | Iterable[str | os.PathLike], *, strict: bool = True
+) -> tuple[Corpus, ParseResult]:
+    """Load CSV input into one corpus.
+
+    ``paths`` is one path or several; each names a CSV file or a directory
+    whose ``*.csv`` files are read in name order. The returned
+    :class:`ParseResult` holds every file's sessions in read order and sums
+    their warnings and row counts.
+    """
+    if isinstance(paths, (str, os.PathLike)):
+        paths = [paths]
     combined = ParseResult(sessions=[])
-    logs: list[SessionLog] = []
-    for file in files:
-        res = parse_log(file.read_bytes(), strict=strict, source=str(file))
-        logs.extend(res.sessions)
-        combined.warnings.extend(res.warnings)
-        combined.rows_total += res.rows_total
-        combined.rows_rejected += res.rows_rejected
-        combined.resorted_sessions += res.resorted_sessions
-    corpus = Corpus.from_logs(logs)
-    combined.sessions = logs
-    return corpus, combined
+    for path in map(Path, paths):
+        if path.is_dir():
+            files = sorted(path.glob("*.csv"))
+            if not files:
+                raise EmptyInputError(f"no .csv files in {path}")
+        else:
+            files = [path]
+        for file in files:
+            res = parse_log(file.read_bytes(), strict=strict, source=str(file))
+            combined.sessions.extend(res.sessions)
+            combined.warnings.extend(res.warnings)
+            combined.rows_total += res.rows_total
+            combined.rows_rejected += res.rows_rejected
+            combined.resorted_sessions += res.resorted_sessions
+    return Corpus.from_logs(combined.sessions), combined
 
 
 @dataclass
@@ -284,6 +344,9 @@ class PairingResult:
         return self.dropped_repeats + self.dropped_orphan_releases + self.dropped_unreleased
 
 
+_press_ms = itemgetter(1)
+
+
 def pair_events(log: SessionLog) -> PairingResult:
     """Match each PRESS to the next RELEASE of the same key.
 
@@ -291,20 +354,21 @@ def pair_events(log: SessionLog) -> PairingResult:
     RELEASE with no pending PRESS is dropped; presses never released within
     the session are dropped. Output is ordered by press time (stable).
     """
-    result = PairingResult(pairs=[])
+    pairs: list[PairedKeystroke] = []
     pending: dict[str, float] = {}
-    for event in log.events:
-        if event.action is Action.PRESS:
-            if event.key in pending:
-                result.dropped_repeats += 1
+    repeats = orphans = 0
+    press = Action.PRESS
+    for key, action, time_ms in log.events:
+        if action is press:
+            if key in pending:
+                repeats += 1
             else:
-                pending[event.key] = event.time_ms
+                pending[key] = time_ms
         else:
-            press_ms = pending.pop(event.key, None)
+            press_ms = pending.pop(key, None)
             if press_ms is None:
-                result.dropped_orphan_releases += 1
+                orphans += 1
             else:
-                result.pairs.append(PairedKeystroke(event.key, press_ms, event.time_ms))
-    result.dropped_unreleased = len(pending)
-    result.pairs.sort(key=lambda p: p.press_ms)
-    return result
+                pairs.append(PairedKeystroke(key, press_ms, time_ms))
+    pairs.sort(key=_press_ms)
+    return PairingResult(pairs, repeats, orphans, len(pending))

@@ -1,8 +1,9 @@
-"""Independent brute-force transcriptions of the three verifier algorithms.
+"""Independent brute-force transcriptions of the three verifier algorithms
+and of the log parser.
 
 Written against the algorithm definitions only, with plain loops and the
-statistics module; deliberately shares no code with the package so it can
-serve as the reference side of the equivalence checks.
+statistics module; the verifier oracles deliberately share no code with the
+package so they can serve as the reference side of the equivalence checks.
 """
 
 from __future__ import annotations
@@ -68,3 +69,82 @@ def oracle_itad(a: dict, b: dict) -> float:
             p = sum(1 for value in x if value <= y) / len(x)
             q.append(p if y <= mid else 1.0 - p)
     return sum(q) / len(q)
+
+
+def parse_log_oracle(data, strict: bool = True, source=None) -> dict:
+    """Row-by-row transcription of ``parse_log``, on plain tuples.
+
+    Reuses only the key canonicalization, the header constant and the error
+    types of the package. Returns ``sessions`` as (user, platform, session,
+    [(key, action, time_ms), ...]) in sorted session order, and the
+    ``warnings``, ``rows_total``, ``rows_rejected`` and ``resorted_sessions``
+    of the result.
+    """
+    from keydyn.errors import EmptyInputError, MalformedRowError
+    from keydyn.ingest import CSV_HEADER, canonicalize_key
+
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            row = data.count(b"\n", 0, exc.start) + 1
+            raise MalformedRowError(row, f"invalid UTF-8 at byte {exc.start}", source) from None
+    else:
+        text = data
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    lines = text.splitlines()
+    if not lines:
+        raise EmptyInputError("empty input" + (f": {source}" if source else ""))
+    if lines[0].strip() != CSV_HEADER:
+        raise MalformedRowError(1, f"bad header (expected {CSV_HEADER!r})", source)
+
+    out = {"sessions": [], "warnings": [], "rows_total": 0, "rows_rejected": 0, "resorted_sessions": 0}
+    grouped = {}
+    for row_no in range(2, len(lines) + 1):
+        line = lines[row_no - 1]
+        if line.strip() == "":
+            continue
+        out["rows_total"] += 1
+        fields = line.split(",")
+        reason = None
+        if len(fields) != 6:
+            reason = f"expected 6 fields, got {len(fields)}"
+        else:
+            user, platform, session_raw, key_raw, action, time_raw = [f.strip() for f in fields]
+            if user == "" or platform == "" or key_raw == "":
+                reason = "empty user_id, platform, or key"
+            else:
+                try:
+                    session = int(session_raw)
+                except ValueError:
+                    reason = f"malformed session_id {session_raw!r}"
+            if reason is None and action != "P" and action != "R":
+                reason = f"unknown action {action!r}"
+            if reason is None:
+                try:
+                    time_ms = float(time_raw)
+                except ValueError:
+                    reason = f"malformed timestamp {time_raw!r}"
+                else:
+                    if time_ms != time_ms or time_ms in (float("inf"), float("-inf")) or time_ms < 0:
+                        reason = f"negative or non-finite timestamp {time_raw!r}"
+        if reason is not None:
+            if strict:
+                raise MalformedRowError(row_no, reason, source)
+            out["rows_rejected"] += 1
+            out["warnings"].append(f"row {row_no}: {reason} (skipped)")
+            continue
+        grouped.setdefault((user, platform, session), []).append((canonicalize_key(key_raw), action, time_ms))
+
+    if out["rows_total"] == 0:
+        raise EmptyInputError("no data rows" + (f": {source}" if source else ""))
+    for key in sorted(grouped):
+        events = grouped[key]
+        in_order = all(events[i][2] <= events[i + 1][2] for i in range(len(events) - 1))
+        if not in_order:
+            events = sorted(events, key=lambda e: e[2])
+            out["resorted_sessions"] += 1
+            out["warnings"].append(f"session {key}: out-of-order timestamps, re-sorted")
+        out["sessions"].append((key[0], key[1], key[2], events))
+    return out

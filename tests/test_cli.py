@@ -113,6 +113,20 @@ def test_evaluate_unknown_scorer_is_usage_error(corpus_dir, tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_evaluate_k_max_below_one_is_usage_error(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["evaluate", str(corpus_dir), "--out", str(out), "--k-max", "0"]) == 1
+    assert "k_max must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_unknown_format_is_usage_error(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["evaluate", str(corpus_dir), "--out", str(out), "--formats", "json,xml"]) == 1
+    assert "bad --formats" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_score_scenario_matrices(corpus_dir, tmp_path):
     out = tmp_path / "mats"
     code = main(
@@ -148,6 +162,14 @@ def test_score_threshold_not_above_one_is_usage_error(corpus_dir, tmp_path, caps
     code = main(["score", str(corpus_dir), "--scenario", "same:F", "--out", str(out), "--threshold", "0.5"])
     assert code == 1
     assert "threshold must be > 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_score_unknown_format_is_usage_error(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["score", str(corpus_dir), "--scenario", "same:F", "--out", str(out), "--formats", "xml,jsn"])
+    assert code == 1
+    assert "bad --formats ['xml', 'jsn']" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -224,6 +224,12 @@ def test_benchmark_config_validation():
         BenchmarkConfig(scorers=())
     with pytest.raises(ValueError):
         BenchmarkConfig(threshold=0.9)
+    for k_max in (0, -1):
+        with pytest.raises(ValueError, match="k_max"):
+            BenchmarkConfig(k_max=k_max)
+    with pytest.raises(ValueError, match=r"overlap: \[3\]"):
+        BenchmarkConfig(enroll_sessions=(1, 2, 3), probe_sessions=(3, 4))
+    BenchmarkConfig(k_max=1, enroll_sessions=(1, 2), probe_sessions=(3, 4))
 
 
 def test_report_round_trip_and_csv(small_synth_corpus):

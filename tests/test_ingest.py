@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from keydyn.errors import DuplicateSessionError, EmptyInputError, MalformedRowError
+from keydyn.errors import DuplicateSessionError, EmptyInputError, KeydynError, MalformedRowError
 from keydyn.ingest import (
     Action,
     Corpus,
@@ -15,6 +15,8 @@ from keydyn.ingest import (
     read_corpus,
     serialize_corpus,
 )
+
+from oracles import parse_log_oracle
 
 HEADER = "user_id,platform,session_id,key,action,time_ms\n"
 
@@ -61,6 +63,18 @@ def test_parse_empty_input_errors():
 def test_parse_bad_header_errors():
     with pytest.raises(MalformedRowError):
         parse_log("nope,nope\nu1,F,1,a,P,0\n")
+
+
+@pytest.mark.parametrize("as_bytes", [True, False])
+def test_parse_accepts_one_leading_bom(as_bytes):
+    text = HEADER + "u1,F,1,a,P,0\nu1,F,1,a,R,50\n"
+    bom = "\ufeff"
+    data = (bom + text).encode("utf-8") if as_bytes else bom + text
+    assert Corpus.from_logs(parse_log(data).sessions) == Corpus.from_logs(parse_log(text).sessions)
+    # only one mark is dropped: a second one is part of the header
+    twice = (bom + bom + text).encode("utf-8") if as_bytes else bom + bom + text
+    with pytest.raises(MalformedRowError, match="bad header"):
+        parse_log(twice)
 
 
 def test_parse_out_of_order_rows_resorted():
@@ -179,6 +193,22 @@ def test_read_corpus_directory(tmp_path):
         read_corpus(empty)
 
 
+def test_read_corpus_sums_several_paths(tmp_path):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "one.csv").write_text(HEADER + "u1,F,1,a,P,0\nu1,F,1,a,P,x\n")
+    (tmp_path / "two.csv").write_text(HEADER + "u2,F,1,a,P,5\nu2,F,1,a,P,1\n")
+    corpus, summary = read_corpus([tmp_path / "dir", str(tmp_path / "two.csv")], strict=False)
+    assert corpus.roster == ["u1", "u2"]
+    assert [log.session_key for log in summary.sessions] == [("u1", "F", 1), ("u2", "F", 1)]
+    assert (summary.rows_total, summary.rows_rejected, summary.resorted_sessions) == (4, 1, 1)
+    assert summary.warnings == [
+        "row 3: malformed timestamp 'x' (skipped)",
+        "session ('u2', 'F', 1): out-of-order timestamps, re-sorted",
+    ]
+    with pytest.raises(DuplicateSessionError):
+        read_corpus([tmp_path / "two.csv", tmp_path / "two.csv"])
+
+
 def test_pair_events_simple():
     log = make_log([("a", "P", 0), ("a", "R", 50)])
     result = pair_events(log)
@@ -243,3 +273,116 @@ def test_pairing_deterministic(raw_events):
     ordered = sorted(raw_events, key=lambda e: e[2])
     log = make_log(ordered)
     assert pair_events(log).pairs == pair_events(log).pairs
+
+
+# -- differential parse oracle ---------------------------------------------------
+
+# per field: well-formed spellings (padded, leading zeros, key aliases), then faults
+FIELDS = (
+    (("u1", " u1", "u1 ", "u2"), ("", "  ")),
+    (("F", "F ", "\tF", "I"), ("",)),
+    (("1", "01", " 1", "001 ", "2", "-1"), ("x", "")),
+    (("a", "A", " b", "Key.space", "COMMA", "shift_r", "."), (" ", "")),
+    (("P", "R", " R", "P "), ("X", "p", "")),
+    (("0", "5", "10.5", " 7", "3 ", "120", "1e2", "-0"), ("x", "-5", "inf", "nan", "")),
+)
+
+
+@st.composite
+def faulty_lines(draw, odds):
+    """One line; each field is a fault with probability 1/odds."""
+    shape = draw(st.sampled_from(("row",) * 6 + ("extra_comma", "missing_field", "blank")))
+    if shape == "blank":
+        return draw(st.sampled_from(("", " ", "\t", "   ")))
+    fields = [
+        draw(st.sampled_from(bad if draw(st.integers(1, odds)) == 1 else good)) for good, bad in FIELDS
+    ]
+    if shape == "extra_comma":
+        at = draw(st.integers(0, len(fields)))
+        fields.insert(at, draw(st.sampled_from(("", "z", " "))))
+    elif shape == "missing_field":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    return ",".join(fields)
+
+
+@st.composite
+def faulty_csv(draw):
+    lines = draw(st.lists(faulty_lines(draw(st.sampled_from((2, 12)))), max_size=12))
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    body = newline.join([HEADER.rstrip("\n")] + lines) + (newline if draw(st.booleans()) else "")
+    return draw(st.sampled_from(("", "\ufeff"))) + body
+
+
+def plain(result):
+    return {
+        "sessions": [
+            (s.user_id, s.platform, s.session_id, [(e.key, e.action.value, e.time_ms) for e in s.events])
+            for s in result.sessions
+        ],
+        "warnings": result.warnings,
+        "rows_total": result.rows_total,
+        "rows_rejected": result.rows_rejected,
+        "resorted_sessions": result.resorted_sessions,
+    }
+
+
+def outcome(parse, text, strict, source):
+    try:
+        return "ok", parse(text, strict=strict, source=source)
+    except MalformedRowError as exc:
+        return "malformed", (exc.row, str(exc))
+    except EmptyInputError as exc:
+        return "empty", str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@example(HEADER + "u1,F,1,a,P,5\nu1,F,1,b,P,3\nu1,F,1,c,P,7\n", True, None, False)  # 5 > 3 but not 5 > 7
+@given(faulty_csv(), st.booleans(), st.sampled_from((None, "log.csv")), st.booleans())
+def test_parse_log_matches_oracle(text, strict, source, as_bytes):
+    data = text.encode("utf-8") if as_bytes else text
+    got_kind, got = outcome(parse_log, data, strict, source)
+    want_kind, want = outcome(parse_log_oracle, data, strict, source)
+    assert got_kind == want_kind
+    if got_kind == "ok":
+        assert plain(got) == want
+    else:
+        assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200), st.booleans())
+def test_parse_log_arbitrary_bytes_parse_or_raise_keydyn_error(data, strict):
+    for candidate in (data, HEADER.encode() + data):
+        try:
+            parse_log(candidate, strict=strict)
+        except KeydynError:
+            pass
+
+
+label = st.text(alphabet="abcdefXYZ019_-", min_size=1, max_size=4)
+session_log = st.builds(
+    lambda user, platform, session, raw: SessionLog(
+        user, platform, session, [KeyEvent(k, Action(a), t) for k, a, t in sorted(raw, key=lambda e: e[2])]
+    ),
+    label,
+    label,
+    st.integers(min_value=-5, max_value=10**6),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("a", "z", "7", ".", "SPACE", "COMMA", "SHIFT", "F1")),
+            st.sampled_from(("P", "R")),
+            st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(session_log, min_size=1, max_size=5, unique_by=lambda log: log.session_key))
+def test_parse_inverts_serialize_on_generated_corpora(logs):
+    corpus = Corpus.from_logs(logs)
+    result = parse_log(serialize_corpus(corpus))
+    assert result.warnings == [] and result.rows_rejected == 0 and result.resorted_sessions == 0
+    assert Corpus.from_logs(result.sessions) == corpus
