@@ -4,77 +4,13 @@ Pipeline: raw key-event logs -> paired keystrokes -> timing-feature profiles
 -> verifier score matrices (+ fusion) -> rank-k identification reports.
 """
 
-from .errors import (
-    DuplicateSessionError,
-    EmptyInputError,
-    EmptyListError,
-    KeydynError,
-    KOutOfRangeError,
-    MalformedRowError,
-    MixedUserError,
-    NoEligibleUsersError,
-    OverlappingPlatformsError,
-    RosterMismatchError,
-    SamePlatformError,
-    ShapeMismatchError,
-)
 from .evaluation import (
     BenchmarkConfig,
-    EvaluationReport,
-    Scenario,
-    build_combined_cross,
-    build_cross_platform,
-    enumerate_scenarios,
+    build_scenario_data,
     k_rank_accuracy,
-    report_to_csv,
-    report_to_json,
     run_benchmark,
-    split_same_platform,
+    same_platform_scenario,
 )
-from .features import (
-    ALL_KINDS,
-    FeatureDictionary,
-    FeatureKey,
-    Kind,
-    Profile,
-    common_features,
-    digraph_key,
-    extract_digraphs,
-    extract_features,
-    extract_unigraphs,
-    extract_wordholds,
-    merge,
-    profile_from_json,
-    profile_to_json,
-    session_features,
-    unigraph_key,
-    wordhold_key,
-)
-from .ingest import (
-    Action,
-    Corpus,
-    KeyEvent,
-    PairedKeystroke,
-    SessionLog,
-    canonicalize_key,
-    pair_events,
-    parse_log,
-    read_corpus,
-    serialize_corpus,
-)
-from .matrix import FusionMethod, ScoreMatrix, ScorerSpec, build_score_matrix, fuse
-from .synth import SynthSpec, TypistModel, generate_corpus, sample_models
-from .verifiers import (
-    MatchScore,
-    SimilarityMode,
-    Verifier,
-    absolute_score,
-    ecdf,
-    itad_score,
-    median,
-    sample_std,
-    score_profiles,
-    similarity_score,
-)
-
-__version__ = "0.1.0"
+from .matrix import FusionMethod, build_score_matrix, fuse
+from .synth import SynthSpec, generate_corpus
+from .verifiers import SimilarityMode, Verifier

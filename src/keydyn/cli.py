@@ -16,8 +16,8 @@ from typing import Any, Sequence
 from . import evaluation, matrix, synth
 from .errors import KeydynError
 from .features import ALL_KINDS, Kind, profile_to_json, session_features
-from .ingest import Corpus, ParseResult, pair_events, read_corpus, serialize_corpus
-from .verifiers import SimilarityMode
+from .ingest import ParseResult, pair_events, read_corpus, serialize_corpus
+from .verifiers import DEFAULT_ABSOLUTE_THRESHOLD, SimilarityMode
 
 
 class UsageError(Exception):
@@ -25,6 +25,8 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]  # command name -> its parser, set by build_parser
+
     def error(self, message: str) -> None:  # exit 1 on usage problems, not argparse's 2
         raise UsageError(message)
 
@@ -44,8 +46,10 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
 
 
 def _parse_scalar(raw: str) -> Any:
-    if raw.startswith(('"', "'")) and raw.endswith(raw[0]) and len(raw) >= 2:
-        return raw[1:-1]
+    if raw[:1] in ('"', "'"):
+        end = raw.find(raw[0], 1)
+        if end > 0 and raw[end + 1 :].lstrip()[:1] in ("", "#"):  # a comment may follow the quotes
+            return raw[1:end]
     raw = raw.split("#", 1)[0].strip()
     if raw.lower() in ("true", "false"):
         return raw.lower() == "true"
@@ -57,28 +61,51 @@ def _parse_scalar(raw: str) -> Any:
     return raw
 
 
-def _pick(cli_value: Any, config: dict[str, Any], key: str, default: Any) -> Any:
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        return config[key]
-    return default
+def _options(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [action for action in parser._actions if action.option_strings and action.dest != "help"]
 
 
-def _csv_tuple(value: Any) -> tuple[str, ...]:
-    if isinstance(value, str):
-        return tuple(part.strip() for part in value.split(",") if part.strip())
-    return tuple(value)
+def _apply_config(parser: _Parser, args: argparse.Namespace, config: dict[str, Any]) -> None:
+    """Fill each option the command line left unset from the config file.
+
+    A key must name an option of some command or a global flag, and its value
+    must pass that option's type, as on the command line. Keys of another
+    command are accepted and left unused, so one file can serve every command.
+    """
+    known = {action.dest for p in (parser, *parser.commands.values()) for action in _options(p)}
+    for key in config:
+        if key not in known:
+            raise UsageError(f"unknown config key {key!r}")
+    command = parser.commands.get(args.command)
+    for action in _options(parser) + (_options(command) if command else []):
+        if action.dest in config and getattr(args, action.dest) is None:
+            raw = str(config[action.dest])
+            try:
+                setattr(args, action.dest, action.type(raw) if action.type else raw)
+            except ValueError:
+                raise UsageError(f"config key {action.dest!r}: bad value {config[action.dest]!r}") from None
 
 
-def _parse_kinds(value: Any) -> tuple[Kind, ...]:
+def _csv_tuple(value: str | None) -> tuple[str, ...] | None:
+    if value is None:
+        return None
+    return tuple(part.strip() for part in value.split(",") if part.strip())
+
+
+def _parse_kinds(value: str | None) -> tuple[Kind, ...]:
+    """Feature kinds from a comma list; all kinds when none is given."""
+    if not value:
+        return ALL_KINDS
     try:
         return tuple(Kind(v) for v in _csv_tuple(value))
     except ValueError as exc:
         raise UsageError(f"bad feature kind: {exc}") from None
 
 
-def _parse_formats(value: Any, allowed: tuple[str, ...]) -> tuple[str, ...]:
+def _parse_formats(value: str | None, allowed: tuple[str, ...]) -> tuple[str, ...]:
+    """Output formats from a comma list; all of ``allowed`` when not given."""
+    if value is None:
+        return allowed
     formats = _csv_tuple(value)
     unknown = [f for f in formats if f not in allowed]
     if unknown or not formats:
@@ -86,14 +113,21 @@ def _parse_formats(value: Any, allowed: tuple[str, ...]) -> tuple[str, ...]:
     return formats
 
 
-def _parse_mode(value: Any) -> SimilarityMode:
+def _parse_mode(value: str | None) -> SimilarityMode | None:
+    if value is None:
+        return None
     try:
-        return SimilarityMode(str(value))
+        return SimilarityMode(value)
     except ValueError:
         raise UsageError(
             f"bad similarity mode {value!r}; choose from "
             f"{[m.value for m in SimilarityMode]}"
         ) from None
+
+
+def _given(**options: Any) -> dict[str, Any]:
+    """The options that are set, so the class they are passed to owns every default."""
+    return {name: value for name, value in options.items() if value is not None}
 
 
 def build_parser() -> _Parser:
@@ -102,8 +136,9 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--jobs", type=int, help="accepted for compatibility, must be >= 1; scoring runs in one process"
     )
-    parser.add_argument("--seed", type=int, help="seed for synthetic generation (default 0)")
+    parser.add_argument("--seed", type=int, help=f"seed for synthetic generation (default {synth.SynthSpec.seed})")
     sub = parser.add_subparsers(dest="command", metavar="command")
+    parser.commands = sub.choices
 
     p = sub.add_parser("extract", help="parse logs and write per-session profile JSON documents")
     p.add_argument("inputs", nargs="+", help="CSV log file(s) or directories")
@@ -116,7 +151,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output directory for matrix files")
     p.add_argument("--scorers", help="comma list from sim,abs,itad,fmean,fmedian,fmin,fmax")
     p.add_argument("--similarity-mode", dest="similarity_mode", help="published | corrected")
-    p.add_argument("--threshold", type=float, help="absolute-verifier ratio threshold (default 1.5)")
+    p.add_argument(
+        "--threshold", type=float, help=f"absolute-verifier ratio threshold (default {DEFAULT_ABSOLUTE_THRESHOLD})"
+    )
     p.add_argument("--kinds")
     p.add_argument("--formats", help="comma list from csv,json (default both)")
 
@@ -124,7 +161,8 @@ def build_parser() -> _Parser:
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out", help="output directory for report files")
     p.add_argument("--scorers")
-    p.add_argument("--k-max", dest="k_max", type=int, help="report ranks 1..k (default 5)")
+    k_max = evaluation.BenchmarkConfig.k_max
+    p.add_argument("--k-max", dest="k_max", type=int, help=f"report ranks 1..k (default {k_max})")
     p.add_argument("--similarity-mode", dest="similarity_mode")
     p.add_argument("--threshold", type=float)
     p.add_argument("--scenarios", help="comma list from same,cross,combined (default all)")
@@ -133,10 +171,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus in canonical CSV")
     p.add_argument("--out-dir", dest="out_dir", help="directory for corpus.csv")
-    p.add_argument("--users", type=int, help="number of synthetic users (default 26)")
-    p.add_argument("--separation", type=float, help="inter-user spread multiplier (default 1.0)")
-    p.add_argument("--platforms", help="comma list of platform labels (default F,I,T)")
-    p.add_argument("--sessions", type=int, help="sessions per platform (default 6)")
+    spec = synth.SynthSpec
+    p.add_argument("--users", type=int, help=f"number of synthetic users (default {spec.n_users})")
+    p.add_argument("--separation", type=float, help=f"inter-user spread multiplier (default {spec.separation})")
+    p.add_argument("--platforms", help=f"comma list of platform labels (default {','.join(spec.platforms)})")
+    p.add_argument("--sessions", type=int, help=f"sessions per platform (default {spec.sessions_per_platform})")
 
     p = sub.add_parser("report", help="render an evaluation report")
     p.add_argument("report", help="report.json produced by evaluate")
@@ -156,20 +195,9 @@ def _print_warnings(summary: ParseResult) -> None:
         print(f"warning: {warning}", file=sys.stderr)
 
 
-def _corpus_stats(corpus: Corpus, per_platform: Counter[str]) -> dict[str, Any]:
-    """Corpus totals; ``per_platform`` holds the paired keystrokes of each platform."""
-    return {
-        "users": len(corpus.roster),
-        "sessions": len(corpus.sessions),
-        "events": sum(len(log.events) for log in corpus.sessions.values()),
-        "keystrokes": sum(per_platform.values()),
-        "per_platform": per_platform,
-    }
-
-
-def cmd_extract(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    out_dir = Path(_require(_pick(args.out, config, "out", None), "--out"))
-    kinds = _parse_kinds(_pick(args.kinds, config, "kinds", None) or [k.value for k in ALL_KINDS])
+def cmd_extract(args: argparse.Namespace) -> int:
+    out_dir = Path(_require(args.out, "--out"))
+    kinds = _parse_kinds(args.kinds)
     corpus, summary = read_corpus(args.inputs, strict=False)
     _print_warnings(summary)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -181,11 +209,11 @@ def cmd_extract(args: argparse.Namespace, config: dict[str, Any]) -> int:
         profile = session_features(log, kinds, pairs)
         name = f"{log.user_id}_{log.platform}_s{log.session_id}.json"
         (out_dir / name).write_text(profile_to_json(profile), encoding="utf-8")
-    stats = _corpus_stats(corpus, keystrokes)
+    stats = corpus.summary()
     print(f"profiles written: {len(corpus.sessions)} -> {out_dir}")
     print(f"users: {stats['users']}  sessions: {stats['sessions']}  events: {stats['events']}")
-    platform_bits = "  ".join(f"{p}={n}" for p, n in sorted(stats["per_platform"].items()))
-    print(f"keystrokes: {stats['keystrokes']}  ({platform_bits})")
+    platform_bits = "  ".join(f"{p}={n}" for p, n in sorted(keystrokes.items()))
+    print(f"keystrokes: {sum(keystrokes.values())}  ({platform_bits})")
     return 0
 
 
@@ -203,30 +231,43 @@ def _parse_scenario_text(text: str) -> evaluation.Scenario:
     raise UsageError(f"bad --scenario {text!r}; expected same:<P>, cross:<P1>:<P2>, or combined:<P1>,<P2>:<P3>")
 
 
-def cmd_score(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    out_dir = Path(_require(_pick(args.out, config, "out", None), "--out"))
-    scenario = _parse_scenario_text(_require(_pick(args.scenario, config, "scenario", None), "--scenario"))
-    scorers = _csv_tuple(_pick(args.scorers, config, "scorers", ",".join(evaluation.ALL_SCORERS)))
-    mode = _parse_mode(_pick(args.similarity_mode, config, "similarity_mode", SimilarityMode.AS_PUBLISHED.value))
-    kinds = _parse_kinds(_pick(args.kinds, config, "kinds", None) or [k.value for k in ALL_KINDS])
-    formats = _parse_formats(_pick(args.formats, config, "formats", "csv,json"), ("csv", "json"))
-
+def _benchmark_config(args: argparse.Namespace, **options: Any) -> evaluation.BenchmarkConfig:
+    """The scoring options of ``score`` and ``evaluate``; the config class owns the defaults."""
     try:
-        threshold = float(_pick(args.threshold, config, "threshold", 1.5))
-        # validates the scorer labels and the threshold before any input is read
-        evaluation.BenchmarkConfig(scorers=scorers, similarity_mode=mode, threshold=threshold)
+        return evaluation.BenchmarkConfig(
+            kinds=_parse_kinds(args.kinds),
+            **_given(
+                scorers=_csv_tuple(args.scorers),
+                similarity_mode=_parse_mode(args.similarity_mode),
+                threshold=args.threshold,
+                **options,
+            ),
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
+
+def cmd_score(args: argparse.Namespace) -> int:
+    out_dir = Path(_require(args.out, "--out"))
+    scenario = _parse_scenario_text(_require(args.scenario, "--scenario"))
+    # validates the scorer labels and the threshold before any input is read
+    bench = _benchmark_config(args)
+    formats = _parse_formats(args.formats, ("csv", "json"))
+
     corpus, summary = read_corpus(args.inputs, strict=False)
     _print_warnings(summary)
-    data = evaluation.build_scenario_data(corpus, scenario, kinds=kinds)
+    data = evaluation.build_scenario_data(corpus, scenario, kinds=bench.kinds)
     matrices = matrix.score_matrices(
-        data.enroll, data.probe, scorers, mode=mode, threshold=threshold, scenario=scenario.name
+        data.enroll,
+        data.probe,
+        bench.scorers,
+        mode=bench.similarity_mode,
+        threshold=bench.threshold,
+        scenario=scenario.name,
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    for label in scorers:
+    for label in bench.scorers:
         m = matrices[label]
         stem = f"{scenario.name}_{label}"
         if "csv" in formats:
@@ -235,26 +276,14 @@ def cmd_score(args: argparse.Namespace, config: dict[str, Any]) -> int:
             (out_dir / f"{stem}.json").write_text(matrix.matrix_to_json(m), encoding="utf-8")
     if data.excluded:
         print(f"excluded users (missing sessions): {', '.join(data.excluded)}", file=sys.stderr)
-    print(f"matrices written: {len(scorers)} x {len(data.enroll)} users -> {out_dir}")
+    print(f"matrices written: {len(bench.scorers)} x {len(data.enroll)} users -> {out_dir}")
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    out_dir = Path(_require(_pick(args.out, config, "out", None), "--out"))
-    try:
-        bench = evaluation.BenchmarkConfig(
-            scorers=_csv_tuple(_pick(args.scorers, config, "scorers", ",".join(evaluation.ALL_SCORERS))),
-            similarity_mode=_parse_mode(
-                _pick(args.similarity_mode, config, "similarity_mode", SimilarityMode.AS_PUBLISHED.value)
-            ),
-            threshold=float(_pick(args.threshold, config, "threshold", 1.5)),
-            k_max=int(_pick(args.k_max, config, "k_max", 5)),
-            scenario_kinds=_csv_tuple(_pick(args.scenarios, config, "scenarios", "same,cross,combined")),
-            kinds=_parse_kinds(_pick(args.kinds, config, "kinds", None) or [k.value for k in ALL_KINDS]),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    formats = _parse_formats(_pick(args.formats, config, "formats", "json,csv"), ("json", "csv"))
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    out_dir = Path(_require(args.out, "--out"))
+    bench = _benchmark_config(args, k_max=args.k_max, scenario_kinds=_csv_tuple(args.scenarios))
+    formats = _parse_formats(args.formats, ("json", "csv"))
 
     corpus, summary = read_corpus(args.inputs, strict=False)
     _print_warnings(summary)
@@ -276,15 +305,17 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return 0
 
 
-def cmd_synth(args: argparse.Namespace, config: dict[str, Any], seed: int) -> int:
-    out_dir = Path(_require(_pick(args.out_dir, config, "out_dir", None), "--out-dir"))
+def cmd_synth(args: argparse.Namespace) -> int:
+    out_dir = Path(_require(args.out_dir, "--out-dir"))
     try:
         spec = synth.SynthSpec(
-            seed=seed,
-            n_users=int(_pick(args.users, config, "users", 26)),
-            platforms=_csv_tuple(_pick(args.platforms, config, "platforms", "F,I,T")),
-            sessions_per_platform=int(_pick(args.sessions, config, "sessions", 6)),
-            separation=float(_pick(args.separation, config, "separation", 1.0)),
+            **_given(
+                seed=args.seed,
+                n_users=args.users,
+                platforms=_csv_tuple(args.platforms),
+                sessions_per_platform=args.sessions,
+                separation=args.separation,
+            )
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -292,14 +323,12 @@ def cmd_synth(args: argparse.Namespace, config: dict[str, Any], seed: int) -> in
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "corpus.csv"
     path.write_text(serialize_corpus(corpus), encoding="utf-8")
-    keystrokes: Counter[str] = Counter()
-    for log in corpus.sessions.values():
-        keystrokes[log.platform] += len(pair_events(log).pairs)
-    stats = _corpus_stats(corpus, keystrokes)
+    keystrokes = sum(len(pair_events(log).pairs) for log in corpus.sessions.values())
+    stats = corpus.summary()
     print(f"corpus written: {path}")
     print(
         f"users: {stats['users']}  sessions: {stats['sessions']}  "
-        f"events: {stats['events']}  keystrokes: {stats['keystrokes']}"
+        f"events: {stats['events']}  keystrokes: {keystrokes}"
     )
     return 0
 
@@ -330,27 +359,20 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+COMMANDS = {"extract": cmd_extract, "score": cmd_score, "evaluate": cmd_evaluate, "synth": cmd_synth, "report": cmd_report}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = load_config_file(args.config) if args.config else {}
-        jobs = int(_pick(args.jobs, config, "jobs", 1))
-        seed = int(_pick(args.seed, config, "seed", 0))
-        if jobs < 1:
+        _apply_config(parser, args, load_config_file(args.config) if args.config else {})
+        if args.jobs is not None and args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
 
-        if args.command == "extract":
-            return cmd_extract(args, config)
-        if args.command == "score":
-            return cmd_score(args, config)
-        if args.command == "evaluate":
-            return cmd_evaluate(args, config)
-        if args.command == "synth":
-            return cmd_synth(args, config, seed)
-        if args.command == "report":
-            return cmd_report(args)
-        raise UsageError("a command is required (extract | score | evaluate | synth | report)")
+        if args.command is None:
+            raise UsageError(f"a command is required ({' | '.join(COMMANDS)})")
+        return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

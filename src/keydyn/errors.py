@@ -22,6 +22,12 @@ class MalformedRowError(KeydynError):
         super().__init__(f"{where}{row}: {reason}")
 
 
+class MalformedReportError(KeydynError):
+    """A report document is not valid JSON or lacks a field of the report format."""
+
+    code = "MALFORMED_REPORT"
+
+
 class EmptyInputError(KeydynError):
     code = "EMPTY_INPUT"
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import (
     KOutOfRangeError,
+    MalformedReportError,
     NoEligibleUsersError,
     OverlappingPlatformsError,
     SamePlatformError,
@@ -19,7 +20,7 @@ from .errors import (
 from .features import ALL_KINDS, FeatureDictionary, Kind, merge, session_features
 from .ingest import Corpus
 from .matrix import FusionMethod, ScoreMatrix, score_matrices
-from .verifiers import ScorerSpec, SimilarityMode, Verifier
+from .verifiers import DEFAULT_ABSOLUTE_THRESHOLD, SimilarityMode, Verifier, check_threshold
 
 # (platform, session ids) cells required from each user for one side
 SideSpec = tuple[tuple[str, tuple[int, ...]], ...]
@@ -27,9 +28,8 @@ SideSpec = tuple[tuple[str, tuple[int, ...]], ...]
 DEFAULT_ENROLL_SESSIONS = (1, 2, 3)
 DEFAULT_PROBE_SESSIONS = (4, 5, 6)
 
-BASE_SCORERS = (Verifier.SIMILARITY.value, Verifier.ABSOLUTE.value, Verifier.ITAD.value)
-FUSION_SCORERS = tuple(m.value for m in FusionMethod)
-ALL_SCORERS = BASE_SCORERS + FUSION_SCORERS
+ALL_SCORERS = tuple(v.value for v in Verifier) + tuple(m.value for m in FusionMethod)
+SCENARIO_KINDS = ("same", "cross", "combined")
 
 
 @dataclass(frozen=True)
@@ -148,48 +148,9 @@ def combined_cross_scenario(
     )
 
 
-def split_same_platform(
-    corpus: Corpus,
-    platform: str,
-    *,
-    enroll_sessions: tuple[int, ...] = DEFAULT_ENROLL_SESSIONS,
-    probe_sessions: tuple[int, ...] = DEFAULT_PROBE_SESSIONS,
-    kinds: tuple[Kind, ...] = ALL_KINDS,
-) -> ScenarioData:
-    """Enroll on the first sessions of one platform, probe on the rest."""
-    scenario = same_platform_scenario(platform, enroll_sessions, probe_sessions)
-    return build_scenario_data(corpus, scenario, kinds=kinds)
-
-
-def build_cross_platform(
-    corpus: Corpus,
-    train_platform: str,
-    test_platform: str,
-    *,
-    sessions: tuple[int, ...] = DEFAULT_ENROLL_SESSIONS + DEFAULT_PROBE_SESSIONS,
-    kinds: tuple[Kind, ...] = ALL_KINDS,
-) -> ScenarioData:
-    """Enroll on all sessions of one platform, probe on another's."""
-    scenario = cross_platform_scenario(train_platform, test_platform, sessions)
-    return build_scenario_data(corpus, scenario, kinds=kinds)
-
-
-def build_combined_cross(
-    corpus: Corpus,
-    train_platforms: Iterable[str],
-    test_platform: str,
-    *,
-    sessions: tuple[int, ...] = DEFAULT_ENROLL_SESSIONS + DEFAULT_PROBE_SESSIONS,
-    kinds: tuple[Kind, ...] = ALL_KINDS,
-) -> ScenarioData:
-    """Enroll on two platforms' merged sessions, probe on a third platform."""
-    scenario = combined_cross_scenario(train_platforms, test_platform, sessions)
-    return build_scenario_data(corpus, scenario, kinds=kinds)
-
-
 def enumerate_scenarios(
     platforms: Iterable[str],
-    scenario_kinds: tuple[str, ...] = ("same", "cross", "combined"),
+    scenario_kinds: tuple[str, ...] = SCENARIO_KINDS,
     enroll_sessions: tuple[int, ...] = DEFAULT_ENROLL_SESSIONS,
     probe_sessions: tuple[int, ...] = DEFAULT_PROBE_SESSIONS,
 ) -> list[Scenario]:
@@ -240,12 +201,12 @@ def k_rank_accuracy(matrix: ScoreMatrix, k: int) -> float:
 class BenchmarkConfig:
     scorers: tuple[str, ...] = ALL_SCORERS
     similarity_mode: SimilarityMode = SimilarityMode.AS_PUBLISHED
-    threshold: float = 1.5
+    threshold: float = DEFAULT_ABSOLUTE_THRESHOLD
     k_max: int = 5
     enroll_sessions: tuple[int, ...] = DEFAULT_ENROLL_SESSIONS
     probe_sessions: tuple[int, ...] = DEFAULT_PROBE_SESSIONS
     kinds: tuple[Kind, ...] = ALL_KINDS
-    scenario_kinds: tuple[str, ...] = ("same", "cross", "combined")
+    scenario_kinds: tuple[str, ...] = SCENARIO_KINDS
 
     def __post_init__(self) -> None:
         unknown = [s for s in self.scorers if s not in ALL_SCORERS]
@@ -260,7 +221,7 @@ class BenchmarkConfig:
         overlap = sorted(set(self.enroll_sessions) & set(self.probe_sessions))
         if overlap:
             raise ValueError(f"enroll and probe sessions overlap: {overlap}")
-        ScorerSpec(Verifier.ABSOLUTE, self.similarity_mode, self.threshold)  # validates the threshold
+        check_threshold(self.threshold)
 
     def describe(self) -> dict:
         doc = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
@@ -300,15 +261,6 @@ class EvaluationReport:
         raise KeyError((scenario, scorer, k))
 
 
-def _dataset_summary(corpus: Corpus) -> dict:
-    return {
-        "users": len(corpus.roster),
-        "platforms": corpus.platforms,
-        "sessions": len(corpus.sessions),
-        "events": sum(len(log.events) for log in corpus.sessions.values()),
-    }
-
-
 def run_benchmark(corpus: Corpus, config: BenchmarkConfig = BenchmarkConfig()) -> EvaluationReport:
     """Run every configured scenario x scorer and collect k-rank accuracies.
 
@@ -319,7 +271,7 @@ def run_benchmark(corpus: Corpus, config: BenchmarkConfig = BenchmarkConfig()) -
     scenarios = enumerate_scenarios(
         corpus.platforms, config.scenario_kinds, config.enroll_sessions, config.probe_sessions
     )
-    report = EvaluationReport(config=config.describe(), dataset=_dataset_summary(corpus))
+    report = EvaluationReport(config=config.describe(), dataset=corpus.summary())
 
     session_cache: dict[tuple[str, str, int], FeatureDictionary] = {}
     for scenario in scenarios:
@@ -354,16 +306,20 @@ def report_to_json(report: EvaluationReport) -> str:
 
 
 def report_from_json(text: str) -> EvaluationReport:
-    doc = json.loads(text)
-    report = EvaluationReport(config=doc["config"], dataset=doc["dataset"])
-    report.scenarios = [
-        ScenarioSummary(s["name"], s["kind"], s["n_users"], tuple(s["excluded"]))
-        for s in doc["scenarios"]
-    ]
-    report.rows = [
-        ResultRow(r["scenario"], r["kind"], r["scorer"], r["k"], r["accuracy"])
-        for r in doc["results"]
-    ]
+    """Read back a :func:`report_to_json` document; MalformedReportError if it is not one."""
+    try:
+        doc = json.loads(text)
+        report = EvaluationReport(config=doc["config"], dataset=doc["dataset"])
+        report.scenarios = [
+            ScenarioSummary(s["name"], s["kind"], s["n_users"], tuple(s["excluded"]))
+            for s in doc["scenarios"]
+        ]
+        report.rows = [
+            ResultRow(r["scenario"], r["kind"], r["scorer"], r["k"], r["accuracy"])
+            for r in doc["results"]
+        ]
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise MalformedReportError(f"not an evaluation report: {exc.__class__.__name__}: {exc}") from None
     return report
 
 

@@ -9,7 +9,7 @@ keys, so verifiers see a single common-feature set.
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -49,19 +49,6 @@ def wordhold_key(word: str) -> FeatureKey:
     return FeatureKey(Kind.WORDHOLD, word)
 
 
-def parse_feature_key(text: str) -> FeatureKey:
-    kind_raw, _, label = text.partition(":")
-    kind = Kind(kind_raw)
-    if kind is Kind.DIGRAPH:
-        parts = label.split("|")
-        if len(parts) != 2:
-            raise ValueError(f"ambiguous digraph label {text!r}")
-        return FeatureKey(kind, (parts[0], parts[1]))
-    if not label:
-        raise ValueError(f"empty feature label {text!r}")
-    return FeatureKey(kind, label)
-
-
 @dataclass
 class FeatureDictionary(Mapping[FeatureKey, "list[float]"]):
     """Feature key -> duration list, tagged with its provenance.
@@ -86,18 +73,6 @@ class FeatureDictionary(Mapping[FeatureKey, "list[float]"]):
 
     def value_count(self) -> int:
         return sum(len(v) for v in self.entries.values())
-
-    def kind_counts(self) -> dict[Kind, int]:
-        return dict(Counter(key.kind for key in self.entries))
-
-    def restrict(self, kinds: Sequence[Kind]) -> "FeatureDictionary":
-        """Keep only the given feature kinds (for per-kind scoring runs)."""
-        wanted = set(kinds)
-        return replace(self, entries={k: v for k, v in self.entries.items() if k.kind in wanted})
-
-
-# An enrollment or probe pattern; provenance spans one or more sessions.
-Profile = FeatureDictionary
 
 
 def _keyed(kind: Kind, grouped: dict) -> FeatureDictionary:
@@ -211,11 +186,6 @@ def merge(dicts: Sequence[FeatureDictionary]) -> FeatureDictionary:
     return FeatureDictionary(entries, dicts[0].user_id, frozenset(platforms), frozenset(sessions))
 
 
-def common_features(a: Mapping[FeatureKey, Sequence[float]], b: Mapping[FeatureKey, Sequence[float]]) -> set[FeatureKey]:
-    """Exact key-set intersection across all kinds."""
-    return set(a.keys()) & set(b.keys())
-
-
 def profile_to_json(profile: FeatureDictionary) -> str:
     doc = {
         "user": profile.user_id,
@@ -228,13 +198,3 @@ def profile_to_json(profile: FeatureDictionary) -> str:
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-
-def profile_from_json(text: str) -> FeatureDictionary:
-    doc = json.loads(text)
-    entries = {parse_feature_key(raw): [float(v) for v in values] for raw, values in doc["features"].items()}
-    return FeatureDictionary(
-        entries,
-        user_id=doc["user"],
-        platforms=frozenset(doc["platforms"]),
-        sessions=frozenset(int(s) for s in doc["sessions"]),
-    )

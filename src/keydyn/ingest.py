@@ -109,10 +109,6 @@ class PairedKeystroke(NamedTuple):
     press_ms: float
     release_ms: float
 
-    @property
-    def hold_ms(self) -> float:
-        return self.release_ms - self.press_ms
-
 
 @dataclass
 class Corpus:
@@ -137,11 +133,14 @@ class Corpus:
     def platforms(self) -> list[str]:
         return sorted({key[1] for key in self.sessions})
 
-    def session_ids(self, user_id: str, platform: str) -> list[int]:
-        return sorted(s for (u, p, s) in self.sessions if u == user_id and p == platform)
-
-    def get(self, user_id: str, platform: str, session_id: int) -> SessionLog | None:
-        return self.sessions.get((user_id, platform, session_id))
+    def summary(self) -> dict:
+        """Users, platforms, sessions and events: the dataset block of a report."""
+        return {
+            "users": len(self.roster),
+            "platforms": self.platforms,
+            "sessions": len(self.sessions),
+            "events": sum(len(log.events) for log in self.sessions.values()),
+        }
 
     def __len__(self) -> int:
         return len(self.sessions)

@@ -16,10 +16,10 @@ from .verifiers import (
     DEFAULT_ABSOLUTE_THRESHOLD,
     PreparedProfile,
     ProfileLike,
-    ScorerSpec,
     SimilarityMode,
     Verifier,
     absolute_from_prepared,
+    check_threshold,
     feature_ids,
     itad_from_prepared,
     prepare_profile,
@@ -60,15 +60,20 @@ class ScoreMatrix:
 def build_matrix_prepared(
     enroll: Mapping[str, PreparedProfile],
     probe: Mapping[str, PreparedProfile],
-    spec: ScorerSpec,
+    verifier: Verifier,
+    mode: SimilarityMode,
+    threshold: float,
     *,
     scenario: str = "",
 ) -> ScoreMatrix:
     """Score every probe user against every enrollment user.
 
     ``values[i][j]`` is the score of probe ``roster[i]`` against enrollment
-    ``roster[j]``. Both sides must be prepared with one vocabulary.
+    ``roster[j]``. Both sides must be prepared with one vocabulary. ``mode``
+    applies to Similarity and ``threshold`` to Absolute, but every verifier
+    requires a valid threshold.
     """
+    check_threshold(threshold)
     if set(enroll) != set(probe):
         raise RosterMismatchError(
             f"enroll/probe user sets differ: {sorted(set(enroll) ^ set(probe))}"
@@ -76,13 +81,13 @@ def build_matrix_prepared(
     roster = sorted(enroll)
     enroll_side = [enroll[u] for u in roster]
     probe_side = [probe[u] for u in roster]
-    if spec.verifier is Verifier.SIMILARITY:
-        values = similarity_from_prepared(enroll_side, probe_side, spec.mode)
-    elif spec.verifier is Verifier.ABSOLUTE:
-        values = absolute_from_prepared(enroll_side, probe_side, spec.threshold)
+    if verifier is Verifier.SIMILARITY:
+        values = similarity_from_prepared(enroll_side, probe_side, mode)
+    elif verifier is Verifier.ABSOLUTE:
+        values = absolute_from_prepared(enroll_side, probe_side, threshold)
     else:
         values = itad_from_prepared(enroll_side, probe_side)
-    return ScoreMatrix(tuple(roster), values, spec.label, scenario)
+    return ScoreMatrix(tuple(roster), values, verifier.value, scenario)
 
 
 def score_matrices(
@@ -107,8 +112,9 @@ def score_matrices(
     matrices: dict[str, ScoreMatrix] = {}
     for verifier in Verifier:
         if verifier.value in scorers or fusions:
-            spec = ScorerSpec(verifier, mode, threshold)
-            matrices[verifier.value] = build_matrix_prepared(enroll_prep, probe_prep, spec, scenario=scenario)
+            matrices[verifier.value] = build_matrix_prepared(
+                enroll_prep, probe_prep, verifier, mode, threshold, scenario=scenario
+            )
     for method in fusions:
         matrices[method.value] = fuse([matrices[v.value] for v in Verifier], method)
     return {label: matrices[label] for label in scorers}
@@ -173,12 +179,3 @@ def matrix_to_json(matrix: ScoreMatrix) -> str:
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-
-def matrix_from_json(text: str) -> ScoreMatrix:
-    doc = json.loads(text)
-    return ScoreMatrix(
-        tuple(doc["roster"]),
-        np.array(doc["values"], dtype=np.float64),
-        doc.get("scorer", ""),
-        doc.get("scenario", ""),
-    )

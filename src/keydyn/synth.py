@@ -143,16 +143,6 @@ def sample_models(spec: SynthSpec) -> list[TypistModel]:
     return models
 
 
-def model_distance(a: TypistModel, b: TypistModel) -> float:
-    """L2 distance between the timing parameters of two typist models."""
-    keys = sorted(a.hold_log_loc)
-    total = sum((a.hold_log_loc[k] - b.hold_log_loc[k]) ** 2 for k in keys)
-    total += ((a.flight_base - b.flight_base) / _FLIGHT_BASE) ** 2
-    total += sum(((a.flight_out[k] - b.flight_out[k]) / _FLIGHT_BASE) ** 2 for k in keys)
-    total += sum(((a.flight_in[k] - b.flight_in[k]) / _FLIGHT_BASE) ** 2 for k in keys)
-    return math.sqrt(total)
-
-
 def _session_events(model: TypistModel, platform: str, rng: np.random.Generator) -> list[KeyEvent]:
     expected = model.verbosity.get(platform, FALLBACK_VERBOSITY)
     target = max(4, int(round(rng.normal(expected, 0.12 * expected))))

@@ -16,7 +16,6 @@ into the same kernels.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -48,60 +47,14 @@ class SimilarityMode(str, Enum):
 DEFAULT_ABSOLUTE_THRESHOLD = 1.5
 
 
-@dataclass(frozen=True)
-class ScorerSpec:
-    """A verifier plus its settings; identifies one score-matrix producer."""
-
-    verifier: Verifier
-    mode: SimilarityMode = SimilarityMode.AS_PUBLISHED
-    threshold: float = DEFAULT_ABSOLUTE_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if not self.threshold > 1:
-            raise ValueError(f"threshold must be > 1, got {self.threshold}")
-
-    @property
-    def label(self) -> str:
-        return self.verifier.value
-
-
-@dataclass(frozen=True)
-class MatchScore:
-    value: float
-    verifier: Verifier
-    mode: SimilarityMode | None = None
-
-    def __float__(self) -> float:
-        return self.value
+def check_threshold(threshold: float) -> float:
+    """Return the Absolute ratio threshold; ValueError unless it is > 1."""
+    if not threshold > 1:
+        raise ValueError(f"threshold must be > 1, got {threshold}")
+    return threshold
 
 
 ProfileLike = Mapping[FeatureKey, Sequence[float]]
-
-
-def median(values: Sequence[float]) -> float:
-    """Middle of the sorted values; mean of the two middles for even length."""
-    n = len(values)
-    if n == 0:
-        raise EmptyListError("median of empty list")
-    ordered = sorted(values)
-    mid = n // 2
-    if n % 2 == 1:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2
-
-
-def sample_std(values: Sequence[float]) -> float | None:
-    """Sample standard deviation (n-1 denominator); None when n < 2."""
-    if len(values) < 2:
-        return None
-    return float(np.std(np.asarray(values, dtype=np.float64), ddof=1))
-
-
-def ecdf(values: Sequence[float], query: float) -> float:
-    """Fraction of values <= query (right-continuous empirical CDF)."""
-    if len(values) == 0:
-        raise EmptyListError("ecdf of empty list")
-    return sum(1 for v in values if v <= query) / len(values)
 
 
 class PreparedProfile(NamedTuple):
@@ -397,8 +350,7 @@ def absolute_score(
     ``threshold``. Medians of opposite sign never agree; a zero median agrees
     only with another exact zero; negative pairs compare by magnitude.
     """
-    spec = ScorerSpec(Verifier.ABSOLUTE, threshold=threshold)
-    return float(absolute_from_prepared(*_prepare_pair(enroll, probe), spec.threshold)[0, 0])
+    return float(absolute_from_prepared(*_prepare_pair(enroll, probe), check_threshold(threshold))[0, 0])
 
 
 def itad_score(enroll: ProfileLike, probe: ProfileLike) -> float:
@@ -410,18 +362,3 @@ def itad_score(enroll: ProfileLike, probe: ProfileLike) -> float:
     """
     return float(itad_from_prepared(*_prepare_pair(enroll, probe))[0, 0])
 
-
-def score_profiles(
-    enroll: ProfileLike,
-    probe: ProfileLike,
-    verifier: Verifier,
-    *,
-    mode: SimilarityMode = SimilarityMode.AS_PUBLISHED,
-    threshold: float = DEFAULT_ABSOLUTE_THRESHOLD,
-) -> MatchScore:
-    """Score one pair with the requested verifier, labeled with its settings."""
-    if verifier is Verifier.SIMILARITY:
-        return MatchScore(similarity_score(enroll, probe, mode), verifier, mode)
-    if verifier is Verifier.ABSOLUTE:
-        return MatchScore(absolute_score(enroll, probe, threshold), verifier)
-    return MatchScore(itad_score(enroll, probe), verifier)

@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import binom
 
 from keydyn.cli import main
-from keydyn.evaluation import BenchmarkConfig, k_rank_accuracy, run_benchmark, split_same_platform
+from keydyn.evaluation import BenchmarkConfig, k_rank_accuracy, run_benchmark
 from keydyn.features import digraph_key, unigraph_key
 from keydyn.matrix import FusionMethod, ScoreMatrix, build_score_matrix, fuse
 from keydyn.synth import SynthSpec, generate_corpus

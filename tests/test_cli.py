@@ -184,6 +184,24 @@ def test_report_rendering(corpus_dir, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("scenario,kind,scorer,k,accuracy")
 
 
+def test_report_not_json_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "report.json"
+    bad.write_text("not json")
+    assert main(["report", str(bad)]) == 2
+    assert "error [MALFORMED_REPORT]" in capsys.readouterr().err
+
+
+def test_report_missing_dataset_is_data_error(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["evaluate", str(corpus_dir), "--out", str(out), "--scorers", "itad", "--scenarios", "same"]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    del doc["dataset"]
+    (out / "report.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["report", str(out / "report.json")]) == 2
+    assert "error [MALFORMED_REPORT]" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "keydyn.cfg"
     cfg.write_text('users = 2\nseparation = 0.5\nout_dir = "{}"\nseed = 5\n'.format(tmp_path / "from-config"))
@@ -200,9 +218,40 @@ def test_config_parser_types(tmp_path):
     cfg = tmp_path / "t.cfg"
     cfg.write_text(
         "# comment\n\njobs = 4\nthreshold = 1.5\nstrict = false\nname = \"quoted\"\nbare = value\n"
+        "noted = \"abc\" # note\nplain = abc # note\n"
     )
     values = load_config_file(cfg)
-    assert values == {"jobs": 4, "threshold": 1.5, "strict": False, "name": "quoted", "bare": "value"}
+    assert values == {
+        "jobs": 4, "threshold": 1.5, "strict": False, "name": "quoted", "bare": "value",
+        "noted": "abc", "plain": "abc",
+    }
+
+
+def test_config_unknown_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "keydyn.cfg"
+    cfg.write_text('user = 2\nout_dir = "{}"\n'.format(tmp_path / "out"))
+    assert main(["--config", str(cfg), "synth"]) == 1
+    assert "unknown config key 'user'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_keys_of_other_commands_are_accepted(tmp_path, capsys):
+    cfg = tmp_path / "keydyn.cfg"
+    cfg.write_text(
+        'users = 2\nout_dir = "{}"\nscenario = same:F\nk_max = 3\nformats = json\nkinds = U,D\n'
+        .format(tmp_path / "out")
+    )
+    assert main(["--config", str(cfg), "synth"]) == 0
+    assert "users: 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["jobs = many", "seed = 1.5", "users = two", "separation = wide"])
+def test_config_value_rejected_by_option_type_is_usage_error(tmp_path, capsys, line):
+    cfg = tmp_path / "keydyn.cfg"
+    cfg.write_text('{}\nout_dir = "{}"\n'.format(line, tmp_path / "out"))
+    assert main(["--config", str(cfg), "synth"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_no_command_is_usage_error(capsys):

@@ -13,15 +13,16 @@ from keydyn.evaluation import (
     ALL_SCORERS,
     BenchmarkConfig,
     EvaluationReport,
-    build_combined_cross,
-    build_cross_platform,
+    build_scenario_data,
+    combined_cross_scenario,
+    cross_platform_scenario,
     enumerate_scenarios,
     k_rank_accuracy,
     report_from_json,
     report_to_csv,
     report_to_json,
     run_benchmark,
-    split_same_platform,
+    same_platform_scenario,
 )
 from keydyn.ingest import Action, Corpus, KeyEvent, SessionLog
 from keydyn.matrix import ScoreMatrix
@@ -52,7 +53,7 @@ def tiny_corpus(users=("u1", "u2"), platforms=("F", "T"), sessions=range(1, 7), 
 
 
 def test_same_platform_split_sessions():
-    data = split_same_platform(tiny_corpus(), "F")
+    data = build_scenario_data(tiny_corpus(), same_platform_scenario("F"))
     assert set(data.enroll) == {"u1", "u2"}
     assert data.enroll["u1"].sessions == {1, 2, 3}
     assert data.probe["u1"].sessions == {4, 5, 6}
@@ -62,7 +63,7 @@ def test_same_platform_split_sessions():
 
 def test_same_platform_excludes_incomplete_users():
     corpus = tiny_corpus(drop={("u2", "F", 5)})
-    data = split_same_platform(corpus, "F")
+    data = build_scenario_data(corpus, same_platform_scenario("F"))
     assert set(data.enroll) == {"u1"}
     assert data.excluded == ("u2",)
 
@@ -70,11 +71,11 @@ def test_same_platform_excludes_incomplete_users():
 def test_same_platform_no_eligible_users():
     corpus = tiny_corpus(sessions=range(1, 3))  # nobody has sessions 3..6
     with pytest.raises(NoEligibleUsersError):
-        split_same_platform(corpus, "F")
+        build_scenario_data(corpus, same_platform_scenario("F"))
 
 
 def test_cross_platform_uses_all_sessions():
-    data = build_cross_platform(tiny_corpus(), "F", "T")
+    data = build_scenario_data(tiny_corpus(), cross_platform_scenario("F", "T"))
     assert data.scenario.name == "F-T"
     assert data.enroll["u1"].platforms == {"F"}
     assert data.enroll["u1"].sessions == {1, 2, 3, 4, 5, 6}
@@ -83,12 +84,12 @@ def test_cross_platform_uses_all_sessions():
 
 def test_cross_platform_rejects_same_platform():
     with pytest.raises(SamePlatformError):
-        build_cross_platform(tiny_corpus(), "F", "F")
+        build_scenario_data(tiny_corpus(), cross_platform_scenario("F", "F"))
 
 
 def test_combined_cross_merges_training_platforms():
     corpus = tiny_corpus(platforms=("F", "I", "T"))
-    data = build_combined_cross(corpus, ("F", "I"), "T")
+    data = build_scenario_data(corpus, combined_cross_scenario(("F", "I"), "T"))
     assert data.scenario.name == "FI-T"
     assert data.enroll["u1"].platforms == {"F", "I"}
     assert data.probe["u1"].platforms == {"T"}
@@ -96,9 +97,9 @@ def test_combined_cross_merges_training_platforms():
 
 def test_combined_cross_rejects_overlap():
     with pytest.raises(OverlappingPlatformsError):
-        build_combined_cross(tiny_corpus(), ("F", "T"), "T")
+        build_scenario_data(tiny_corpus(), combined_cross_scenario(("F", "T"), "T"))
     with pytest.raises(ValueError):
-        build_combined_cross(tiny_corpus(), ("F",), "T")
+        build_scenario_data(tiny_corpus(), combined_cross_scenario(("F",), "T"))
 
 
 def test_enumerate_scenarios_counts():

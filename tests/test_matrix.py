@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from keydyn.matrix import (
     ScoreMatrix,
     build_score_matrix,
     fuse,
-    matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
 )
@@ -118,11 +118,11 @@ def test_whole_matrices_match_oracles_cell_by_cell(rng):
 
 
 def test_separated_synthetic_users_dominate_diagonal():
-    from keydyn.evaluation import split_same_platform
+    from keydyn.evaluation import build_scenario_data, same_platform_scenario
     from keydyn.synth import SynthSpec, generate_corpus
 
     corpus = generate_corpus(SynthSpec(seed=5, n_users=3, platforms=("F",), separation=4.0))
-    data = split_same_platform(corpus, "F")
+    data = build_scenario_data(corpus, same_platform_scenario("F"))
     m = build_score_matrix(data.enroll, data.probe, Verifier.ITAD)
     for i in range(3):
         off = [m.values[i, j] for j in range(3) if j != i]
@@ -198,8 +198,9 @@ def test_matrix_csv_header_is_roster():
 
 def test_matrix_json_round_trip():
     m = matrix_of([[0.25, 1.0], [0.0, 0.5]], scorer="itad", scenario="F")
-    back = matrix_from_json(matrix_to_json(m))
-    assert back.roster == m.roster
-    assert back.scorer == "itad"
-    assert back.scenario == "F"
-    assert np.array_equal(back.values, m.values)
+    text = matrix_to_json(m)
+    doc = json.loads(text)
+    assert doc == {"roster": ["u0", "u1"], "scenario": "F", "scorer": "itad", "values": [[0.25, 1.0], [0.0, 0.5]]}
+    assert np.array_equal(np.array(doc["values"], dtype=np.float64), m.values)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert text.startswith('{\n  "roster": [\n    "u0",\n    "u1"\n  ],\n  "scenario": "F",\n  "scorer": "itad",')

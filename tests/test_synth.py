@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
-from keydyn.evaluation import k_rank_accuracy, split_same_platform
+from keydyn.evaluation import build_scenario_data, k_rank_accuracy, same_platform_scenario
 from keydyn.ingest import Action, Corpus, pair_events, parse_log, serialize_corpus
 from keydyn.matrix import build_score_matrix
-from keydyn.synth import SynthSpec, TypistModel, generate_corpus, model_distance, sample_models
+from keydyn.synth import SynthSpec, TypistModel, generate_corpus, sample_models
 from keydyn.verifiers import Verifier
 
 
@@ -29,6 +30,16 @@ def test_same_seed_same_models():
     first = sample_models(spec)
     second = sample_models(spec)
     assert first == second
+
+
+def model_distance(a: TypistModel, b: TypistModel) -> float:
+    """L2 distance between the timing parameters of two typist models (flights scaled by 140 ms)."""
+    keys = sorted(a.hold_log_loc)
+    total = sum((a.hold_log_loc[k] - b.hold_log_loc[k]) ** 2 for k in keys)
+    total += ((a.flight_base - b.flight_base) / 140.0) ** 2
+    total += sum(((a.flight_out[k] - b.flight_out[k]) / 140.0) ** 2 for k in keys)
+    total += sum(((a.flight_in[k] - b.flight_in[k]) / 140.0) ** 2 for k in keys)
+    return math.sqrt(total)
 
 
 def test_separation_scales_model_distance():
@@ -104,7 +115,7 @@ def test_rank1_accuracy_monotone_in_separation():
         accs = []
         for seed in (0, 1, 2):
             spec = SynthSpec(seed=seed, n_users=12, platforms=("F",), separation=separation)
-            data = split_same_platform(generate_corpus(spec), "F")
+            data = build_scenario_data(generate_corpus(spec), same_platform_scenario("F"))
             matrix = build_score_matrix(data.enroll, data.probe, Verifier.ITAD)
             accs.append(k_rank_accuracy(matrix, 1))
         return sum(accs) / len(accs)

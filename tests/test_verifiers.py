@@ -6,16 +6,11 @@ from hypothesis import given, settings, strategies as st
 from keydyn.errors import EmptyListError
 from keydyn.features import digraph_key, unigraph_key
 from keydyn.verifiers import (
-    MatchScore,
     SimilarityMode,
     Verifier,
     absolute_score,
-    ecdf,
     itad_score,
-    median,
     prepare_profile,
-    sample_std,
-    score_profiles,
     similarity_score,
 )
 
@@ -30,6 +25,9 @@ PUB, CORR = SimilarityMode.AS_PUBLISHED, SimilarityMode.CORRECTED
 
 
 def test_median_conventions():
+    def median(values):
+        return float(prepare_profile({U("a"): [float(v) for v in values]}).median[0])
+
     assert median([1, 2, 3]) == 2
     assert median([1, 2, 3, 4]) == 2.5
     assert median([5]) == 5
@@ -37,23 +35,27 @@ def test_median_conventions():
 
 
 def test_median_empty_rejected():
-    with pytest.raises(EmptyListError):
-        median([])
+    with pytest.raises(EmptyListError, match="'b'"):
+        prepare_profile({U("a"): [1.0], U("b"): []})
 
 
 def test_sample_std():
-    assert sample_std([100, 110, 120]) == pytest.approx(10.0)
-    assert sample_std([7]) is None
-    assert sample_std([]) is None
-    assert sample_std([3, 3, 3]) == 0.0
+    # the Similarity band is median +/- the sample std (n - 1): 110 +/- 10 holds 100.5;
+    # the population std (8.16) would leave it outside
+    a = {U("a"): [100.0, 110.0, 120.0]}
+    assert similarity_score(a, {U("a"): [100.5]}, CORR) == 1.0
+    assert similarity_score(a, {U("a"): [99.5]}, CORR) == 0.0
+    # one sample: the band is value +/- value/4
+    assert similarity_score({U("a"): [8.0]}, {U("a"): [9.9]}, CORR) == 1.0
+    assert similarity_score({U("a"): [8.0]}, {U("a"): [10.0]}, CORR) == 0.0
 
 
 def test_ecdf_counting():
-    assert ecdf([1, 2, 3], 2) == pytest.approx(2 / 3)
-    assert ecdf([1, 2, 3], 0) == 0.0
-    assert ecdf([1, 2, 3], 5) == 1.0
-    with pytest.raises(EmptyListError):
-        ecdf([], 1.0)
+    # ITAD reads the right-continuous ECDF, the fraction of enrollment values <= y
+    a = {U("a"): [1.0, 2.0, 3.0]}
+    assert itad_score(a, {U("a"): [2.0]}) == pytest.approx(2 / 3)
+    assert itad_score(a, {U("a"): [0.0]}) == 0.0
+    assert itad_score(a, {U("a"): [5.0]}) == 0.0  # above the median: 1 - ecdf(5) = 0
 
 
 def test_prepare_profile_rejects_empty_lists():
@@ -186,18 +188,6 @@ def test_itad_flat_pooling_weighs_large_lists():
     b = {U("a"): [100.0, 100.0, 100.0], U("b"): [500.0]}
     # Q = [1, 1, 1, 0] pooled across features
     assert itad_score(a, b) == 0.75
-
-
-def test_score_profiles_labels():
-    a = {U("a"): [100.0, 110.0]}
-    score = score_profiles(a, a, Verifier.SIMILARITY, mode=CORR)
-    assert isinstance(score, MatchScore)
-    assert score.verifier is Verifier.SIMILARITY
-    assert score.mode is CORR
-    assert float(score) == score.value
-    assert score_profiles(a, a, Verifier.ABSOLUTE).mode is None
-    assert score_profiles(a, a, Verifier.ABSOLUTE).value == 1.0
-    assert score_profiles(a, a, Verifier.ITAD).verifier is Verifier.ITAD
 
 
 # -- oracle equivalence (spot checks; the full sweep lives in acceptance) ------
