@@ -11,6 +11,5 @@ from .evaluation import (
     run_benchmark,
     same_platform_scenario,
 )
-from .matrix import FusionMethod, build_score_matrix, fuse
+from .matrix import score_matrices
 from .synth import SynthSpec, generate_corpus
-from .verifiers import SimilarityMode, Verifier

@@ -206,9 +206,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
         log = corpus.sessions[key]
         pairs = pair_events(log).pairs
         keystrokes[log.platform] += len(pairs)
-        profile = session_features(log, kinds, pairs)
         name = f"{log.user_id}_{log.platform}_s{log.session_id}.json"
-        (out_dir / name).write_text(profile_to_json(profile), encoding="utf-8")
+        (out_dir / name).write_text(profile_to_json(log, session_features(log, kinds, pairs)), encoding="utf-8")
     stats = corpus.summary()
     print(f"profiles written: {len(corpus.sessions)} -> {out_dir}")
     print(f"users: {stats['users']}  sessions: {stats['sessions']}  events: {stats['events']}")
@@ -256,7 +255,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     corpus, summary = read_corpus(args.inputs, strict=False)
     _print_warnings(summary)
-    data = evaluation.build_scenario_data(corpus, scenario, kinds=bench.kinds)
+    [data] = evaluation.build_scenario_data(corpus, [scenario], kinds=bench.kinds)
     matrices = matrix.score_matrices(
         data.enroll,
         data.probe,

@@ -38,12 +38,6 @@ class DuplicateSessionError(KeydynError):
     code = "DUPLICATE_SESSION"
 
 
-class MixedUserError(KeydynError):
-    """Feature dictionaries from different users cannot be merged."""
-
-    code = "MIXED_USER"
-
-
 class EmptyListError(KeydynError, ValueError):
     code = "EMPTY_LIST"
 

@@ -1,4 +1,10 @@
-"""Platform scenarios, k-rank accuracy, and the benchmark driver."""
+"""Platform scenarios, k-rank accuracy, and the benchmark driver.
+
+:func:`build_scenario_data` serves every scenario of a run at once: it
+extracts each needed session once, interns one vocabulary over those
+sessions, and prepares each distinct (user, side) profile once, so scenarios
+that share a side share its prepared profile.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ import io
 import json
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -17,10 +23,18 @@ from .errors import (
     OverlappingPlatformsError,
     SamePlatformError,
 )
-from .features import ALL_KINDS, FeatureDictionary, Kind, merge, session_features
+from .features import ALL_KINDS, Kind, session_features
 from .ingest import Corpus
 from .matrix import FusionMethod, ScoreMatrix, score_matrices
-from .verifiers import DEFAULT_ABSOLUTE_THRESHOLD, SimilarityMode, Verifier, check_threshold
+from .verifiers import (
+    DEFAULT_ABSOLUTE_THRESHOLD,
+    PreparedProfile,
+    SimilarityMode,
+    Verifier,
+    check_threshold,
+    feature_ids,
+    prepare_profile,
+)
 
 # (platform, session ids) cells required from each user for one side
 SideSpec = tuple[tuple[str, tuple[int, ...]], ...]
@@ -43,8 +57,8 @@ class Scenario:
 @dataclass
 class ScenarioData:
     scenario: Scenario
-    enroll: dict[str, FeatureDictionary]
-    probe: dict[str, FeatureDictionary]
+    enroll: dict[str, PreparedProfile]
+    probe: dict[str, PreparedProfile]
     excluded: tuple[str, ...]
 
 
@@ -65,40 +79,39 @@ def _eligible_users(corpus: Corpus, scenario: Scenario) -> tuple[list[str], list
     return eligible, excluded
 
 
-def _merged_profile(
-    corpus: Corpus,
-    user: str,
-    spec: SideSpec,
-    kinds: tuple[Kind, ...],
-    session_cache: dict[tuple[str, str, int], FeatureDictionary],
-) -> FeatureDictionary:
-    parts = []
-    for platform, sessions in spec:
-        for session in sessions:
-            key = (user, platform, session)
-            if key not in session_cache:
-                session_cache[key] = session_features(corpus.sessions[key], kinds)
-            parts.append(session_cache[key])
-    return merge(parts)
-
-
 def build_scenario_data(
     corpus: Corpus,
-    scenario: Scenario,
+    scenarios: Sequence[Scenario],
     *,
     kinds: tuple[Kind, ...] = ALL_KINDS,
-    session_cache: dict | None = None,
-) -> ScenarioData:
-    """Materialize per-user enrollment and probe profiles for one scenario.
+) -> list[ScenarioData]:
+    """Prepared enrollment and probe profiles per user, for each of ``scenarios``.
 
-    Users missing any required (platform, session) cell are excluded from
-    the scenario; the roster must leave at least one eligible user.
+    Users missing any required (platform, session) cell are excluded from a
+    scenario; each scenario must leave at least one eligible user. Each
+    needed session is extracted once and each distinct (user, side) profile
+    is prepared once, over one vocabulary of the needed sessions' keys.
     """
-    cache = session_cache if session_cache is not None else {}
-    eligible, excluded = _eligible_users(corpus, scenario)
-    enroll = {u: _merged_profile(corpus, u, scenario.enroll_spec, kinds, cache) for u in eligible}
-    probe = {u: _merged_profile(corpus, u, scenario.probe_spec, kinds, cache) for u in eligible}
-    return ScenarioData(scenario, enroll, probe, tuple(excluded))
+    rosters = [_eligible_users(corpus, scenario) for scenario in scenarios]
+    sides = {
+        (user, spec): [(user, platform, session) for platform, session in _required_cells(spec)]
+        for scenario, (eligible, _) in zip(scenarios, rosters)
+        for spec in (scenario.enroll_spec, scenario.probe_spec)
+        for user in eligible
+    }
+    needed = dict.fromkeys(cell for cells in sides.values() for cell in cells)
+    sessions = {cell: session_features(corpus.sessions[cell], kinds) for cell in needed}
+    ids = feature_ids(sessions.values())
+    prepared = {side: prepare_profile([sessions[cell] for cell in cells], ids) for side, cells in sides.items()}
+    return [
+        ScenarioData(
+            scenario,
+            {user: prepared[user, scenario.enroll_spec] for user in eligible},
+            {user: prepared[user, scenario.probe_spec] for user in eligible},
+            tuple(excluded),
+        )
+        for scenario, (eligible, excluded) in zip(scenarios, rosters)
+    ]
 
 
 def same_platform_scenario(
@@ -187,14 +200,11 @@ def k_rank_accuracy(matrix: ScoreMatrix, k: int) -> float:
     n = matrix.n
     if not 1 <= k <= n:
         raise KOutOfRangeError(f"k={k} outside 1..{n}")
-    correct = 0
-    for i, row in enumerate(matrix.values):
-        genuine = row[i]
-        better = int(np.count_nonzero(row > genuine))
-        tied_before = int(np.count_nonzero(row[:i] == genuine))
-        if better + tied_before < k:
-            correct += 1
-    return correct / n
+    values = matrix.values
+    genuine = np.diag(values)[:, None]
+    # a probe's rank: cells above its genuine one, plus ties at a lower roster index
+    rank = np.count_nonzero(values > genuine, axis=1) + np.count_nonzero(np.tril(values == genuine, -1), axis=1)
+    return int(np.count_nonzero(rank < k)) / n
 
 
 @dataclass(frozen=True)
@@ -216,6 +226,9 @@ class BenchmarkConfig:
             raise ValueError("at least one scorer must be selected")
         if not self.scenario_kinds:
             raise ValueError("at least one scenario kind must be selected")
+        unknown = [kind for kind in self.scenario_kinds if kind not in SCENARIO_KINDS]
+        if unknown:
+            raise ValueError(f"unknown scenario kinds {unknown}; choose from {list(SCENARIO_KINDS)}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         overlap = sorted(set(self.enroll_sessions) & set(self.probe_sessions))
@@ -273,9 +286,8 @@ def run_benchmark(corpus: Corpus, config: BenchmarkConfig = BenchmarkConfig()) -
     )
     report = EvaluationReport(config=config.describe(), dataset=corpus.summary())
 
-    session_cache: dict[tuple[str, str, int], FeatureDictionary] = {}
-    for scenario in scenarios:
-        data = build_scenario_data(corpus, scenario, kinds=config.kinds, session_cache=session_cache)
+    for data in build_scenario_data(corpus, scenarios, kinds=config.kinds):
+        scenario = data.scenario
         n = len(data.enroll)
         report.scenarios.append(ScenarioSummary(scenario.name, scenario.kind, n, data.excluded))
         matrices = score_matrices(

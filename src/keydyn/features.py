@@ -1,20 +1,20 @@
-"""Timing-feature extraction: unigraphs, digraphs, word holds, and profiles.
+"""Timing-feature extraction: unigraphs, digraphs and word holds per session.
 
-Each extractor maps paired keystrokes of ONE session to a feature dictionary:
-an associative map from feature key to the list of observed durations (ms) in
-occurrence order. The three kinds live in one dictionary with kind-disjoint
-keys, so verifiers see a single common-feature set.
+Each extractor maps paired keystrokes of ONE session to a plain dict from
+feature key to the list of observed durations (ms) in occurrence order. The
+three kinds live in one dict with kind-disjoint keys, so verifiers see a
+single common-feature set. A user's enrollment or probe profile pools the
+dicts of several sessions; :func:`keydyn.verifiers.prepare_profile` does the
+pooling, so no digraph or word ever spans two sessions.
 """
 
 from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .errors import MixedUserError
 from .ingest import PairedKeystroke, SessionLog, pair_events
 
 
@@ -49,38 +49,24 @@ def wordhold_key(word: str) -> FeatureKey:
     return FeatureKey(Kind.WORDHOLD, word)
 
 
-@dataclass
-class FeatureDictionary(Mapping[FeatureKey, "list[float]"]):
-    """Feature key -> duration list, tagged with its provenance.
+class FeatureMap(dict):
+    """Feature key -> duration list: a plain dict, returned by each extractor.
 
-    Implements the Mapping protocol over ``entries`` so scoring code can
-    treat it like a plain dict.
+    ``entries`` is the map itself, so code that reads an extractor's result
+    through ``.entries`` sees the same values.
     """
 
-    entries: dict[FeatureKey, list[float]] = field(default_factory=dict)
-    user_id: str = ""
-    platforms: frozenset[str] = frozenset()
-    sessions: frozenset[int] = frozenset()
-
-    def __getitem__(self, key: FeatureKey) -> list[float]:
-        return self.entries[key]
-
-    def __iter__(self) -> Iterator[FeatureKey]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def value_count(self) -> int:
-        return sum(len(v) for v in self.entries.values())
+    @property
+    def entries(self) -> dict[FeatureKey, list[float]]:
+        return self
 
 
-def _keyed(kind: Kind, grouped: dict) -> FeatureDictionary:
+def _keyed(kind: Kind, grouped: dict) -> FeatureMap:
     """Wrap each raw label of ``grouped`` in its feature key once, in insertion order."""
-    return FeatureDictionary({FeatureKey(kind, label): values for label, values in grouped.items()})
+    return FeatureMap({FeatureKey(kind, label): values for label, values in grouped.items()})
 
 
-def extract_unigraphs(pairs: Sequence[PairedKeystroke]) -> FeatureDictionary:
+def extract_unigraphs(pairs: Sequence[PairedKeystroke]) -> FeatureMap:
     """Key hold times: release minus press per occurrence of each key."""
     grouped: defaultdict[str, list[float]] = defaultdict(list)
     for key, press_ms, release_ms in pairs:
@@ -88,7 +74,7 @@ def extract_unigraphs(pairs: Sequence[PairedKeystroke]) -> FeatureDictionary:
     return _keyed(Kind.UNIGRAPH, grouped)
 
 
-def extract_digraphs(pairs: Sequence[PairedKeystroke]) -> FeatureDictionary:
+def extract_digraphs(pairs: Sequence[PairedKeystroke]) -> FeatureMap:
     """Key interval times between consecutive keystrokes of one session.
 
     The latency is press(next) - release(previous); rollover typing makes
@@ -104,7 +90,7 @@ def _is_word_char(key: str) -> bool:
     return len(key) == 1 and not key.isspace()
 
 
-def extract_wordholds(pairs: Sequence[PairedKeystroke]) -> FeatureDictionary:
+def extract_wordholds(pairs: Sequence[PairedKeystroke]) -> FeatureMap:
     """Word hold times: release of a word's last key minus press of its first.
 
     A word is a maximal run of character keystrokes; any non-character key
@@ -136,65 +122,40 @@ _EXTRACTORS = {
 }
 
 
-def extract_features(pairs: Sequence[PairedKeystroke], kinds: Sequence[Kind] = ALL_KINDS) -> FeatureDictionary:
+def extract_features(
+    pairs: Sequence[PairedKeystroke], kinds: Sequence[Kind] = ALL_KINDS
+) -> dict[FeatureKey, list[float]]:
     """Run the requested extractors over one session's pairs, merged."""
     merged: dict[FeatureKey, list[float]] = {}
     for kind in kinds:
-        merged.update(_EXTRACTORS[kind](pairs).entries)
-    return FeatureDictionary(merged)
+        merged.update(_EXTRACTORS[kind](pairs))
+    return merged
 
 
 def session_features(
     log: SessionLog,
     kinds: Sequence[Kind] = ALL_KINDS,
     pairs: Sequence[PairedKeystroke] | None = None,
-) -> FeatureDictionary:
-    """Extract one session's feature dictionary from its paired keystrokes.
+) -> dict[FeatureKey, list[float]]:
+    """Extract one session's features from its paired keystrokes.
 
     ``pairs`` is the session's pairing when the caller already holds it;
     without it the session's events are paired here.
     """
     if pairs is None:
         pairs = pair_events(log).pairs
-    fd = extract_features(pairs, kinds)
-    return replace(
-        fd,
-        user_id=log.user_id,
-        platforms=frozenset({log.platform}),
-        sessions=frozenset({log.session_id}),
-    )
+    return extract_features(pairs, kinds)
 
 
-def merge(dicts: Sequence[FeatureDictionary]) -> FeatureDictionary:
-    """Concatenate value lists per feature key, in input order.
-
-    All inputs must belong to one user; provenance is the union.
-    """
-    if not dicts:
-        raise ValueError("merge needs at least one dictionary")
-    users = {d.user_id for d in dicts}
-    if len(users) > 1:
-        raise MixedUserError(f"cannot merge dictionaries from users {sorted(users)}")
-    entries: dict[FeatureKey, list[float]] = {}
-    platforms: set[str] = set()
-    sessions: set[int] = set()
-    for d in dicts:
-        for key, values in d.entries.items():
-            entries.setdefault(key, []).extend(values)
-        platforms.update(d.platforms)
-        sessions.update(d.sessions)
-    return FeatureDictionary(entries, dicts[0].user_id, frozenset(platforms), frozenset(sessions))
-
-
-def profile_to_json(profile: FeatureDictionary) -> str:
+def profile_to_json(log: SessionLog, features: Mapping[FeatureKey, Sequence[float]]) -> str:
+    """One session's profile document: its provenance from ``log``, then ``features``."""
     doc = {
-        "user": profile.user_id,
-        "platforms": sorted(profile.platforms),
-        "sessions": sorted(profile.sessions),
+        "user": log.user_id,
+        "platforms": [log.platform],
+        "sessions": [log.session_id],
         "features": {
             key.to_string(): list(values)
-            for key, values in sorted(profile.entries.items(), key=lambda kv: kv[0].to_string())
+            for key, values in sorted(features.items(), key=lambda kv: kv[0].to_string())
         },
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-

@@ -57,42 +57,9 @@ class ScoreMatrix:
             raise NonFiniteScoreError(f"score matrix {self.scorer!r} holds a non-finite value")
 
 
-def build_matrix_prepared(
+def score_matrices(
     enroll: Mapping[str, PreparedProfile],
     probe: Mapping[str, PreparedProfile],
-    verifier: Verifier,
-    mode: SimilarityMode,
-    threshold: float,
-    *,
-    scenario: str = "",
-) -> ScoreMatrix:
-    """Score every probe user against every enrollment user.
-
-    ``values[i][j]`` is the score of probe ``roster[i]`` against enrollment
-    ``roster[j]``. Both sides must be prepared with one vocabulary. ``mode``
-    applies to Similarity and ``threshold`` to Absolute, but every verifier
-    requires a valid threshold.
-    """
-    check_threshold(threshold)
-    if set(enroll) != set(probe):
-        raise RosterMismatchError(
-            f"enroll/probe user sets differ: {sorted(set(enroll) ^ set(probe))}"
-        )
-    roster = sorted(enroll)
-    enroll_side = [enroll[u] for u in roster]
-    probe_side = [probe[u] for u in roster]
-    if verifier is Verifier.SIMILARITY:
-        values = similarity_from_prepared(enroll_side, probe_side, mode)
-    elif verifier is Verifier.ABSOLUTE:
-        values = absolute_from_prepared(enroll_side, probe_side, threshold)
-    else:
-        values = itad_from_prepared(enroll_side, probe_side)
-    return ScoreMatrix(tuple(roster), values, verifier.value, scenario)
-
-
-def score_matrices(
-    enroll: Mapping[str, ProfileLike],
-    probe: Mapping[str, ProfileLike],
     scorers: Sequence[str],
     *,
     mode: SimilarityMode = SimilarityMode.AS_PUBLISHED,
@@ -101,20 +68,30 @@ def score_matrices(
 ) -> dict[str, ScoreMatrix]:
     """One scenario's matrices for the given scorer labels, keyed by label.
 
-    Base verifier labels are ``sim``, ``abs`` and ``itad``; a fusion label
-    (``fmean``...) fuses all three, which are then built even when not
-    requested. Both sides are prepared once, with one shared vocabulary.
+    ``values[i][j]`` of each matrix is the score of probe ``roster[i]``
+    against enrollment ``roster[j]``, the roster being the sorted user ids.
+    Both sides must be prepared with one vocabulary. Base verifier labels are
+    ``sim``, ``abs`` and ``itad``; a fusion label (``fmean``...) fuses all
+    three, which are then built even when not requested. ``mode`` applies to
+    Similarity and ``threshold`` to Absolute, but every scorer requires a
+    valid threshold.
     """
-    ids = feature_ids(itertools.chain(enroll.values(), probe.values()))
-    enroll_prep = {u: prepare_profile(p, ids) for u, p in enroll.items()}
-    probe_prep = {u: prepare_profile(p, ids) for u, p in probe.items()}
+    check_threshold(threshold)
+    if set(enroll) != set(probe):
+        raise RosterMismatchError(f"enroll/probe user sets differ: {sorted(set(enroll) ^ set(probe))}")
+    roster = sorted(enroll)
+    enroll_side = [enroll[u] for u in roster]
+    probe_side = [probe[u] for u in roster]
+    kernels = {
+        Verifier.SIMILARITY: lambda: similarity_from_prepared(enroll_side, probe_side, mode),
+        Verifier.ABSOLUTE: lambda: absolute_from_prepared(enroll_side, probe_side, threshold),
+        Verifier.ITAD: lambda: itad_from_prepared(enroll_side, probe_side),
+    }
     fusions = [method for method in FusionMethod if method.value in scorers]
     matrices: dict[str, ScoreMatrix] = {}
-    for verifier in Verifier:
+    for verifier, kernel in kernels.items():
         if verifier.value in scorers or fusions:
-            matrices[verifier.value] = build_matrix_prepared(
-                enroll_prep, probe_prep, verifier, mode, threshold, scenario=scenario
-            )
+            matrices[verifier.value] = ScoreMatrix(tuple(roster), kernel(), verifier.value, scenario)
     for method in fusions:
         matrices[method.value] = fuse([matrices[v.value] for v in Verifier], method)
     return {label: matrices[label] for label in scorers}
@@ -129,9 +106,12 @@ def build_score_matrix(
     threshold: float = DEFAULT_ABSOLUTE_THRESHOLD,
     scenario: str = "",
 ) -> ScoreMatrix:
-    """Build one verifier's score matrix from raw profile maps."""
+    """Build one verifier's score matrix from plain profile maps, one per user and side."""
+    ids = feature_ids(itertools.chain(enroll.values(), probe.values()))
+    enroll_prep = {u: prepare_profile([p], ids) for u, p in enroll.items()}
+    probe_prep = {u: prepare_profile([p], ids) for u, p in probe.items()}
     label = verifier.value
-    return score_matrices(enroll, probe, (label,), mode=mode, threshold=threshold, scenario=scenario)[label]
+    return score_matrices(enroll_prep, probe_prep, (label,), mode=mode, threshold=threshold, scenario=scenario)[label]
 
 
 def fuse(matrices: Sequence[ScoreMatrix], method: FusionMethod) -> ScoreMatrix:

@@ -2,12 +2,12 @@
 
 All three compare an enrollment pattern A against a probe pattern B over
 their common feature set and return a match score in [0, 1]. Profiles are
-any Mapping from feature key to a non-empty sequence of durations;
-:class:`~keydyn.features.FeatureDictionary` qualifies.
+any Mapping from feature key to a non-empty sequence of durations; the
+per-session dicts of :mod:`keydyn.features` qualify.
 
 Scoring runs on a columnar form: :func:`feature_ids` interns the feature
-keys of a roster to ints, :func:`prepare_profile` turns one profile into
-sorted per-feature value runs with their medians, and each
+keys of a run to ints, :func:`prepare_profile` pools the session maps of one
+side into sorted per-feature value runs with their medians, and each
 ``*_from_prepared`` kernel scores a whole probe x enrollment matrix, looping
 over probe users only. The pair-level ``*_score`` functions are 1x1 calls
 into the same kernels.
@@ -84,28 +84,28 @@ def feature_ids(profiles: Iterable[ProfileLike]) -> dict[FeatureKey, int]:
     return {key: i for i, key in enumerate(sorted(keys))}
 
 
-def prepare_profile(profile: ProfileLike, ids: Mapping[FeatureKey, int] | None = None) -> PreparedProfile:
-    """Sort one profile's values per feature and precompute the medians.
+def prepare_profile(parts: Sequence[ProfileLike], ids: Mapping[FeatureKey, int]) -> PreparedProfile:
+    """Pool the value lists of ``parts`` per feature, sort them, and precompute the medians.
 
-    ``ids`` must hold every key of ``profile``, and profiles scored against
-    each other must share it (see :func:`feature_ids`); by default the
-    profile's own keys are interned.
+    ``parts`` are the session maps of one side of one user. Values are sorted
+    per feature, so the order of the parts changes no score. ``ids`` must
+    hold every key of every part, and profiles scored against each other
+    must share it (see :func:`feature_ids`).
     """
-    if ids is None:
-        ids = feature_ids((profile,))
-    runs = list(profile.values())
-    count = np.fromiter(map(len, runs), np.int64, len(runs))
-    if not count.all():
-        key = next(k for k, v in profile.items() if len(v) == 0)
-        raise EmptyListError(f"empty value list for feature {key}")
-    fids = np.fromiter((ids[key] for key in profile), np.int64, len(runs))
-    values = np.fromiter(itertools.chain.from_iterable(runs), np.float64, int(count.sum()))
+    runs = [run for part in parts for run in part.values()]
+    run_fids = np.fromiter((ids[key] for part in parts for key in part), np.int64, len(runs))
+    value_fids = np.repeat(run_fids, np.fromiter(map(len, runs), np.int64, len(runs)))
+    values = np.fromiter(itertools.chain.from_iterable(runs), np.float64, value_fids.size)
     # one sort puts features in id order and values ascending within each
-    values = values[np.lexsort((values, np.repeat(fids, count)))]
-    order = np.argsort(fids)
-    fids, count = fids[order], count[order]
-    offsets = np.zeros(fids.size + 1, np.int64)
-    np.cumsum(count, out=offsets[1:])
+    order = np.lexsort((values, value_fids))
+    values, value_fids = values[order], value_fids[order]
+    fids = np.unique(run_fids)
+    offsets = np.append(np.searchsorted(value_fids, fids), value_fids.size)
+    count = np.diff(offsets)
+    if not count.all():
+        empty = fids[count == 0][0]
+        key = next(k for part in parts for k in part if ids[k] == empty)
+        raise EmptyListError(f"empty value list for feature {key}")
     starts = offsets[:-1]
 
     mid = starts + count // 2
@@ -321,7 +321,7 @@ def itad_from_prepared(enroll: Sequence[PreparedProfile], probe: Sequence[Prepar
 def _prepare_pair(enroll: ProfileLike, probe: ProfileLike) -> tuple[list[PreparedProfile], list[PreparedProfile]]:
     """A one-user roster on each side, for scoring one pair as a 1x1 matrix."""
     ids = feature_ids((enroll, probe))
-    return [prepare_profile(enroll, ids)], [prepare_profile(probe, ids)]
+    return [prepare_profile([enroll], ids)], [prepare_profile([probe], ids)]
 
 
 def similarity_score(

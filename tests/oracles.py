@@ -1,5 +1,5 @@
-"""Independent brute-force transcriptions of the three verifier algorithms
-and of the log parser.
+"""Independent brute-force transcriptions of the three verifier algorithms,
+of rank-k accuracy and of the log parser.
 
 Written against the algorithm definitions only, with plain loops and the
 statistics module; the verifier oracles deliberately share no code with the
@@ -69,6 +69,17 @@ def oracle_itad(a: dict, b: dict) -> float:
             p = sum(1 for value in x if value <= y) / len(x)
             q.append(p if y <= mid else 1.0 - p)
     return sum(q) / len(q)
+
+
+def oracle_k_rank(rows: list[list[float]], k: int) -> float:
+    """Fraction of probes (rows) whose genuine cell ranks in the top k; ties go to the lower column."""
+    correct = 0
+    for i, row in enumerate(rows):
+        better = sum(1 for v in row if v > row[i])
+        tied_before = sum(1 for v in row[:i] if v == row[i])
+        if better + tied_before < k:
+            correct += 1
+    return correct / len(rows)
 
 
 def parse_log_oracle(data, strict: bool = True, source=None) -> dict:

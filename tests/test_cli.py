@@ -127,6 +127,14 @@ def test_evaluate_unknown_format_is_usage_error(corpus_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenarios", ["sam", "same,crosss"])
+def test_evaluate_unknown_scenario_kind_is_usage_error(corpus_dir, tmp_path, capsys, scenarios):
+    out = tmp_path / "x"
+    assert main(["evaluate", str(corpus_dir), "--out", str(out), "--scenarios", scenarios]) == 1
+    assert "unknown scenario kinds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_score_scenario_matrices(corpus_dir, tmp_path):
     out = tmp_path / "mats"
     code = main(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from keydyn import evaluation
 from keydyn.errors import (
     KOutOfRangeError,
     NoEligibleUsersError,
@@ -24,21 +25,24 @@ from keydyn.evaluation import (
     run_benchmark,
     same_platform_scenario,
 )
+from keydyn.features import session_features
 from keydyn.ingest import Action, Corpus, KeyEvent, SessionLog
-from keydyn.matrix import ScoreMatrix
+from keydyn.matrix import ScoreMatrix, score_matrices
 from keydyn.synth import SynthSpec, generate_corpus
-from keydyn.verifiers import SimilarityMode
+from keydyn.verifiers import SimilarityMode, feature_ids, prepare_profile
+
+from oracles import oracle_k_rank
 
 
 def tiny_corpus(users=("u1", "u2"), platforms=("F", "T"), sessions=range(1, 7), drop=()):
     """Hand corpus: two keystrokes per session, hold times vary per user."""
     logs = []
     for ui, user in enumerate(users):
-        for platform in platforms:
+        for pi, platform in enumerate(platforms):
             for session in sessions:
                 if (user, platform, session) in drop:
                     continue
-                hold = 50.0 + 40.0 * ui + session  # user-distinct, session-jittered
+                hold = 50.0 + 40.0 * ui + 0.25 * pi + session  # user-distinct, platform- and session-jittered
                 events = [
                     KeyEvent("a", Action.PRESS, 0.0),
                     KeyEvent("a", Action.RELEASE, hold),
@@ -52,18 +56,31 @@ def tiny_corpus(users=("u1", "u2"), platforms=("F", "T"), sessions=range(1, 7), 
 # -- scenario builders -----------------------------------------------------------
 
 
+def assert_pools(profile, corpus, user, cells):
+    """``profile`` pools exactly the sessions ``cells`` of ``user``, bit for bit.
+
+    Every session of the hand corpus holds the same four features, so any
+    vocabulary over its sessions gives them the same ids.
+    """
+    parts = [session_features(corpus.sessions[user, platform, session]) for platform, session in cells]
+    want = prepare_profile(parts, feature_ids(parts))
+    for got, expected in zip(profile, want):
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_same_platform_split_sessions():
-    data = build_scenario_data(tiny_corpus(), same_platform_scenario("F"))
+    corpus = tiny_corpus()
+    [data] = build_scenario_data(corpus, [same_platform_scenario("F")])
     assert set(data.enroll) == {"u1", "u2"}
-    assert data.enroll["u1"].sessions == {1, 2, 3}
-    assert data.probe["u1"].sessions == {4, 5, 6}
-    assert data.enroll["u1"].platforms == {"F"}
+    assert_pools(data.enroll["u1"], corpus, "u1", [("F", 1), ("F", 2), ("F", 3)])
+    assert_pools(data.probe["u1"], corpus, "u1", [("F", 4), ("F", 5), ("F", 6)])
+    assert_pools(data.enroll["u2"], corpus, "u2", [("F", 1), ("F", 2), ("F", 3)])
     assert data.excluded == ()
 
 
 def test_same_platform_excludes_incomplete_users():
     corpus = tiny_corpus(drop={("u2", "F", 5)})
-    data = build_scenario_data(corpus, same_platform_scenario("F"))
+    [data] = build_scenario_data(corpus, [same_platform_scenario("F")])
     assert set(data.enroll) == {"u1"}
     assert data.excluded == ("u2",)
 
@@ -71,35 +88,42 @@ def test_same_platform_excludes_incomplete_users():
 def test_same_platform_no_eligible_users():
     corpus = tiny_corpus(sessions=range(1, 3))  # nobody has sessions 3..6
     with pytest.raises(NoEligibleUsersError):
-        build_scenario_data(corpus, same_platform_scenario("F"))
+        build_scenario_data(corpus, [same_platform_scenario("F")])
 
 
 def test_cross_platform_uses_all_sessions():
-    data = build_scenario_data(tiny_corpus(), cross_platform_scenario("F", "T"))
+    corpus = tiny_corpus()
+    [data] = build_scenario_data(corpus, [cross_platform_scenario("F", "T")])
     assert data.scenario.name == "F-T"
-    assert data.enroll["u1"].platforms == {"F"}
-    assert data.enroll["u1"].sessions == {1, 2, 3, 4, 5, 6}
-    assert data.probe["u1"].platforms == {"T"}
+    assert_pools(data.enroll["u1"], corpus, "u1", [("F", s) for s in range(1, 7)])
+    assert_pools(data.probe["u1"], corpus, "u1", [("T", s) for s in range(1, 7)])
 
 
 def test_cross_platform_rejects_same_platform():
     with pytest.raises(SamePlatformError):
-        build_scenario_data(tiny_corpus(), cross_platform_scenario("F", "F"))
+        build_scenario_data(tiny_corpus(), [cross_platform_scenario("F", "F")])
 
 
 def test_combined_cross_merges_training_platforms():
     corpus = tiny_corpus(platforms=("F", "I", "T"))
-    data = build_scenario_data(corpus, combined_cross_scenario(("F", "I"), "T"))
+    [data] = build_scenario_data(corpus, [combined_cross_scenario(("F", "I"), "T")])
     assert data.scenario.name == "FI-T"
-    assert data.enroll["u1"].platforms == {"F", "I"}
-    assert data.probe["u1"].platforms == {"T"}
+    assert_pools(data.enroll["u1"], corpus, "u1", [(p, s) for p in "FI" for s in range(1, 7)])
+    assert_pools(data.probe["u1"], corpus, "u1", [("T", s) for s in range(1, 7)])
 
 
 def test_combined_cross_rejects_overlap():
     with pytest.raises(OverlappingPlatformsError):
-        build_scenario_data(tiny_corpus(), combined_cross_scenario(("F", "T"), "T"))
+        build_scenario_data(tiny_corpus(), [combined_cross_scenario(("F", "T"), "T")])
     with pytest.raises(ValueError):
-        build_scenario_data(tiny_corpus(), combined_cross_scenario(("F",), "T"))
+        build_scenario_data(tiny_corpus(), [combined_cross_scenario(("F",), "T")])
+
+
+def test_sides_shared_across_scenarios_are_one_profile():
+    corpus = tiny_corpus(platforms=("F", "I", "T"))
+    f_i, i_f = build_scenario_data(corpus, [cross_platform_scenario("F", "I"), cross_platform_scenario("I", "F")])
+    assert f_i.enroll["u1"] is i_f.probe["u1"]
+    assert f_i.probe["u2"] is i_f.enroll["u2"]
 
 
 def test_enumerate_scenarios_counts():
@@ -158,6 +182,14 @@ def test_k_rank_invariants_random(rng):
         assert accs[-1] == 1.0  # k = n catches everyone
         for acc in accs:
             assert (acc * n) == pytest.approx(round(acc * n))  # multiples of 1/n
+
+
+def test_k_rank_matches_row_loop_oracle(rng):
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        values = rng.integers(0, 4, (n, n)) / 3  # few levels: many ties, some on the genuine cell
+        for k in range(1, n + 1):
+            assert k_rank_accuracy(matrix_of(values), k) == oracle_k_rank(values.tolist(), k)
 
 
 def test_k_rank_invariant_under_relabeling(rng):
@@ -228,6 +260,8 @@ def test_benchmark_config_validation():
     for k_max in (0, -1):
         with pytest.raises(ValueError, match="k_max"):
             BenchmarkConfig(k_max=k_max)
+    with pytest.raises(ValueError, match="unknown scenario kinds"):
+        BenchmarkConfig(scenario_kinds=("same", "sam"))
     with pytest.raises(ValueError, match=r"overlap: \[3\]"):
         BenchmarkConfig(enroll_sessions=(1, 2, 3), probe_sessions=(3, 4))
     BenchmarkConfig(k_max=1, enroll_sessions=(1, 2), probe_sessions=(3, 4))
@@ -249,3 +283,51 @@ def test_report_round_trip_and_csv(small_synth_corpus):
     keys = [(r.scenario, r.scorer, r.k) for r in report.rows]
     assert keys == sorted(keys)
     assert report.accuracy("F", "itad", 1) == report.rows[0].accuracy
+
+
+@pytest.fixture
+def extracted(monkeypatch):
+    """Session keys in the order ``build_scenario_data`` extracts them."""
+    keys = []
+
+    def counting_extract(log, kinds):
+        keys.append(log.session_key)
+        return session_features(log, kinds)
+
+    monkeypatch.setattr(evaluation, "session_features", counting_extract)
+    return keys
+
+
+def test_run_benchmark_prepares_each_side_once(small_synth_corpus, monkeypatch, extracted):
+    prepared = []
+
+    def counting_prepare(parts, ids):
+        prepared.append(len(parts))
+        return prepare_profile(parts, ids)
+
+    monkeypatch.setattr(evaluation, "prepare_profile", counting_prepare)
+    run_benchmark(small_synth_corpus, BenchmarkConfig(scorers=("abs",), k_max=1))
+    # per user: 3 same-platform enroll and 3 probe sides, 3 one-platform sides of
+    # all six sessions (each serves two cross scenarios) and 3 two-platform sides
+    assert len(prepared) == 12 * 5
+    assert sorted(prepared) == [3] * 30 + [6] * 15 + [12] * 15
+    assert len(extracted) == len(set(extracted)) == len(small_synth_corpus.sessions)
+
+
+def test_one_scenario_extracts_only_its_sessions(small_synth_corpus, extracted):
+    build_scenario_data(small_synth_corpus, [cross_platform_scenario("F", "I")])
+    assert sorted(extracted) == sorted(key for key in small_synth_corpus.sessions if key[1] in "FI")
+
+
+def test_scenario_built_alone_equals_whole_run(small_synth_corpus):
+    scenarios = enumerate_scenarios(small_synth_corpus.platforms)
+    batch = build_scenario_data(small_synth_corpus, scenarios)
+    for scenario, together in zip(scenarios, batch):
+        [alone] = build_scenario_data(small_synth_corpus, [scenario])
+        assert together.scenario == alone.scenario and together.excluded == alone.excluded
+        for mode in SimilarityMode:
+            want = score_matrices(alone.enroll, alone.probe, ALL_SCORERS, mode=mode)
+            got = score_matrices(together.enroll, together.probe, ALL_SCORERS, mode=mode)
+            for label in ALL_SCORERS:
+                assert got[label].roster == want[label].roster
+                assert got[label].values.tobytes() == want[label].values.tobytes(), (scenario.name, mode, label)

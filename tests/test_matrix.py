@@ -16,6 +16,7 @@ from keydyn.matrix import (
     fuse,
     matrix_to_csv,
     matrix_to_json,
+    score_matrices,
 )
 from keydyn.verifiers import SimilarityMode, Verifier
 
@@ -122,8 +123,8 @@ def test_separated_synthetic_users_dominate_diagonal():
     from keydyn.synth import SynthSpec, generate_corpus
 
     corpus = generate_corpus(SynthSpec(seed=5, n_users=3, platforms=("F",), separation=4.0))
-    data = build_scenario_data(corpus, same_platform_scenario("F"))
-    m = build_score_matrix(data.enroll, data.probe, Verifier.ITAD)
+    [data] = build_scenario_data(corpus, [same_platform_scenario("F")])
+    m = score_matrices(data.enroll, data.probe, ["itad"])["itad"]
     for i in range(3):
         off = [m.values[i, j] for j in range(3) if j != i]
         assert m.values[i, i] > max(off)

@@ -7,9 +7,8 @@ import pytest
 
 from keydyn.evaluation import build_scenario_data, k_rank_accuracy, same_platform_scenario
 from keydyn.ingest import Action, Corpus, pair_events, parse_log, serialize_corpus
-from keydyn.matrix import build_score_matrix
+from keydyn.matrix import score_matrices
 from keydyn.synth import SynthSpec, TypistModel, generate_corpus, sample_models
-from keydyn.verifiers import Verifier
 
 
 def test_zero_separation_yields_identical_models():
@@ -115,8 +114,8 @@ def test_rank1_accuracy_monotone_in_separation():
         accs = []
         for seed in (0, 1, 2):
             spec = SynthSpec(seed=seed, n_users=12, platforms=("F",), separation=separation)
-            data = build_scenario_data(generate_corpus(spec), same_platform_scenario("F"))
-            matrix = build_score_matrix(data.enroll, data.probe, Verifier.ITAD)
+            [data] = build_scenario_data(generate_corpus(spec), [same_platform_scenario("F")])
+            matrix = score_matrices(data.enroll, data.probe, ["itad"])["itad"]
             accs.append(k_rank_accuracy(matrix, 1))
         return sum(accs) / len(accs)
 

@@ -9,6 +9,7 @@ from keydyn.verifiers import (
     SimilarityMode,
     Verifier,
     absolute_score,
+    feature_ids,
     itad_score,
     prepare_profile,
     similarity_score,
@@ -19,6 +20,7 @@ from oracles import oracle_absolute, oracle_itad, oracle_similarity
 
 U, D = unigraph_key, digraph_key
 PUB, CORR = SimilarityMode.AS_PUBLISHED, SimilarityMode.CORRECTED
+IDS = {U("a"): 0, U("b"): 1}
 
 
 # -- helper statistics ---------------------------------------------------------
@@ -26,7 +28,7 @@ PUB, CORR = SimilarityMode.AS_PUBLISHED, SimilarityMode.CORRECTED
 
 def test_median_conventions():
     def median(values):
-        return float(prepare_profile({U("a"): [float(v) for v in values]}).median[0])
+        return float(prepare_profile([{U("a"): [float(v) for v in values]}], {U("a"): 0}).median[0])
 
     assert median([1, 2, 3]) == 2
     assert median([1, 2, 3, 4]) == 2.5
@@ -36,7 +38,11 @@ def test_median_conventions():
 
 def test_median_empty_rejected():
     with pytest.raises(EmptyListError, match="'b'"):
-        prepare_profile({U("a"): [1.0], U("b"): []})
+        prepare_profile([{U("a"): [1.0], U("b"): []}], IDS)
+    with pytest.raises(EmptyListError, match="'b'"):
+        prepare_profile([{U("a"): [1.0]}, {U("b"): []}], IDS)
+    # a feature empty in one part but not in another pools to a non-empty run
+    assert prepare_profile([{U("a"): []}, {U("a"): [2.0]}], IDS).values.tolist() == [2.0]
 
 
 def test_sample_std():
@@ -60,7 +66,32 @@ def test_ecdf_counting():
 
 def test_prepare_profile_rejects_empty_lists():
     with pytest.raises(EmptyListError):
-        prepare_profile({U("a"): []})
+        prepare_profile([{U("a"): []}], IDS)
+
+
+def test_pooled_profile_equals_concatenated_parts(rng):
+    # tie-heavy parts: few distinct values, features present in one part only
+    pool = [U("a"), U("b"), D("a", "b"), D("b", "a")]
+    for _ in range(200):
+        parts = []
+        for _ in range(int(rng.integers(1, 5))):
+            keys = rng.choice(len(pool), size=int(rng.integers(0, len(pool) + 1)), replace=False)
+            parts.append(
+                {pool[i]: [float(v) for v in rng.integers(-2, 3, size=int(rng.integers(1, 5)))] for i in keys}
+            )
+        concatenated: dict = {}
+        for part in parts:
+            for key, values in part.items():
+                concatenated.setdefault(key, []).extend(values)
+        ids = feature_ids([{key: [] for key in pool}])
+        pooled = prepare_profile(parts, ids)
+        reference = prepare_profile([concatenated], ids)
+        for got, want in zip(pooled, reference):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        # the order of the parts cannot change a bit
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(prepare_profile(parts[::-1], ids), pooled))
+
 
 
 # -- similarity ----------------------------------------------------------------
