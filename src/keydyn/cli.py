@@ -93,13 +93,16 @@ def _csv_tuple(value: str | None) -> tuple[str, ...] | None:
 
 
 def _parse_kinds(value: str | None) -> tuple[Kind, ...]:
-    """Feature kinds from a comma list; all kinds when none is given."""
-    if not value:
+    """Feature kinds from a comma list; all kinds when the option is not given."""
+    if value is None:
         return ALL_KINDS
     try:
-        return tuple(Kind(v) for v in _csv_tuple(value))
+        kinds = tuple(Kind(v) for v in _csv_tuple(value))
     except ValueError as exc:
         raise UsageError(f"bad feature kind: {exc}") from None
+    if not kinds:
+        raise UsageError(f"bad --kinds {value!r}: at least one feature kind must be selected")
+    return kinds
 
 
 def _parse_formats(value: str | None, allowed: tuple[str, ...]) -> tuple[str, ...]:
@@ -322,12 +325,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "corpus.csv"
     path.write_text(serialize_corpus(corpus), encoding="utf-8")
-    keystrokes = sum(len(pair_events(log).pairs) for log in corpus.sessions.values())
     stats = corpus.summary()
     print(f"corpus written: {path}")
+    # every generated keystroke is one press and one release, and they pair
     print(
         f"users: {stats['users']}  sessions: {stats['sessions']}  "
-        f"events: {stats['events']}  keystrokes: {keystrokes}"
+        f"events: {stats['events']}  keystrokes: {stats['events'] // 2}"
     )
     return 0
 

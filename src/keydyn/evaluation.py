@@ -224,6 +224,10 @@ class BenchmarkConfig:
             raise ValueError(f"unknown scorers {unknown}; choose from {list(ALL_SCORERS)}")
         if not self.scorers:
             raise ValueError("at least one scorer must be selected")
+        if len(set(self.scorers)) != len(self.scorers):
+            raise ValueError(f"repeated scorers in {list(self.scorers)}")
+        if not self.kinds:
+            raise ValueError("at least one feature kind must be selected")
         if not self.scenario_kinds:
             raise ValueError("at least one scenario kind must be selected")
         unknown = [kind for kind in self.scenario_kinds if kind not in SCENARIO_KINDS]

@@ -16,6 +16,7 @@ from .verifiers import (
     DEFAULT_ABSOLUTE_THRESHOLD,
     PreparedProfile,
     ProfileLike,
+    Roster,
     SimilarityMode,
     Verifier,
     absolute_from_prepared,
@@ -79,19 +80,20 @@ def score_matrices(
     check_threshold(threshold)
     if set(enroll) != set(probe):
         raise RosterMismatchError(f"enroll/probe user sets differ: {sorted(set(enroll) ^ set(probe))}")
-    roster = sorted(enroll)
-    enroll_side = [enroll[u] for u in roster]
-    probe_side = [probe[u] for u in roster]
+    users = tuple(sorted(enroll))
+    if not users:
+        return {label: ScoreMatrix((), np.zeros((0, 0)), label, scenario) for label in scorers}
+    roster = Roster([enroll[u] for u in users], [probe[u] for u in users])
     kernels = {
-        Verifier.SIMILARITY: lambda: similarity_from_prepared(enroll_side, probe_side, mode),
-        Verifier.ABSOLUTE: lambda: absolute_from_prepared(enroll_side, probe_side, threshold),
-        Verifier.ITAD: lambda: itad_from_prepared(enroll_side, probe_side),
+        Verifier.SIMILARITY: lambda: similarity_from_prepared(roster, mode),
+        Verifier.ABSOLUTE: lambda: absolute_from_prepared(roster, threshold),
+        Verifier.ITAD: lambda: itad_from_prepared(roster),
     }
     fusions = [method for method in FusionMethod if method.value in scorers]
     matrices: dict[str, ScoreMatrix] = {}
     for verifier, kernel in kernels.items():
         if verifier.value in scorers or fusions:
-            matrices[verifier.value] = ScoreMatrix(tuple(roster), kernel(), verifier.value, scenario)
+            matrices[verifier.value] = ScoreMatrix(users, kernel(), verifier.value, scenario)
     for method in fusions:
         matrices[method.value] = fuse([matrices[v.value] for v in Verifier], method)
     return {label: matrices[label] for label in scorers}

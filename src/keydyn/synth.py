@@ -75,6 +75,8 @@ class SynthSpec:
             raise ValueError("sessions_per_platform must be >= 1")
         if self.separation < 0:
             raise ValueError("separation must be >= 0")
+        if not self.platforms or len(set(self.platforms)) != len(self.platforms):
+            raise ValueError(f"platforms must be distinct and at least one, got {list(self.platforms)}")
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,7 @@ def _session_events(model: TypistModel, platform: str, rng: np.random.Generator)
     prev_key: str | None = None
     prev_press = 0.0
     prev_release = 0.0
+    released: dict[str, float] = {}  # each key's last release
 
     def strike(key: str) -> None:
         nonlocal prev_key, prev_press, prev_release
@@ -163,14 +166,11 @@ def _session_events(model: TypistModel, platform: str, rng: np.random.Generator)
                 model.flight_base + model.flight_out[prev_key] + model.flight_in[key],
                 model.flight_std,
             )
-            press = prev_release + flight
-            floor = prev_press + 1.0
-            if key == prev_key:
-                # same key again before its release would read as auto-repeat
-                floor = max(floor, prev_release + 0.5)
-            press = max(press, floor)
+            # a key pressed again before its own release would read as auto-repeat
+            press = max(prev_release + flight, prev_press + 1.0, released.get(key, -math.inf) + 0.5)
         release = press + hold
         times.append((key, press, release))
+        released[key] = release
         prev_key, prev_press, prev_release = key, press, release
 
     emitted = 0

@@ -7,17 +7,20 @@ per-session dicts of :mod:`keydyn.features` qualify.
 
 Scoring runs on a columnar form: :func:`feature_ids` interns the feature
 keys of a run to ints, :func:`prepare_profile` pools the session maps of one
-side into sorted per-feature value runs with their medians, and each
-``*_from_prepared`` kernel scores a whole probe x enrollment matrix, looping
-over probe users only. The pair-level ``*_score`` functions are 1x1 calls
-into the same kernels.
+side into sorted per-feature value runs with their medians, and a
+:class:`Roster` lays out a scenario's two sides once for all three
+verifiers, with one joint ranking of their values sorted on first use. Each
+``*_from_prepared`` kernel scores a whole probe x enrollment matrix from the
+roster, looping over probe users only. The pair-level ``*_score`` functions
+are 1x1 calls into the same kernels.
 """
 
 from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,12 +63,10 @@ ProfileLike = Mapping[FeatureKey, Sequence[float]]
 class PreparedProfile(NamedTuple):
     """One profile in columnar form, features in ascending id order.
 
-    Feature ``i`` has id ``fids[i]`` and owns the run
-    ``values[offsets[i]:offsets[i + 1]]``, sorted ascending.
+    Feature ``i`` has id ``fids[i]`` and the next ``count[i]`` of ``values``, ascending.
     """
 
     fids: np.ndarray  # int64, ascending interned feature ids
-    offsets: np.ndarray  # int64, CSR offsets into values, len(fids) + 1
     values: np.ndarray  # float64, ascending within each feature
     median: np.ndarray  # float64 per feature
     count: np.ndarray  # int64 per feature
@@ -112,17 +113,18 @@ def prepare_profile(parts: Sequence[ProfileLike], ids: Mapping[FeatureKey, int])
     median = values[mid]
     even = np.flatnonzero(count % 2 == 0)
     median[even] = (values[mid[even] - 1] + values[mid[even]]) / 2
-    return PreparedProfile(fids, offsets, values, median, count)
+    return PreparedProfile(fids, values, median, count)
 
 
 def _run_std(values: np.ndarray, starts: np.ndarray, count: np.ndarray) -> np.ndarray:
     """``np.std(run, ddof=1)`` of each run ``values[starts[i]:starts[i] + count[i]]``.
 
-    nan where a run holds one value. Repeats the steps of ``np.std`` row-wise
-    over the runs of each length; a row-wise reduction sums each row as the
-    1-D call does, so every result is bit-identical to the per-run call.
+    std is undefined for a single sample, so a run of one value gets that
+    value / 4. Repeats the steps of ``np.std`` row-wise over the runs of each
+    length; a row-wise reduction sums each row as the 1-D call does, so every
+    result is bit-identical to the per-run call.
     """
-    std = np.full(count.size, np.nan)
+    std = values[starts] / 4.0
     for n in set(count.tolist()) - {1}:
         rows = np.flatnonzero(count == n)
         runs = values[starts[rows, None] + np.arange(n)]
@@ -130,33 +132,6 @@ def _run_std(values: np.ndarray, starts: np.ndarray, count: np.ndarray) -> np.nd
         runs *= runs
         std[rows] = np.sqrt(np.add.reduce(runs, axis=1) / (n - 1))
     return std
-
-
-class _Entries(NamedTuple):
-    """The (enrollment user, feature) entries of a roster side, user-major."""
-
-    user: np.ndarray  # roster index of each entry
-    fid: np.ndarray  # ascending within each user
-    count: np.ndarray
-    median: np.ndarray
-
-
-def _entries(profiles: Sequence[PreparedProfile]) -> _Entries:
-    return _Entries(
-        np.repeat(np.arange(len(profiles)), [p.fids.size for p in profiles]),
-        np.concatenate([p.fids for p in profiles]),
-        np.concatenate([p.count for p in profiles]),
-        np.concatenate([p.median for p in profiles]),
-    )
-
-
-def _value_fids(profiles: Sequence[PreparedProfile]) -> np.ndarray:
-    """Feature id of every value of the concatenated profiles."""
-    return np.concatenate([np.repeat(p.fids, p.count) for p in profiles])
-
-
-def _vocabulary_size(*fids: np.ndarray) -> int:
-    return 1 + max((int(f.max()) for f in fids if f.size), default=-1)
 
 
 def _joint_ranks(fids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,50 +161,80 @@ def _joint_ranks(fids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
     return ranks, order
 
 
-def _divide_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den per cell, 0.0 where den is 0 (no common feature)."""
-    out = np.zeros(num.shape)
-    np.divide(num, den, out=out, where=den > 0)
-    return out
+class _Ranks(NamedTuple):
+    """A roster's values, medians and Similarity band edges, ranked by one :func:`_joint_ranks` sort."""
+
+    probe: list[np.ndarray]  # per probe user, the ranks of its values, ascending
+    median: np.ndarray  # per enrollment entry
+    low: np.ndarray  # Similarity band, median -/+ std, per enrollment entry
+    high: np.ndarray
+    value: np.ndarray  # every enrollment value, in rank order
+    value_entry: np.ndarray  # the enrollment entry of each of ``value``
 
 
-def similarity_from_prepared(
-    enroll: Sequence[PreparedProfile], probe: Sequence[PreparedProfile], mode: SimilarityMode
-) -> np.ndarray:
+class Roster:
+    """One scenario's profiles, laid out once for all three verifiers.
+
+    Enrollment (user, feature) entries run user-major, ascending in feature id
+    within each user. :attr:`ranks` sorts on first use, so Absolute never sorts.
+    """
+
+    def __init__(self, enroll: Sequence[PreparedProfile], probe: Sequence[PreparedProfile]) -> None:
+        self.enroll, self.probe = enroll, probe
+        self.user = np.repeat(np.arange(len(enroll)), [p.fids.size for p in enroll])
+        self.fid = np.concatenate([p.fids for p in enroll])
+        self.count = np.concatenate([p.count for p in enroll])
+        self.median = np.concatenate([p.median for p in enroll])
+
+    @cached_property
+    def ranks(self) -> _Ranks:
+        values = np.concatenate([p.values for p in self.enroll])
+        starts = np.cumsum(self.count) - self.count
+        sigma = _run_std(values, starts, self.count)
+        values = np.concatenate(
+            [values, *(p.values for p in self.probe), self.median, self.median - sigma, self.median + sigma]
+        )
+        fids = np.concatenate([np.repeat(p.fids, p.count) for p in (*self.enroll, *self.probe)] + [self.fid] * 3)
+        ranks, order = _joint_ranks(fids, values)
+        n_values, n_entries = int(self.count.sum()), self.fid.size
+        ends = np.cumsum([p.values.size for p in self.probe] + [n_entries] * 2)
+        *probe, median, low, high = np.split(ranks[n_values:], ends)
+        order = order[order < n_values]
+        return _Ranks(probe, median, low, high, ranks[order], np.repeat(np.arange(n_entries), self.count)[order])
+
+    def probes(self) -> Iterator[tuple[int, PreparedProfile, np.ndarray, np.ndarray]]:
+        """Per probe user: its row, its profile, the enrollment entries whose
+        feature it holds, and the index of each of those features in the profile."""
+        fids = np.concatenate([self.fid, *(p.fids for p in self.probe)])
+        slot = np.zeros(fids.max(initial=-1) + 1, np.int64)
+        for row, p in enumerate(self.probe):
+            slot[p.fids] = np.arange(1, p.fids.size + 1)
+            pick = slot[self.fid]
+            slot[p.fids] = 0
+            common = pick > 0
+            yield row, p, common, pick[common] - 1
+
+    def by_user(self, common: np.ndarray, num: np.ndarray, den: np.ndarray | None = None) -> np.ndarray:
+        """Per enrollment user: ``num`` over ``den`` (or 1s), each summed over its ``common`` entries; 0 if none."""
+        users = self.user[common]
+        total = np.bincount(users, den, len(self.enroll))
+        out = np.zeros(len(self.enroll))
+        np.divide(np.bincount(users, num, len(self.enroll)), total, out=out, where=total > 0)
+        return out
+
+
+def similarity_from_prepared(roster: Roster, mode: SimilarityMode) -> np.ndarray:
     """Similarity of every probe (rows) against every enrollment (columns)."""
-    scores = np.zeros((len(probe), len(enroll)))
-    if not enroll or not probe:
-        return scores
-    e = _entries(enroll)
-    values = np.concatenate([p.values for p in enroll])
-    starts = np.cumsum(e.count) - e.count
-    # std undefined for a single sample: fall back to that value / 4
-    sigma = np.where(e.count >= 2, _run_std(values, starts, e.count), values[starts] / 4.0)
-    del values
-    probe_fids = _value_fids(probe)
-    ranks, _ = _joint_ranks(
-        np.concatenate([probe_fids, e.fid, e.fid]),
-        np.concatenate([*(p.values for p in probe), e.median - sigma, e.median + sigma]),
-    )
-    n_values = probe_fids.size
-    lo, hi = ranks[n_values : n_values + e.fid.size], ranks[n_values + e.fid.size :]
-
-    probe_count = np.zeros(_vocabulary_size(e.fid, probe_fids), np.int64)
-    at = 0
-    for i, p in enumerate(probe):
-        own = ranks[at : at + p.values.size]  # ascending: runs in id order, sorted within
-        at += p.values.size
-        probe_count[p.fids] = p.count
-        u = probe_count[e.fid]
-        probe_count[p.fids] = 0
-        # probe values strictly inside (lo, hi); an inverted band gives v < 0, counted as none
-        v = np.searchsorted(own, hi, side="left") - np.searchsorted(own, lo, side="right")
-        common = u > 0
-        t = np.bincount(e.user[common], minlength=len(enroll))
-        # 2v <= u is v/u <= 0.5 without rounding
-        k = np.bincount(e.user[common & (2 * v <= u)], minlength=len(enroll))
-        # k/t + (t-k)/t == 1.0 holds exactly in binary floating point
-        scores[i] = _divide_rows(k if mode is SimilarityMode.AS_PUBLISHED else t - k, t)
+    ranks = roster.ranks
+    scores = np.zeros((len(roster.probe), len(roster.enroll)))
+    for row, p, common, pick in roster.probes():
+        own = ranks.probe[row]
+        # probe values strictly inside (low, high); an inverted band gives v < 0, counted as none
+        v = np.searchsorted(own, ranks.high[common], side="left")
+        v -= np.searchsorted(own, ranks.low[common], side="right")
+        # 2v <= u is v/u <= 0.5 without rounding, u the probe's value count; k/t + (t-k)/t == 1.0 holds exactly
+        published = 2 * v <= p.count[pick]
+        scores[row] = roster.by_user(common, published if mode is SimilarityMode.AS_PUBLISHED else ~published)
     return scores
 
 
@@ -246,30 +251,15 @@ def _medians_match(med_a: np.ndarray, med_b: np.ndarray, threshold: float) -> np
     return (same_sign & within) | ((med_a == 0) & (med_b == 0))
 
 
-def absolute_from_prepared(
-    enroll: Sequence[PreparedProfile], probe: Sequence[PreparedProfile], threshold: float
-) -> np.ndarray:
+def absolute_from_prepared(roster: Roster, threshold: float) -> np.ndarray:
     """Absolute score of every probe (rows) against every enrollment (columns)."""
-    scores = np.zeros((len(probe), len(enroll)))
-    if not enroll or not probe:
-        return scores
-    e = _entries(enroll)
-    size = _vocabulary_size(e.fid, *(p.fids for p in probe))
-    present = np.zeros(size, bool)
-    probe_median = np.zeros(size)
-    for i, p in enumerate(probe):
-        present[p.fids] = True
-        probe_median[p.fids] = p.median
-        common = np.flatnonzero(present[e.fid])
-        present[p.fids] = False
-        users = e.user[common]
-        match = _medians_match(e.median[common], probe_median[e.fid[common]], threshold)
-        t = np.bincount(users, minlength=len(enroll))
-        scores[i] = _divide_rows(np.bincount(users[match], minlength=len(enroll)), t)
+    scores = np.zeros((len(roster.probe), len(roster.enroll)))
+    for row, p, common, pick in roster.probes():
+        scores[row] = roster.by_user(common, _medians_match(roster.median[common], p.median[pick], threshold))
     return scores
 
 
-def itad_from_prepared(enroll: Sequence[PreparedProfile], probe: Sequence[PreparedProfile]) -> np.ndarray:
+def itad_from_prepared(roster: Roster) -> np.ndarray:
     """ITAD score of every probe (rows) against every enrollment (columns).
 
     A probe value y of a common feature with n enrollment values, c of them
@@ -279,49 +269,24 @@ def itad_from_prepared(enroll: Sequence[PreparedProfile], probe: Sequence[Prepar
     |#{y < x} - #{y <= m}|, an exact integer; each feature adds that sum
     over n, and a pair adds its features in ascending id order.
     """
-    scores = np.zeros((len(probe), len(enroll)))
-    if not enroll or not probe:
-        return scores
-    e = _entries(enroll)
-    probe_fids = _value_fids(probe)
-    ranks, order = _joint_ranks(
-        np.concatenate([_value_fids(enroll), probe_fids, e.fid]),
-        np.concatenate([*(p.values for p in enroll), *(p.values for p in probe), e.median]),
-    )
-    n_values = int(e.count.sum())
-    probe_ranks = ranks[n_values : n_values + probe_fids.size]
-    median_rank = ranks[n_values + probe_fids.size :]
-    # every enrollment value in (feature, value) order, with its rank and its entry
-    order = order[order < n_values]
-    value_rank = ranks[order]
-    value_entry = np.repeat(np.arange(e.fid.size), e.count)[order]
-    del ranks, order
-
-    probe_count = np.zeros(_vocabulary_size(e.fid, probe_fids), np.int64)
-    at = 0
-    for i, p in enumerate(probe):
-        own = probe_ranks[at : at + p.values.size]  # ascending: runs in id order, sorted within
-        at += p.values.size
-        probe_count[p.fids] = p.count
-        n_probe = probe_count[e.fid]
-        probe_count[p.fids] = 0
+    ranks = roster.ranks
+    scores = np.zeros((len(roster.probe), len(roster.enroll)))
+    for row, p, common, pick in roster.probes():
+        own = ranks.probe[row]
         # below[k]: probe values ranked under the k-th enrollment value
-        below = np.bincount(np.searchsorted(value_rank, own, side="right"), minlength=n_values + 1)
+        below = np.bincount(np.searchsorted(ranks.value, own, side="right"), minlength=ranks.value.size + 1)
         np.cumsum(below, out=below)
-        gap = below[:n_values] - np.searchsorted(own, median_rank, side="right")[value_entry]
-        tail = np.bincount(value_entry, weights=np.abs(gap, out=gap), minlength=e.fid.size)
-        common = n_probe > 0
-        users = e.user[common]
+        gap = below[:-1] - np.searchsorted(own, ranks.median, side="right")[ranks.value_entry]
+        tail = np.bincount(ranks.value_entry, weights=np.abs(gap, out=gap), minlength=roster.fid.size)
         # bincount adds in entry order: per pair, ascending feature id
-        total = np.bincount(users, weights=tail[common] / e.count[common], minlength=len(enroll))
-        scores[i] = _divide_rows(total, np.bincount(users, weights=n_probe[common], minlength=len(enroll)))
+        scores[row] = roster.by_user(common, tail[common] / roster.count[common], p.count[pick])
     return scores
 
 
-def _prepare_pair(enroll: ProfileLike, probe: ProfileLike) -> tuple[list[PreparedProfile], list[PreparedProfile]]:
+def _prepare_pair(enroll: ProfileLike, probe: ProfileLike) -> Roster:
     """A one-user roster on each side, for scoring one pair as a 1x1 matrix."""
     ids = feature_ids((enroll, probe))
-    return [prepare_profile([enroll], ids)], [prepare_profile([probe], ids)]
+    return Roster([prepare_profile([enroll], ids)], [prepare_profile([probe], ids)])
 
 
 def similarity_score(
@@ -336,7 +301,7 @@ def similarity_score(
     AS_PUBLISHED counts the feature when v/u <= 0.5, CORRECTED when > 0.5;
     the score is counted features over total common features.
     """
-    return float(similarity_from_prepared(*_prepare_pair(enroll, probe), mode)[0, 0])
+    return float(similarity_from_prepared(_prepare_pair(enroll, probe), mode)[0, 0])
 
 
 def absolute_score(
@@ -350,7 +315,7 @@ def absolute_score(
     ``threshold``. Medians of opposite sign never agree; a zero median agrees
     only with another exact zero; negative pairs compare by magnitude.
     """
-    return float(absolute_from_prepared(*_prepare_pair(enroll, probe), check_threshold(threshold))[0, 0])
+    return float(absolute_from_prepared(_prepare_pair(enroll, probe), check_threshold(threshold))[0, 0])
 
 
 def itad_score(enroll: ProfileLike, probe: ProfileLike) -> float:
@@ -360,5 +325,5 @@ def itad_score(enroll: ProfileLike, probe: ProfileLike) -> float:
     y's side of the enrollment median; the score is the mean over one flat
     list across all common features, so values from large lists weigh more.
     """
-    return float(itad_from_prepared(*_prepare_pair(enroll, probe))[0, 0])
+    return float(itad_from_prepared(_prepare_pair(enroll, probe))[0, 0])
 

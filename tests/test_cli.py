@@ -6,7 +6,7 @@ import pytest
 
 from keydyn import cli, features
 from keydyn.cli import load_config_file, main
-from keydyn.ingest import CSV_HEADER
+from keydyn.ingest import CSV_HEADER, pair_events, read_corpus
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +21,23 @@ def test_synth_writes_canonical_csv(corpus_dir, capsys):
     text = (corpus_dir / "corpus.csv").read_text()
     assert text.startswith(CSV_HEADER)
     assert text.endswith("\n")
+
+
+def test_synth_keystroke_total_is_what_the_corpus_pairs_to(tmp_path, capsys):
+    # separation 4.0 rolls over far enough that a key is struck again while it is still held
+    args = ["--seed", "5", "synth", "--out-dir", str(tmp_path), "--users", "3", "--platforms", "F", "--separation", "4.0"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    corpus, _ = read_corpus([tmp_path / "corpus.csv"])
+    assert f"keystrokes: {sum(len(pair_events(log).pairs) for log in corpus)}\n" in printed
+
+
+@pytest.mark.parametrize("platforms", ["F,F", ",", " "])
+def test_synth_empty_or_repeated_platforms_is_usage_error(tmp_path, capsys, platforms):
+    out = tmp_path / "x"
+    assert main(["synth", "--out-dir", str(out), "--users", "2", "--platforms", platforms]) == 1
+    assert "platforms must be distinct" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_deterministic_given_seed(tmp_path):
@@ -157,6 +174,33 @@ def test_score_cross_and_combined_specs(corpus_dir, tmp_path):
                  "--scorers", "abs"]) == 0
     assert (tmp_path / "a" / "F-T_abs.csv").exists()
     assert (tmp_path / "b" / "FI-T_abs.csv").exists()
+
+
+SCORE = ["score", "--scenario", "same:F"]
+
+
+@pytest.mark.parametrize("command", [["extract"], SCORE, ["evaluate"]])
+@pytest.mark.parametrize("kinds", [",", " ", "config"])
+def test_empty_kind_list_is_usage_error(corpus_dir, tmp_path, capsys, command, kinds):
+    out = tmp_path / "x"
+    args = [*command, str(corpus_dir), "--out", str(out)]
+    if kinds == "config":
+        cfg = tmp_path / "keydyn.cfg"
+        cfg.write_text('kinds = ","\n')
+        args = ["--config", str(cfg), *args]
+    else:
+        args += ["--kinds", kinds]
+    assert main(args) == 1
+    assert "at least one feature kind" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, scorers", [(["evaluate"], "sim,sim"), (SCORE, "itad,abs,itad")])
+def test_repeated_scorer_is_usage_error(corpus_dir, tmp_path, capsys, command, scorers):
+    out = tmp_path / "x"
+    assert main([*command, str(corpus_dir), "--out", str(out), "--scorers", scorers]) == 1
+    assert "repeated scorers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_score_bad_scenario_is_usage_error(corpus_dir, tmp_path, capsys):

@@ -255,6 +255,10 @@ def test_benchmark_config_validation():
         BenchmarkConfig(scorers=("bogus",))
     with pytest.raises(ValueError):
         BenchmarkConfig(scorers=())
+    with pytest.raises(ValueError, match="repeated scorers"):
+        BenchmarkConfig(scorers=("sim", "itad", "sim"))
+    with pytest.raises(ValueError, match="feature kind"):
+        BenchmarkConfig(kinds=())
     with pytest.raises(ValueError):
         BenchmarkConfig(threshold=0.9)
     for k_max in (0, -1):

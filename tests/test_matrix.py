@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from keydyn import verifiers
 from keydyn.errors import KeydynError, RosterMismatchError, ShapeMismatchError
-from keydyn.evaluation import k_rank_accuracy
+from keydyn.evaluation import ALL_SCORERS, k_rank_accuracy
 from keydyn.features import unigraph_key, wordhold_key
 from keydyn.matrix import (
     FusionMethod,
@@ -18,7 +19,7 @@ from keydyn.matrix import (
     matrix_to_json,
     score_matrices,
 )
-from keydyn.verifiers import SimilarityMode, Verifier
+from keydyn.verifiers import SimilarityMode, Verifier, feature_ids, prepare_profile
 
 from conftest import FEATURE_POOL, random_profile
 from oracles import oracle_absolute, oracle_itad, oracle_similarity
@@ -128,6 +129,30 @@ def test_separated_synthetic_users_dominate_diagonal():
     for i in range(3):
         off = [m.values[i, j] for j in range(3) if j != i]
         assert m.values[i, i] > max(off)
+
+
+@pytest.mark.parametrize("scorers, sorts", [(ALL_SCORERS, 1), (["sim", "itad"], 1), (["abs"], 0)])
+def test_one_joint_ranking_per_scenario(monkeypatch, scorers, sorts):
+    calls = []
+    joint_ranks = verifiers._joint_ranks
+
+    def counting(fids, values):
+        calls.append(fids.size)
+        return joint_ranks(fids, values)
+
+    monkeypatch.setattr(verifiers, "_joint_ranks", counting)
+    ids = feature_ids([{U("a"): []}])
+    enroll = {u: prepare_profile([p], ids) for u, p in profiles(u1=100.0, u2=180.0).items()}
+    probe = {u: prepare_profile([p], ids) for u, p in profiles(u1=110.0, u2=170.0).items()}
+    assert set(score_matrices(enroll, probe, scorers)) == set(scorers)
+    assert len(calls) == sorts
+
+
+def test_empty_roster_gives_empty_matrices():
+    matrices = score_matrices({}, {}, ALL_SCORERS, scenario="s")
+    assert list(matrices) == list(ALL_SCORERS)
+    for label, m in matrices.items():
+        assert (m.roster, m.values.shape, m.scorer, m.scenario) == ((), (0, 0), label, "s")
 
 
 # -- fusion --------------------------------------------------------------------

@@ -71,18 +71,24 @@ def test_events_release_after_press():
 
 
 def test_generated_corpus_is_clean_for_ingest():
-    corpus = generate_corpus(SynthSpec(seed=9, n_users=3, platforms=("F", "T"), sessions_per_platform=2))
-    for log in corpus:
-        times = [e.time_ms for e in log.events]
-        assert times == sorted(times)
-        assert all(t >= 0 for t in times)
-        result = pair_events(log)
-        assert result.dropped_total == 0  # no auto-repeats, orphans, or unreleased keys
+    specs = (
+        SynthSpec(seed=9, n_users=3, platforms=("F", "T"), sessions_per_platform=2),
+        # rollover presses a key again while it is still held (X, Y, X) unless held back
+        SynthSpec(seed=25, n_users=26, separation=3.0),
+    )
+    for spec in specs:
+        corpus = generate_corpus(spec)
+        for log in corpus:
+            times = [e.time_ms for e in log.events]
+            assert times == sorted(times)
+            assert all(t >= 0 for t in times)
+            result = pair_events(log)
+            assert result.dropped_total == 0, spec  # no auto-repeats, orphans, or unreleased keys
 
-    parsed = parse_log(serialize_corpus(corpus))
-    assert parsed.warnings == []
-    assert parsed.resorted_sessions == 0
-    assert Corpus.from_logs(parsed.sessions) == corpus
+        parsed = parse_log(serialize_corpus(corpus))
+        assert parsed.warnings == []
+        assert parsed.resorted_sessions == 0
+        assert Corpus.from_logs(parsed.sessions) == corpus
 
 
 def test_generation_deterministic_and_byte_identical():
@@ -107,6 +113,10 @@ def test_spec_validation():
         SynthSpec(seed=-1)
     with pytest.raises(ValueError):
         SynthSpec(sessions_per_platform=0)
+    with pytest.raises(ValueError):
+        SynthSpec(platforms=())
+    with pytest.raises(ValueError):
+        SynthSpec(platforms=("F", "I", "F"))
 
 
 def test_rank1_accuracy_monotone_in_separation():
