@@ -31,9 +31,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def load_config_file(path: str | Path) -> dict[str, Any]:
-    """Parse a key = value config file (quoted strings, ints, floats, bools)."""
-    values: dict[str, Any] = {}
+def load_config_file(path: str | Path) -> dict[str, str]:
+    """Parse a key = value config file into text values; each option's own type reads them."""
+    values: dict[str, str] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -41,31 +41,24 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
         key, eq, raw = line.partition("=")
         if not eq:
             raise UsageError(f"{path}:{line_no}: expected key = value, got {line!r}")
-        values[key.strip()] = _parse_scalar(raw.strip())
+        values[key.strip()] = _config_text(raw.strip())
     return values
 
 
-def _parse_scalar(raw: str) -> Any:
+def _config_text(raw: str) -> str:
+    """A value's text: unquoted, without a trailing ``#`` comment."""
     if raw[:1] in ('"', "'"):
         end = raw.find(raw[0], 1)
         if end > 0 and raw[end + 1 :].lstrip()[:1] in ("", "#"):  # a comment may follow the quotes
             return raw[1:end]
-    raw = raw.split("#", 1)[0].strip()
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
+    return raw.split("#", 1)[0].strip()
 
 
 def _options(parser: argparse.ArgumentParser) -> list[argparse.Action]:
     return [action for action in parser._actions if action.option_strings and action.dest != "help"]
 
 
-def _apply_config(parser: _Parser, args: argparse.Namespace, config: dict[str, Any]) -> None:
+def _apply_config(parser: _Parser, args: argparse.Namespace, config: dict[str, str]) -> None:
     """Fill each option the command line left unset from the config file.
 
     A key must name an option of some command or a global flag, and its value
@@ -79,11 +72,11 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, config: dict[str, A
     command = parser.commands.get(args.command)
     for action in _options(parser) + (_options(command) if command else []):
         if action.dest in config and getattr(args, action.dest) is None:
-            raw = str(config[action.dest])
+            raw = config[action.dest]
             try:
                 setattr(args, action.dest, action.type(raw) if action.type else raw)
             except ValueError:
-                raise UsageError(f"config key {action.dest!r}: bad value {config[action.dest]!r}") from None
+                raise UsageError(f"config key {action.dest!r}: bad value {raw!r}") from None
 
 
 def _csv_tuple(value: str | None) -> tuple[str, ...] | None:
@@ -102,6 +95,8 @@ def _parse_kinds(value: str | None) -> tuple[Kind, ...]:
         raise UsageError(f"bad feature kind: {exc}") from None
     if not kinds:
         raise UsageError(f"bad --kinds {value!r}: at least one feature kind must be selected")
+    if len(set(kinds)) != len(kinds):
+        raise UsageError(f"bad --kinds {value!r}: repeated feature kinds")
     return kinds
 
 

@@ -39,8 +39,11 @@ from .verifiers import (
 # (platform, session ids) cells required from each user for one side
 SideSpec = tuple[tuple[str, tuple[int, ...]], ...]
 
-DEFAULT_ENROLL_SESSIONS = (1, 2, 3)
-DEFAULT_PROBE_SESSIONS = (4, 5, 6)
+# the paper's split: same-platform scenarios enroll on sessions 1-3 and probe
+# on 4-6; cross and combined scenarios use all six on both sides
+ENROLL_SESSIONS = (1, 2, 3)
+PROBE_SESSIONS = (4, 5, 6)
+ALL_SESSIONS = ENROLL_SESSIONS + PROBE_SESSIONS
 
 ALL_SCORERS = tuple(v.value for v in Verifier) + tuple(m.value for m in FusionMethod)
 SCENARIO_KINDS = ("same", "cross", "combined")
@@ -114,76 +117,57 @@ def build_scenario_data(
     ]
 
 
-def same_platform_scenario(
-    platform: str,
-    enroll_sessions: tuple[int, ...] = DEFAULT_ENROLL_SESSIONS,
-    probe_sessions: tuple[int, ...] = DEFAULT_PROBE_SESSIONS,
-) -> Scenario:
+def same_platform_scenario(platform: str) -> Scenario:
     return Scenario(
         platform,
         "same",
-        ((platform, tuple(enroll_sessions)),),
-        ((platform, tuple(probe_sessions)),),
+        ((platform, ENROLL_SESSIONS),),
+        ((platform, PROBE_SESSIONS),),
     )
 
 
-def cross_platform_scenario(
-    train_platform: str,
-    test_platform: str,
-    sessions: tuple[int, ...] = DEFAULT_ENROLL_SESSIONS + DEFAULT_PROBE_SESSIONS,
-) -> Scenario:
+def cross_platform_scenario(train_platform: str, test_platform: str) -> Scenario:
     if train_platform == test_platform:
         raise SamePlatformError(f"cross-platform scenario needs two distinct platforms, got {train_platform!r} twice")
     return Scenario(
         f"{train_platform}-{test_platform}",
         "cross",
-        ((train_platform, tuple(sessions)),),
-        ((test_platform, tuple(sessions)),),
+        ((train_platform, ALL_SESSIONS),),
+        ((test_platform, ALL_SESSIONS),),
     )
 
 
-def combined_cross_scenario(
-    train_platforms: Iterable[str],
-    test_platform: str,
-    sessions: tuple[int, ...] = DEFAULT_ENROLL_SESSIONS + DEFAULT_PROBE_SESSIONS,
-) -> Scenario:
+def combined_cross_scenario(train_platforms: Iterable[str], test_platform: str) -> Scenario:
     train = sorted(set(train_platforms))
     if len(train) != 2:
         raise ValueError(f"combined-cross training set must hold two distinct platforms, got {train}")
     if test_platform in train:
         raise OverlappingPlatformsError(f"test platform {test_platform!r} overlaps training platforms {train}")
-    sessions = tuple(sessions)
     return Scenario(
         f"{''.join(train)}-{test_platform}",
         "combined",
-        tuple((p, sessions) for p in train),
-        ((test_platform, sessions),),
+        tuple((p, ALL_SESSIONS) for p in train),
+        ((test_platform, ALL_SESSIONS),),
     )
 
 
-def enumerate_scenarios(
-    platforms: Iterable[str],
-    scenario_kinds: tuple[str, ...] = SCENARIO_KINDS,
-    enroll_sessions: tuple[int, ...] = DEFAULT_ENROLL_SESSIONS,
-    probe_sessions: tuple[int, ...] = DEFAULT_PROBE_SESSIONS,
-) -> list[Scenario]:
+def enumerate_scenarios(platforms: Iterable[str], scenario_kinds: tuple[str, ...] = SCENARIO_KINDS) -> list[Scenario]:
     """All scenarios the benchmark runs: per platform, per ordered pair, per
     two-platform training set against the remaining platform."""
     platforms = sorted(set(platforms))
-    all_sessions = tuple(sorted(set(enroll_sessions) | set(probe_sessions)))
     scenarios: list[Scenario] = []
     if "same" in scenario_kinds:
-        scenarios.extend(same_platform_scenario(p, enroll_sessions, probe_sessions) for p in platforms)
+        scenarios.extend(same_platform_scenario(p) for p in platforms)
     if "cross" in scenario_kinds:
         scenarios.extend(
-            cross_platform_scenario(p1, p2, all_sessions)
+            cross_platform_scenario(p1, p2)
             for p1 in platforms
             for p2 in platforms
             if p1 != p2
         )
     if "combined" in scenario_kinds:
         scenarios.extend(
-            combined_cross_scenario(pair, p3, all_sessions)
+            combined_cross_scenario(pair, p3)
             for pair in combinations(platforms, 2)
             for p3 in platforms
             if p3 not in pair
@@ -213,8 +197,6 @@ class BenchmarkConfig:
     similarity_mode: SimilarityMode = SimilarityMode.AS_PUBLISHED
     threshold: float = DEFAULT_ABSOLUTE_THRESHOLD
     k_max: int = 5
-    enroll_sessions: tuple[int, ...] = DEFAULT_ENROLL_SESSIONS
-    probe_sessions: tuple[int, ...] = DEFAULT_PROBE_SESSIONS
     kinds: tuple[Kind, ...] = ALL_KINDS
     scenario_kinds: tuple[str, ...] = SCENARIO_KINDS
 
@@ -228,6 +210,8 @@ class BenchmarkConfig:
             raise ValueError(f"repeated scorers in {list(self.scorers)}")
         if not self.kinds:
             raise ValueError("at least one feature kind must be selected")
+        if len(set(self.kinds)) != len(self.kinds):
+            raise ValueError(f"repeated feature kinds in {[k.value for k in self.kinds]}")
         if not self.scenario_kinds:
             raise ValueError("at least one scenario kind must be selected")
         unknown = [kind for kind in self.scenario_kinds if kind not in SCENARIO_KINDS]
@@ -235,15 +219,15 @@ class BenchmarkConfig:
             raise ValueError(f"unknown scenario kinds {unknown}; choose from {list(SCENARIO_KINDS)}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        overlap = sorted(set(self.enroll_sessions) & set(self.probe_sessions))
-        if overlap:
-            raise ValueError(f"enroll and probe sessions overlap: {overlap}")
         check_threshold(self.threshold)
 
     def describe(self) -> dict:
         doc = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
         doc["similarity_mode"] = self.similarity_mode.value
         doc["kinds"] = [k.value for k in self.kinds]
+        # the split is fixed, and a report still records which sessions it used
+        doc["enroll_sessions"] = list(ENROLL_SESSIONS)
+        doc["probe_sessions"] = list(PROBE_SESSIONS)
         return doc
 
 
@@ -285,9 +269,7 @@ def run_benchmark(corpus: Corpus, config: BenchmarkConfig = BenchmarkConfig()) -
     """
     if not corpus.sessions:
         raise NoEligibleUsersError("corpus holds no sessions")
-    scenarios = enumerate_scenarios(
-        corpus.platforms, config.scenario_kinds, config.enroll_sessions, config.probe_sessions
-    )
+    scenarios = enumerate_scenarios(corpus.platforms, config.scenario_kinds)
     report = EvaluationReport(config=config.describe(), dataset=corpus.summary())
 
     for data in build_scenario_data(corpus, scenarios, kinds=config.kinds):

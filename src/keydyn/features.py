@@ -49,24 +49,12 @@ def wordhold_key(word: str) -> FeatureKey:
     return FeatureKey(Kind.WORDHOLD, word)
 
 
-class FeatureMap(dict):
-    """Feature key -> duration list: a plain dict, returned by each extractor.
-
-    ``entries`` is the map itself, so code that reads an extractor's result
-    through ``.entries`` sees the same values.
-    """
-
-    @property
-    def entries(self) -> dict[FeatureKey, list[float]]:
-        return self
-
-
-def _keyed(kind: Kind, grouped: dict) -> FeatureMap:
+def _keyed(kind: Kind, grouped: dict) -> dict[FeatureKey, list[float]]:
     """Wrap each raw label of ``grouped`` in its feature key once, in insertion order."""
-    return FeatureMap({FeatureKey(kind, label): values for label, values in grouped.items()})
+    return {FeatureKey(kind, label): values for label, values in grouped.items()}
 
 
-def extract_unigraphs(pairs: Sequence[PairedKeystroke]) -> FeatureMap:
+def extract_unigraphs(pairs: Sequence[PairedKeystroke]) -> dict[FeatureKey, list[float]]:
     """Key hold times: release minus press per occurrence of each key."""
     grouped: defaultdict[str, list[float]] = defaultdict(list)
     for key, press_ms, release_ms in pairs:
@@ -74,7 +62,7 @@ def extract_unigraphs(pairs: Sequence[PairedKeystroke]) -> FeatureMap:
     return _keyed(Kind.UNIGRAPH, grouped)
 
 
-def extract_digraphs(pairs: Sequence[PairedKeystroke]) -> FeatureMap:
+def extract_digraphs(pairs: Sequence[PairedKeystroke]) -> dict[FeatureKey, list[float]]:
     """Key interval times between consecutive keystrokes of one session.
 
     The latency is press(next) - release(previous); rollover typing makes
@@ -90,7 +78,7 @@ def _is_word_char(key: str) -> bool:
     return len(key) == 1 and not key.isspace()
 
 
-def extract_wordholds(pairs: Sequence[PairedKeystroke]) -> FeatureMap:
+def extract_wordholds(pairs: Sequence[PairedKeystroke]) -> dict[FeatureKey, list[float]]:
     """Word hold times: release of a word's last key minus press of its first.
 
     A word is a maximal run of character keystrokes; any non-character key
@@ -153,9 +141,6 @@ def profile_to_json(log: SessionLog, features: Mapping[FeatureKey, Sequence[floa
         "user": log.user_id,
         "platforms": [log.platform],
         "sessions": [log.session_id],
-        "features": {
-            key.to_string(): list(values)
-            for key, values in sorted(features.items(), key=lambda kv: kv[0].to_string())
-        },
+        "features": {key.to_string(): list(values) for key, values in features.items()},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

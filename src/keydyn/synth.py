@@ -1,18 +1,18 @@
 """Reproducible synthetic typist corpora with controllable user separation.
 
-Hold times are log-normal per key, flight times normal per key pair
-(negative flights = rollover typing). Every user-level parameter deviation
-is scaled by ``separation``: zero separation yields identical typist models,
-larger values spread users apart. All randomness derives from the spec seed
-through independent per-(user, platform, session) streams, so generation
-order never changes the output.
+Every user types one rank-weighted word list, and each platform has a fixed
+expected session length. Hold times are log-normal per key, flight times
+normal per key pair (negative flights = rollover typing). Every user-level
+parameter deviation is scaled by ``separation``: zero separation yields
+identical typist models, larger values spread users apart. All randomness
+derives from the spec seed through independent per-(user, platform,
+session) streams, so generation order never changes the output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ SPACE = "SPACE"
 ENTER = "ENTER"
 
 # rank-weighted common words; double letters exercise same-key digraphs
-DEFAULT_VOCABULARY = (
+VOCABULARY = (
     "the", "and", "you", "that", "was", "for", "are", "with", "they",
     "this", "have", "from", "one", "had", "not", "what", "all", "were",
     "when", "your", "can", "said", "there", "each", "which", "she", "how",
@@ -30,9 +30,15 @@ DEFAULT_VOCABULARY = (
     "these", "some", "her", "would", "make", "like", "him", "into", "time",
     "has", "look", "two", "more", "see", "way",
 )
+_KEYS = sorted(set("".join(VOCABULARY))) + [SPACE, ENTER]
+
+# a word draw searches one double in this cdf, built as Generator.choice builds it from p
+_RANK_WEIGHTS = 1.0 / np.arange(1, len(VOCABULARY) + 1)
+_WORD_CDF = (_RANK_WEIGHTS / _RANK_WEIGHTS.sum()).cumsum()
+_WORD_CDF /= _WORD_CDF[-1]
 
 # expected keystrokes per session; Facebook posts run longest
-DEFAULT_VERBOSITY = {"F": 190.0, "I": 130.0, "T": 85.0}
+VERBOSITY = {"F": 190.0, "I": 130.0, "T": 85.0}
 FALLBACK_VERBOSITY = 120.0
 
 _HOLD_LOG_LOC = math.log(92.0)  # median hold ~92 ms
@@ -63,8 +69,6 @@ class SynthSpec:
     platforms: tuple[str, ...] = ("F", "I", "T")
     sessions_per_platform: int = 6
     separation: float = 1.0
-    vocabulary: tuple[str, ...] = DEFAULT_VOCABULARY
-    verbosity: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_VERBOSITY))
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -88,13 +92,7 @@ class TypistModel:
     flight_out: dict[str, float]
     flight_in: dict[str, float]
     flight_std: float
-    vocabulary: tuple[str, ...]
-    word_weights: tuple[float, ...]
     verbosity: dict[str, float]
-
-
-def _key_universe(vocabulary: Iterable[str]) -> list[str]:
-    return sorted(set("".join(vocabulary))) + [SPACE, ENTER]
 
 
 def _rng(spec: SynthSpec, *stream: int) -> np.random.Generator:
@@ -103,14 +101,10 @@ def _rng(spec: SynthSpec, *stream: int) -> np.random.Generator:
 
 def sample_models(spec: SynthSpec) -> list[TypistModel]:
     """Draw one typist model per user from the population distributions."""
-    keys = _key_universe(spec.vocabulary)
     pop = _rng(spec, _POP_STREAM)
-    pop_hold = {k: pop.normal(0.0, _POP_HOLD_KEY_STD) for k in keys}
-    pop_out = {k: pop.normal(0.0, _POP_FLIGHT_KEY_STD) for k in keys}
-    pop_in = {k: pop.normal(0.0, _POP_FLIGHT_KEY_STD) for k in keys}
-
-    ranks = np.arange(1, len(spec.vocabulary) + 1, dtype=np.float64)
-    weights = (1.0 / ranks) / (1.0 / ranks).sum()
+    pop_hold = {k: pop.normal(0.0, _POP_HOLD_KEY_STD) for k in _KEYS}
+    pop_out = {k: pop.normal(0.0, _POP_FLIGHT_KEY_STD) for k in _KEYS}
+    pop_in = {k: pop.normal(0.0, _POP_FLIGHT_KEY_STD) for k in _KEYS}
 
     width = len(str(spec.n_users))
     sep = spec.separation
@@ -118,26 +112,24 @@ def sample_models(spec: SynthSpec) -> list[TypistModel]:
     for index in range(spec.n_users):
         rng = _rng(spec, _MODEL_STREAM, index)
         hold_shift = sep * rng.normal(0.0, _USER_HOLD_SHIFT_STD)
-        hold_keys = {k: sep * rng.normal(0.0, _USER_HOLD_KEY_STD) for k in keys}
+        hold_keys = {k: sep * rng.normal(0.0, _USER_HOLD_KEY_STD) for k in _KEYS}
         hold_scale = _HOLD_LOG_SCALE * math.exp(sep * rng.normal(0.0, _USER_HOLD_SCALE_LOGSTD))
         flight_shift = sep * rng.normal(0.0, _USER_FLIGHT_SHIFT_STD)
-        flight_out = {k: pop_out[k] + sep * rng.normal(0.0, _USER_FLIGHT_KEY_STD) for k in keys}
-        flight_in = {k: pop_in[k] + sep * rng.normal(0.0, _USER_FLIGHT_KEY_STD) for k in keys}
+        flight_out = {k: pop_out[k] + sep * rng.normal(0.0, _USER_FLIGHT_KEY_STD) for k in _KEYS}
+        flight_in = {k: pop_in[k] + sep * rng.normal(0.0, _USER_FLIGHT_KEY_STD) for k in _KEYS}
         flight_std = _FLIGHT_STD * math.exp(sep * rng.normal(0.0, _USER_FLIGHT_STD_LOGSTD))
         chattiness = math.exp(sep * rng.normal(0.0, _USER_CHATTINESS_LOGSTD))
         models.append(
             TypistModel(
                 user_id=f"u{index + 1:0{width}d}",
-                hold_log_loc={k: _HOLD_LOG_LOC + pop_hold[k] + hold_shift + hold_keys[k] for k in keys},
+                hold_log_loc={k: _HOLD_LOG_LOC + pop_hold[k] + hold_shift + hold_keys[k] for k in _KEYS},
                 hold_log_scale=hold_scale,
                 flight_base=_FLIGHT_BASE + flight_shift,
                 flight_out=flight_out,
                 flight_in=flight_in,
                 flight_std=flight_std,
-                vocabulary=tuple(spec.vocabulary),
-                word_weights=tuple(weights),
                 verbosity={
-                    p: spec.verbosity.get(p, FALLBACK_VERBOSITY) * chattiness
+                    p: VERBOSITY.get(p, FALLBACK_VERBOSITY) * chattiness
                     for p in spec.platforms
                 },
             )
@@ -146,10 +138,9 @@ def sample_models(spec: SynthSpec) -> list[TypistModel]:
 
 
 def _session_events(model: TypistModel, platform: str, rng: np.random.Generator) -> list[KeyEvent]:
-    expected = model.verbosity.get(platform, FALLBACK_VERBOSITY)
+    expected = model.verbosity[platform]
     target = max(4, int(round(rng.normal(expected, 0.12 * expected))))
 
-    word_ids = np.arange(len(model.vocabulary))
     times: list[tuple[str, float, float]] = []
     prev_key: str | None = None
     prev_press = 0.0
@@ -175,7 +166,7 @@ def _session_events(model: TypistModel, platform: str, rng: np.random.Generator)
 
     emitted = 0
     while emitted < target:
-        word = model.vocabulary[rng.choice(word_ids, p=model.word_weights)]
+        word = VOCABULARY[_WORD_CDF.searchsorted(rng.random(), side="right")]
         for char in word:
             strike(char)
         strike(SPACE)

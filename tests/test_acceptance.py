@@ -83,10 +83,10 @@ def test_criterion_2_hand_traced_fixtures():
         itad_score({U("a"): [100.0]}, {U("a"): [100.0]}) == 1.0,
         extract_digraphs(
             [PairedKeystroke("a", 0.0, 50.0), PairedKeystroke("b", 120.0, 160.0)]
-        ).entries == {D("a", "b"): [70.0]},
+        ) == {D("a", "b"): [70.0]},
         extract_digraphs(
             [PairedKeystroke("a", 0.0, 60.0), PairedKeystroke("b", 30.0, 90.0)]
-        ).entries == {D("a", "b"): [-30.0]},
+        ) == {D("a", "b"): [-30.0]},
     ]
     _verdict("2 hand-traced-fixtures", all(checks), f"{sum(checks)}/{len(checks)} fixtures exact")
 

@@ -195,6 +195,22 @@ def test_empty_kind_list_is_usage_error(corpus_dir, tmp_path, capsys, command, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["extract"], SCORE, ["evaluate"]])
+@pytest.mark.parametrize("kinds", ["U,U", "W,D,W", "config"])
+def test_repeated_kind_is_usage_error(corpus_dir, tmp_path, capsys, command, kinds):
+    out = tmp_path / "x"
+    args = [*command, str(corpus_dir), "--out", str(out)]
+    if kinds == "config":
+        cfg = tmp_path / "keydyn.cfg"
+        cfg.write_text("kinds = U,D,U\n")
+        args = ["--config", str(cfg), *args]
+    else:
+        args += ["--kinds", kinds]
+    assert main(args) == 1
+    assert "repeated feature kinds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, scorers", [(["evaluate"], "sim,sim"), (SCORE, "itad,abs,itad")])
 def test_repeated_scorer_is_usage_error(corpus_dir, tmp_path, capsys, command, scorers):
     out = tmp_path / "x"
@@ -274,9 +290,20 @@ def test_config_parser_types(tmp_path):
     )
     values = load_config_file(cfg)
     assert values == {
-        "jobs": 4, "threshold": 1.5, "strict": False, "name": "quoted", "bare": "value",
+        "jobs": "4", "threshold": "1.5", "strict": "false", "name": "quoted", "bare": "value",
         "noted": "abc", "plain": "abc",
     }
+
+
+@pytest.mark.parametrize("name", ["007", "1_0", "true"])
+def test_config_value_keeps_its_text(corpus_dir, tmp_path, monkeypatch, name):
+    # a string option takes the value as written, not as a number or bool would print
+    cfg = tmp_path / "keydyn.cfg"
+    cfg.write_text(f"out = {name}\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", str(cfg), "extract", str(corpus_dir / "corpus.csv")]) == 0
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == [name]
+    assert len(list((tmp_path / name).glob("*.json"))) == 4 * 3 * 6
 
 
 def test_config_unknown_key_is_usage_error(tmp_path, capsys):

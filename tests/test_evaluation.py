@@ -25,7 +25,7 @@ from keydyn.evaluation import (
     run_benchmark,
     same_platform_scenario,
 )
-from keydyn.features import session_features
+from keydyn.features import Kind, session_features
 from keydyn.ingest import Action, Corpus, KeyEvent, SessionLog
 from keydyn.matrix import ScoreMatrix, score_matrices
 from keydyn.synth import SynthSpec, generate_corpus
@@ -266,9 +266,9 @@ def test_benchmark_config_validation():
             BenchmarkConfig(k_max=k_max)
     with pytest.raises(ValueError, match="unknown scenario kinds"):
         BenchmarkConfig(scenario_kinds=("same", "sam"))
-    with pytest.raises(ValueError, match=r"overlap: \[3\]"):
-        BenchmarkConfig(enroll_sessions=(1, 2, 3), probe_sessions=(3, 4))
-    BenchmarkConfig(k_max=1, enroll_sessions=(1, 2), probe_sessions=(3, 4))
+    with pytest.raises(ValueError, match="repeated feature kinds"):
+        BenchmarkConfig(kinds=(Kind.UNIGRAPH, Kind.DIGRAPH, Kind.UNIGRAPH))
+    BenchmarkConfig(k_max=1)
 
 
 def test_report_round_trip_and_csv(small_synth_corpus):

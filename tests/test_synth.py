@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -94,6 +95,14 @@ def test_generated_corpus_is_clean_for_ingest():
 def test_generation_deterministic_and_byte_identical():
     spec = SynthSpec(seed=21, n_users=3, platforms=("F", "I"), sessions_per_platform=2, separation=1.2)
     assert serialize_corpus(generate_corpus(spec)) == serialize_corpus(generate_corpus(spec))
+
+
+def test_evaluate_paper_corpus_bytes_are_pinned():
+    # the evaluate-paper benchmark corpus; a generator change must not move a byte of it
+    text = serialize_corpus(generate_corpus(SynthSpec(seed=25, n_users=26, separation=3.0)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "e6f80456c5187fe31aa88d8b15d5e3011a796d28d765eb54bfdd97972b7db716"
+    )
 
 
 def test_verbosity_ordering_mirrors_platforms():
