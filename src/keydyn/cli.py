@@ -41,16 +41,20 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         key, eq, raw = line.partition("=")
         if not eq:
             raise UsageError(f"{path}:{line_no}: expected key = value, got {line!r}")
-        values[key.strip()] = _config_text(raw.strip())
+        text = _config_text(raw.strip())
+        if text is None:
+            raise UsageError(f"{path}:{line_no}: a quoted value must close its quote, with only a comment after it")
+        values[key.strip()] = text
     return values
 
 
-def _config_text(raw: str) -> str:
-    """A value's text: unquoted, without a trailing ``#`` comment."""
+def _config_text(raw: str) -> str | None:
+    """A value's text: unquoted, without a trailing ``#`` comment; None for a malformed quoted value."""
     if raw[:1] in ('"', "'"):
         end = raw.find(raw[0], 1)
         if end > 0 and raw[end + 1 :].lstrip()[:1] in ("", "#"):  # a comment may follow the quotes
             return raw[1:end]
+        return None
     return raw.split("#", 1)[0].strip()
 
 

@@ -1,9 +1,10 @@
 """Platform scenarios, k-rank accuracy, and the benchmark driver.
 
 :func:`build_scenario_data` serves every scenario of a run at once: it
-extracts each needed session once, interns one vocabulary over those
-sessions, and prepares each distinct (user, side) profile once, so scenarios
-that share a side share its prepared profile.
+extracts each needed session once into its run of (feature id, value), over
+one vocabulary of those sessions' keys, and pools each distinct (user, side)
+profile from those runs once, so scenarios that share a side share its
+prepared profile.
 """
 
 from __future__ import annotations
@@ -23,17 +24,18 @@ from .errors import (
     OverlappingPlatformsError,
     SamePlatformError,
 )
-from .features import ALL_KINDS, Kind, session_features
+from .features import ALL_KINDS, FeatureKey, Kind, session_features
 from .ingest import Corpus
 from .matrix import FusionMethod, ScoreMatrix, score_matrices
 from .verifiers import (
     DEFAULT_ABSOLUTE_THRESHOLD,
     PreparedProfile,
+    SessionRun,
     SimilarityMode,
     Verifier,
     check_threshold,
-    feature_ids,
     prepare_profile,
+    session_run,
 )
 
 # (platform, session ids) cells required from each user for one side
@@ -82,6 +84,14 @@ def _eligible_users(corpus: Corpus, scenario: Scenario) -> tuple[list[str], list
     return eligible, excluded
 
 
+class _FirstSight(dict):
+    """Feature ids in order of first sight: looking up a new key gives it the next id."""
+
+    def __missing__(self, key: FeatureKey) -> int:
+        self[key] = len(self)
+        return len(self) - 1
+
+
 def build_scenario_data(
     corpus: Corpus,
     scenarios: Sequence[Scenario],
@@ -92,8 +102,9 @@ def build_scenario_data(
 
     Users missing any required (platform, session) cell are excluded from a
     scenario; each scenario must leave at least one eligible user. Each
-    needed session is extracted once and each distinct (user, side) profile
-    is prepared once, over one vocabulary of the needed sessions' keys.
+    needed session is extracted into its run once, and each distinct (user,
+    side) profile is pooled from those runs once, over one vocabulary of the
+    needed sessions' keys with ids ascending in key order.
     """
     rosters = [_eligible_users(corpus, scenario) for scenario in scenarios]
     sides = {
@@ -103,9 +114,16 @@ def build_scenario_data(
         for user in eligible
     }
     needed = dict.fromkeys(cell for cells in sides.values() for cell in cells)
-    sessions = {cell: session_features(corpus.sessions[cell], kinds) for cell in needed}
-    ids = feature_ids(sessions.values())
-    prepared = {side: prepare_profile([sessions[cell] for cell in cells], ids) for side, cells in sides.items()}
+    # each session becomes its run as soon as it is extracted, so its feature map
+    # dies young; ids go out in order of first sight, then ascend with the keys
+    first_seen = _FirstSight()
+    runs = {cell: session_run(session_features(corpus.sessions[cell], kinds), first_seen) for cell in needed}
+    keys = sorted(first_seen)
+    renumber = np.empty(len(keys), np.int64)
+    renumber[[first_seen[key] for key in keys]] = np.arange(len(keys))
+    runs = {cell: SessionRun(renumber[run.fids], run.values) for cell, run in runs.items()}
+    ids = dict(zip(keys, range(len(keys))))
+    prepared = {side: prepare_profile([runs[cell] for cell in cells], ids) for side, cells in sides.items()}
     return [
         ScenarioData(
             scenario,
@@ -210,6 +228,9 @@ class BenchmarkConfig:
             raise ValueError(f"repeated scorers in {list(self.scorers)}")
         if not self.kinds:
             raise ValueError("at least one feature kind must be selected")
+        unknown = [kind for kind in self.kinds if not isinstance(kind, Kind)]
+        if unknown:
+            raise ValueError(f"unknown feature kinds {unknown}; choose from {[k.value for k in Kind]}")
         if len(set(self.kinds)) != len(self.kinds):
             raise ValueError(f"repeated feature kinds in {[k.value for k in self.kinds]}")
         if not self.scenario_kinds:

@@ -10,12 +10,15 @@ pooling, so no digraph or word ever spans two sessions.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .ingest import PairedKeystroke, SessionLog, pair_events
+import numpy as np
+
+from .ingest import Keystrokes, PairedKeystroke, SessionLog, pair_events
 
 
 class Kind(str, Enum):
@@ -49,36 +52,42 @@ def wordhold_key(word: str) -> FeatureKey:
     return FeatureKey(Kind.WORDHOLD, word)
 
 
-def _keyed(kind: Kind, grouped: dict) -> dict[FeatureKey, list[float]]:
-    """Wrap each raw label of ``grouped`` in its feature key once, in insertion order."""
-    return {FeatureKey(kind, label): values for label, values in grouped.items()}
+def _columns(pairs: Keystrokes | Iterable[PairedKeystroke]) -> Keystrokes:
+    return pairs if isinstance(pairs, Keystrokes) else Keystrokes.from_rows(pairs)
 
 
-def extract_unigraphs(pairs: Sequence[PairedKeystroke]) -> dict[FeatureKey, list[float]]:
+def _keyed(kind: Kind, labels: Iterable, values: Iterable[float]) -> dict[FeatureKey, list[float]]:
+    """Each label's values in occurrence order, keyed by its feature key; labels in order of first occurrence."""
+    grouped: defaultdict[object, list[float]] = defaultdict(list)
+    for label, value in zip(labels, values):
+        grouped[label].append(value)
+    # tuple.__new__ builds each key as FeatureKey(kind, label) would, without a Python-level call
+    return dict(zip(map(tuple.__new__, repeat(FeatureKey), zip(repeat(kind), grouped)), grouped.values()))
+
+
+def extract_unigraphs(pairs: Keystrokes | Iterable[PairedKeystroke]) -> dict[FeatureKey, list[float]]:
     """Key hold times: release minus press per occurrence of each key."""
-    grouped: defaultdict[str, list[float]] = defaultdict(list)
-    for key, press_ms, release_ms in pairs:
-        grouped[key].append(release_ms - press_ms)
-    return _keyed(Kind.UNIGRAPH, grouped)
+    pairs = _columns(pairs)
+    keys = map(pairs.key_names.__getitem__, pairs.keys.tolist())
+    return _keyed(Kind.UNIGRAPH, keys, (pairs.release_ms - pairs.press_ms).tolist())
 
 
-def extract_digraphs(pairs: Sequence[PairedKeystroke]) -> dict[FeatureKey, list[float]]:
+def extract_digraphs(pairs: Keystrokes | Iterable[PairedKeystroke]) -> dict[FeatureKey, list[float]]:
     """Key interval times between consecutive keystrokes of one session.
 
     The latency is press(next) - release(previous); rollover typing makes
     negative values legitimate and they are retained. No pause filtering.
     """
-    grouped: defaultdict[tuple[str, str], list[float]] = defaultdict(list)
-    for (first, _, release_ms), (second, press_ms, _) in zip(pairs, pairs[1:]):
-        grouped[first, second].append(press_ms - release_ms)
-    return _keyed(Kind.DIGRAPH, grouped)
+    pairs = _columns(pairs)
+    keys = list(map(pairs.key_names.__getitem__, pairs.keys.tolist()))
+    return _keyed(Kind.DIGRAPH, zip(keys, keys[1:]), (pairs.press_ms[1:] - pairs.release_ms[:-1]).tolist())
 
 
 def _is_word_char(key: str) -> bool:
     return len(key) == 1 and not key.isspace()
 
 
-def extract_wordholds(pairs: Sequence[PairedKeystroke]) -> dict[FeatureKey, list[float]]:
+def extract_wordholds(pairs: Keystrokes | Iterable[PairedKeystroke]) -> dict[FeatureKey, list[float]]:
     """Word hold times: release of a word's last key minus press of its first.
 
     A word is a maximal run of character keystrokes; any non-character key
@@ -86,21 +95,15 @@ def extract_wordholds(pairs: Sequence[PairedKeystroke]) -> dict[FeatureKey, list
     not edit retroactively: the word as typed so far is emitted. A trailing
     word at end of session is emitted without a terminator.
     """
-    grouped: defaultdict[str, list[float]] = defaultdict(list)
-    word: list[str] = []
-    first_press = last_release = 0.0
-    for key, press_ms, release_ms in pairs:
-        if _is_word_char(key):
-            if not word:
-                first_press = press_ms
-            word.append(key)
-            last_release = release_ms
-        elif word:
-            grouped["".join(word)].append(last_release - first_press)
-            word = []
-    if word:
-        grouped["".join(word)].append(last_release - first_press)
-    return _keyed(Kind.WORDHOLD, grouped)
+    pairs = _columns(pairs)
+    names = pairs.key_names
+    in_word = np.zeros(pairs.keys.size + 2, np.int8)
+    in_word[1:-1] = np.array([_is_word_char(key) for key in names], bool)[pairs.keys]
+    edges = in_word[1:] - in_word[:-1]
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    keys = list(map(names.__getitem__, pairs.keys.tolist()))
+    words = map("".join, map(keys.__getitem__, map(slice, starts.tolist(), ends.tolist())))
+    return _keyed(Kind.WORDHOLD, words, (pairs.release_ms[ends - 1] - pairs.press_ms[starts]).tolist())
 
 
 _EXTRACTORS = {
@@ -111,9 +114,10 @@ _EXTRACTORS = {
 
 
 def extract_features(
-    pairs: Sequence[PairedKeystroke], kinds: Sequence[Kind] = ALL_KINDS
+    pairs: Keystrokes | Iterable[PairedKeystroke], kinds: Sequence[Kind] = ALL_KINDS
 ) -> dict[FeatureKey, list[float]]:
     """Run the requested extractors over one session's pairs, merged."""
+    pairs = _columns(pairs)
     merged: dict[FeatureKey, list[float]] = {}
     for kind in kinds:
         merged.update(_EXTRACTORS[kind](pairs))
@@ -123,7 +127,7 @@ def extract_features(
 def session_features(
     log: SessionLog,
     kinds: Sequence[Kind] = ALL_KINDS,
-    pairs: Sequence[PairedKeystroke] | None = None,
+    pairs: Keystrokes | None = None,
 ) -> dict[FeatureKey, list[float]]:
     """Extract one session's features from its paired keystrokes.
 
@@ -135,12 +139,27 @@ def session_features(
     return extract_features(pairs, kinds)
 
 
+def _json_values(values: Sequence[float]) -> str:
+    text = ",\n      ".join(map(float.__repr__, values))
+    return "[\n      " + text + "\n    ]" if text else "[]"
+
+
 def profile_to_json(log: SessionLog, features: Mapping[FeatureKey, Sequence[float]]) -> str:
-    """One session's profile document: its provenance from ``log``, then ``features``."""
-    doc = {
-        "user": log.user_id,
-        "platforms": [log.platform],
-        "sessions": [log.session_id],
-        "features": {key.to_string(): list(values) for key, values in features.items()},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """One session's profile document: its provenance from ``log``, then ``features``.
+
+    The text is that of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a
+    newline, written directly: ``indent`` would force the pure-Python
+    encoder. Names are quoted as JSON quotes them and values, which are
+    floats, are written as ``float.__repr__`` writes them.
+    """
+    named = {key.to_string(): values for key, values in features.items()}
+    entries = ",\n".join(f"    {_quote(name)}: {_json_values(values)}" for name, values in sorted(named.items()))
+    body = "{\n" + entries + "\n  }" if entries else "{}"
+    return (
+        "{\n"
+        f'  "features": {body},\n'
+        f'  "platforms": [\n    {_quote(log.platform)}\n  ],\n'
+        f'  "sessions": [\n    {log.session_id!r}\n  ],\n'
+        f'  "user": {_quote(log.user_id)}\n'
+        "}\n"
+    )

@@ -5,20 +5,24 @@ The canonical interchange format is CSV with header
 UTF-8, LF line endings; one leading byte-order mark is ignored. Fields never
 contain commas: a literal comma key is spelled ``COMMA``.
 
-``KeyEvent`` and ``PairedKeystroke`` are named tuples: a corpus holds one per
-row, so they cost no more than a plain tuple to build and to unpack.
+A session's events and its paired keystrokes are numpy columns, each key a
+code into the session's ``key_names``, so no Python object is made per event
+or keystroke. ``KeyEvent`` and ``PairedKeystroke`` are their row views, for
+code that builds or reads one row at a time.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
-from operator import gt, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import DuplicateSessionError, EmptyInputError, MalformedRowError
 
@@ -90,24 +94,63 @@ class KeyEvent(NamedTuple):
     time_ms: float
 
 
-@dataclass
+class PairedKeystroke(NamedTuple):
+    key: str
+    press_ms: float
+    release_ms: float
+
+
+# indexed by a press flag
+_ACTION_OF = (Action.RELEASE, Action.PRESS)
+_ACTION_TEXT = ("R", "P")
+
+
+def _codes(keys: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct ``keys`` in order of first sight, and each key's index among them."""
+    names: dict[str, int] = {}
+    codes = [names.setdefault(key, len(names)) for key in keys]
+    return tuple(names), np.array(codes, np.intp)
+
+
+@dataclass(eq=False)
 class SessionLog:
-    """All key events of one (user, platform, session), sorted by time."""
+    """All key events of one (user, platform, session), sorted by time, as columns.
+
+    Event ``i`` is a press (``presses[i]``) or a release of key
+    ``key_names[keys[i]]`` at ``times[i]`` ms. ``key_names`` may name keys
+    the session never uses: the sessions of one parse share it.
+    """
 
     user_id: str
     platform: str
     session_id: int
-    events: list[KeyEvent] = field(default_factory=list)
+    key_names: tuple[str, ...]
+    keys: np.ndarray  # intp, index into key_names
+    presses: np.ndarray  # bool
+    times: np.ndarray  # float64, ms
+
+    @classmethod
+    def from_events(cls, user_id: str, platform: str, session_id: int, events: Iterable[KeyEvent]) -> "SessionLog":
+        events = list(events)
+        key_names, keys = _codes(event.key for event in events)
+        presses = np.array([event.action == Action.PRESS for event in events], bool)
+        times = np.array([event.time_ms for event in events], np.float64)
+        return cls(user_id, platform, session_id, key_names, keys, presses, times)
 
     @property
     def session_key(self) -> tuple[str, str, int]:
         return (self.user_id, self.platform, self.session_id)
 
+    @property
+    def events(self) -> list[KeyEvent]:
+        """The events as rows."""
+        keys = map(self.key_names.__getitem__, self.keys.tolist())
+        return list(map(KeyEvent, keys, map(_ACTION_OF.__getitem__, self.presses.tolist()), self.times.tolist()))
 
-class PairedKeystroke(NamedTuple):
-    key: str
-    press_ms: float
-    release_ms: float
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SessionLog):
+            return NotImplemented
+        return self.session_key == other.session_key and self.events == other.events
 
 
 @dataclass
@@ -139,7 +182,7 @@ class Corpus:
             "users": len(self.roster),
             "platforms": self.platforms,
             "sessions": len(self.sessions),
-            "events": sum(len(log.events) for log in self.sessions.values()),
+            "events": sum(log.times.size for log in self.sessions.values()),
         }
 
     def __len__(self) -> int:
@@ -158,33 +201,59 @@ class ParseResult:
     resorted_sessions: int = 0
 
 
-_ACTIONS = {"P": Action.PRESS, "R": Action.RELEASE}
+_ACTIONS = {"P": 1, "R": 0}  # action -> press flag
 _EMPTY_FIELD = "empty user_id, platform, or key"
-_INF = float("inf")
-_time_ms = itemgetter(2)
+_BLOCK_CHARS = 1 << 19  # text per bulk pass, about 16k rows; bounds the memory of its lines and fields
 
 
-def _session_head(
-    head: str, grouped: dict[tuple[str, str, int], list[KeyEvent]]
-) -> list[KeyEvent] | tuple[str, bool]:
-    """Validate one raw ``user_id,platform,session_id`` row head.
-
-    Returns the event list of the session it names (shared by every head
-    that names the same session), or ``(reason, late)`` when the head
-    rejects its rows. A late reason, a malformed session id, gives way to
-    an empty key, which a row checks first.
-    """
-    fields = head.split(",")
-    if len(fields) != 3:
-        return f"expected 6 fields, got {len(fields) + 3}", False
-    user_id, platform, session_raw = (f.strip() for f in fields)
+def _session_head(head: tuple[str, str, str], sessions: dict[tuple[str, str, int], int]) -> int:
+    """The index in ``sessions`` of the session a raw (user_id, platform, session_id) names; -1 if it is malformed."""
+    user_id, platform, session_raw = (f.strip() for f in head)
     if not user_id or not platform:
-        return _EMPTY_FIELD, False
+        return -1
     try:
         session_id = int(session_raw)
     except ValueError:
-        return f"malformed session_id {session_raw!r}", True
-    return grouped.setdefault((user_id, platform, session_id), [])
+        return -1
+    return sessions.setdefault((user_id, platform, session_id), len(sessions))
+
+
+def _row_reason(line: str) -> str:
+    """Why a row that failed a bulk check is rejected: its first failing check, in the order of the parse."""
+    commas = line.count(",")
+    if commas != 5:
+        return f"expected 6 fields, got {commas + 1}"
+    user_id, platform, session_raw, key_raw, action_raw, time_raw = line.split(",")
+    # a malformed session id gives way to an empty key
+    if not user_id.strip() or not platform.strip() or not key_raw.strip():
+        return _EMPTY_FIELD
+    try:
+        int(session_raw.strip())
+    except ValueError:
+        return f"malformed session_id {session_raw.strip()!r}"
+    if action_raw.strip() not in _ACTIONS:
+        return f"unknown action {action_raw.strip()!r}"
+    try:
+        float(time_raw)
+    except ValueError:
+        return f"malformed timestamp {time_raw.strip()!r}"
+    return f"negative or non-finite timestamp {time_raw.strip()!r}"
+
+
+def _line_blocks(text: str) -> Iterator[list[str]]:
+    """The lines of ``text`` as ``text.splitlines()`` splits them, one block of about ``_BLOCK_CHARS`` at a time."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)  # a block never splits "\r\n"
+        yield text[start:end].splitlines()
+        start = end
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def parse_log(data: bytes | str, *, strict: bool = True, source: str | None = None) -> ParseResult:
@@ -198,9 +267,10 @@ def parse_log(data: bytes | str, *, strict: bool = True, source: str | None = No
     ``resorted_sessions``. Bytes that are not valid UTF-8 raise
     :class:`MalformedRowError` in either mode.
 
-    Each distinct row head (``user_id,platform,session_id``) is validated
-    once and each distinct key label canonicalized once; every row still
-    gets every check, in the order above.
+    Rows are checked in bulk, a block of lines at a time: each distinct row
+    head (``user_id,platform,session_id``), key and action spelling once, and
+    every timestamp in one pass. Only a row that fails a check is looked at
+    alone, to name its first failing check in the order above.
     """
     if isinstance(data, bytes):
         try:
@@ -212,78 +282,87 @@ def parse_log(data: bytes | str, *, strict: bool = True, source: str | None = No
         text = data
     if text.startswith("\ufeff"):
         text = text[1:]
-    lines = text.splitlines()
+    blocks = _line_blocks(text)
+    lines = next(blocks, [])
     if not lines:
         raise EmptyInputError("empty input" + (f": {source}" if source else ""))
     if lines[0].strip() != CSV_HEADER:
         raise MalformedRowError(1, f"bad header (expected {CSV_HEADER!r})", source)
 
     result = ParseResult(sessions=[])
-    grouped: dict[tuple[str, str, int], list[KeyEvent]] = {}
-    heads: dict[str, list[KeyEvent] | tuple[str, bool]] = {}
-    keys: dict[str, str] = {}  # raw key field -> canonical key, "" when blank
+    sessions: dict[tuple[str, str, int], int] = {}  # session key -> index, in order of first sight
+    heads: dict[tuple[str, str, str], int] = {}  # raw head fields -> session index, -1 if malformed
+    names: dict[str, int] = {}  # canonical key -> code
+    codes: dict[str, int] = {}  # raw key field -> code, -1 if blank
+    actions: dict[str, int] = {}  # raw action field -> press flag, -1 if unknown
+    parsed = []  # per block, the session index, key code, press flag and time of each good row
 
-    def reject(row: int, reason: str) -> None:
-        if strict:
-            raise MalformedRowError(row, reason, source)
-        result.rows_rejected += 1
-        result.warnings.append(f"row {row}: {reason} (skipped)")
-
-    rows_total = 0
-    for row_no, line in enumerate(islice(lines, 1, None), start=2):
-        if not line or line.isspace():
-            continue
-        rows_total += 1
-        fields = line.rsplit(",", 3)
-        if len(fields) != 4:
-            reject(row_no, f"expected 6 fields, got {len(fields)}")
-            continue
-        head, key_raw, action_raw, time_raw = fields
-        events = heads.get(head)
-        if events is None:
-            events = heads[head] = _session_head(head, grouped)
-        key = keys.get(key_raw)
-        if key is None:
-            key = key_raw.strip()
-            key = keys[key_raw] = canonicalize_key(key) if key else ""
-        if events.__class__ is tuple:
-            reason, late = events
-            reject(row_no, _EMPTY_FIELD if late and not key else reason)
-            continue
-        if not key:
-            reject(row_no, _EMPTY_FIELD)
-            continue
-        action = _ACTIONS.get(action_raw)
-        if action is None:
-            action = _ACTIONS.get(action_raw.strip())
-            if action is None:
-                reject(row_no, f"unknown action {action_raw.strip()!r}")
-                continue
+    row = 1  # the number of the line before the block; the header is row 1
+    for block in itertools.chain([lines[1:]], blocks):
+        first, row = row + 1, row + len(block)
+        commas = np.fromiter(map(str.count, block, itertools.repeat(",")), np.intp, len(block))
+        whole = np.flatnonzero(commas == 5)
+        rows = block if whole.size == len(block) else [block[i] for i in whole.tolist()]
+        fields = ",".join(rows).split(",")
+        n = len(rows)
+        head = fields[0::6], fields[1::6], fields[2::6]
+        key_raw, action_raw, time_raw = fields[3::6], fields[4::6], fields[5::6]
+        del fields
+        for raw in dict.fromkeys(zip(*head)).keys() - heads.keys():
+            heads[raw] = _session_head(raw, sessions)
+        for raw in set(key_raw) - codes.keys():
+            key = raw.strip()
+            codes[raw] = names.setdefault(canonicalize_key(key), len(names)) if key else -1
+        for raw in set(action_raw) - actions.keys():
+            actions[raw] = _ACTIONS.get(raw.strip(), -1)
+        session = np.fromiter(map(heads.__getitem__, zip(*head)), np.intp, n)
+        key = np.fromiter(map(codes.__getitem__, key_raw), np.intp, n)
+        press = np.fromiter(map(actions.__getitem__, action_raw), np.int8, n)
         try:
-            time_ms = float(time_raw)  # float() ignores the padding strip() would remove
+            times = np.fromiter(map(float, time_raw), np.float64, n)
         except ValueError:
-            reject(row_no, f"malformed timestamp {time_raw.strip()!r}")
-            continue
-        if not 0.0 <= time_ms < _INF:  # also false for NaN
-            reject(row_no, f"negative or non-finite timestamp {time_raw.strip()!r}")
-            continue
-        events.append(KeyEvent(key, action, time_ms))
-    result.rows_total = rows_total
+            times = np.fromiter(map(_float_or_nan, time_raw), np.float64, n)
+        good = (session >= 0) & (key >= 0) & (press >= 0) & (times >= 0.0) & (times < math.inf)  # NaN fails
 
-    if rows_total == 0:
+        blank = 0
+        for i in np.union1d(np.flatnonzero(commas != 5), whole[~good]).tolist():
+            line = block[i]
+            if not line or line.isspace():
+                blank += 1
+                continue
+            if strict:
+                raise MalformedRowError(first + i, _row_reason(line), source)
+            result.rows_rejected += 1
+            result.warnings.append(f"row {first + i}: {_row_reason(line)} (skipped)")
+        result.rows_total += len(block) - blank
+        parsed.append((session[good], key[good], press[good] == 1, times[good]))
+
+    if result.rows_total == 0:
         raise EmptyInputError("no data rows" + (f": {source}" if source else ""))
+    del text, lines, block  # free the text before the columns are sorted
 
-    for key in sorted(grouped):
-        events = grouped[key]
-        if not events:  # every row of the session was rejected
-            continue
-        times = list(map(_time_ms, events))
-        if any(map(gt, times, islice(times, 1, None))):
-            events = sorted(events, key=_time_ms)
-            result.resorted_sessions += 1
-            result.warnings.append(f"session {key}: out-of-order timestamps, re-sorted")
-        user_id, platform, session_id = key
-        result.sessions.append(SessionLog(user_id, platform, session_id, events))
+    session, key, press, times = (np.concatenate(column) for column in zip(*parsed))
+    session_keys = sorted(sessions)
+    rank = np.empty(len(sessions), np.intp)
+    rank[[sessions[k] for k in session_keys]] = np.arange(len(sessions))
+    session = rank[session]  # now ascending with the session keys
+    # group the rows by session; a session keeps file order unless its times fall somewhere
+    order = np.argsort(session, kind="stable")
+    grouped, grouped_times = session[order], times[order]
+    late = (grouped_times[1:] < grouped_times[:-1]) & (grouped[1:] == grouped[:-1])
+    resorted = np.unique(grouped[1:][late]).tolist()
+    if resorted:
+        order = np.lexsort((times, session))  # each session by time; ties keep file order
+    key_names = tuple(names)
+    session, key, press, times = grouped, key[order], press[order], times[order]
+    starts = np.flatnonzero(np.diff(session, prepend=-1))
+    ends = np.append(starts[1:], session.size)
+    for index, a, b in zip(session[starts].tolist(), starts.tolist(), ends.tolist()):
+        user_id, platform, session_id = session_keys[index]
+        result.sessions.append(SessionLog(user_id, platform, session_id, key_names, key[a:b], press[a:b], times[a:b]))
+    for index in resorted:
+        result.resorted_sessions += 1
+        result.warnings.append(f"session {session_keys[index]}: out-of-order timestamps, re-sorted")
     return result
 
 
@@ -293,11 +372,10 @@ def serialize_corpus(corpus: Corpus) -> str:
     out.write(CSV_HEADER + "\n")
     for key in sorted(corpus.sessions):
         log = corpus.sessions[key]
-        for event in log.events:
-            out.write(
-                f"{log.user_id},{log.platform},{log.session_id},"
-                f"{event.key},{event.action.value},{event.time_ms!r}\n"
-            )
+        head = f"{log.user_id},{log.platform},{log.session_id},"
+        keys = map(log.key_names.__getitem__, log.keys.tolist())
+        actions = map(_ACTION_TEXT.__getitem__, log.presses.tolist())
+        out.writelines(f"{head}{k},{a},{t!r}\n" for k, a, t in zip(keys, actions, log.times.tolist()))
     return out.getvalue()
 
 
@@ -331,9 +409,37 @@ def read_corpus(
     return Corpus.from_logs(combined.sessions), combined
 
 
+@dataclass(frozen=True, eq=False)
+class Keystrokes:
+    """One session's paired keystrokes as columns, in press order; ties keep release order.
+
+    Keystroke ``i`` holds key ``key_names[keys[i]]`` from ``press_ms[i]`` to
+    ``release_ms[i]``. Iterating yields :class:`PairedKeystroke` rows.
+    """
+
+    key_names: tuple[str, ...]
+    keys: np.ndarray  # intp, index into key_names
+    press_ms: np.ndarray  # float64
+    release_ms: np.ndarray  # float64
+
+    @classmethod
+    def from_rows(cls, pairs: Iterable[PairedKeystroke]) -> "Keystrokes":
+        pairs = list(pairs)
+        key_names, keys = _codes(pair.key for pair in pairs)
+        press = np.array([pair.press_ms for pair in pairs], np.float64)
+        return cls(key_names, keys, press, np.array([pair.release_ms for pair in pairs], np.float64))
+
+    def __len__(self) -> int:
+        return self.keys.size
+
+    def __iter__(self) -> Iterator[PairedKeystroke]:
+        keys = map(self.key_names.__getitem__, self.keys.tolist())
+        return map(PairedKeystroke, keys, self.press_ms.tolist(), self.release_ms.tolist())
+
+
 @dataclass
 class PairingResult:
-    pairs: list[PairedKeystroke]
+    pairs: Keystrokes
     dropped_repeats: int = 0
     dropped_orphan_releases: int = 0
     dropped_unreleased: int = 0
@@ -343,31 +449,26 @@ class PairingResult:
         return self.dropped_repeats + self.dropped_orphan_releases + self.dropped_unreleased
 
 
-_press_ms = itemgetter(1)
-
-
 def pair_events(log: SessionLog) -> PairingResult:
     """Match each PRESS to the next RELEASE of the same key.
 
     A second PRESS of a key already held is OS auto-repeat and is dropped; a
     RELEASE with no pending PRESS is dropped; presses never released within
-    the session are dropped. Output is ordered by press time (stable).
+    the session are dropped. Output is ordered by press time; keystrokes
+    pressed at one time keep the order of their releases.
     """
-    pairs: list[PairedKeystroke] = []
-    pending: dict[str, float] = {}
-    repeats = orphans = 0
-    press = Action.PRESS
-    for key, action, time_ms in log.events:
-        if action is press:
-            if key in pending:
-                repeats += 1
-            else:
-                pending[key] = time_ms
-        else:
-            press_ms = pending.pop(key, None)
-            if press_ms is None:
-                orphans += 1
-            else:
-                pairs.append(PairedKeystroke(key, press_ms, time_ms))
-    pairs.sort(key=_press_ms)
-    return PairingResult(pairs, repeats, orphans, len(pending))
+    n = log.keys.size
+    by_key = np.argsort(log.keys, kind="stable")  # each key's events in time order
+    key, press, times = log.keys[by_key], log.presses[by_key], log.times[by_key]
+    # an event that follows a press of its own key: a press there repeats, a release closes
+    held = np.zeros(n, bool)
+    held[1:] = press[:-1] & (key[1:] == key[:-1])
+    opens = press & ~held
+    close = np.flatnonzero(~press & held)
+    # the press a release closes is the last one that opened before it, which is of its key
+    opener = np.maximum.accumulate(np.where(opens, np.arange(n), 0))[close]
+    press_ms, release_ms = times[opener], times[close]
+    order = np.lexsort((by_key[close], press_ms))
+    pairs = Keystrokes(log.key_names, key[close][order], press_ms[order], release_ms[order])
+    presses, opened = int(np.count_nonzero(press)), int(np.count_nonzero(opens))
+    return PairingResult(pairs, presses - opened, n - presses - close.size, opened - close.size)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Action, Corpus, KeyEvent, SessionLog
+from .ingest import Corpus, SessionLog
 
 SPACE = "SPACE"
 ENTER = "ENTER"
@@ -30,7 +30,8 @@ VOCABULARY = (
     "these", "some", "her", "would", "make", "like", "him", "into", "time",
     "has", "look", "two", "more", "see", "way",
 )
-_KEYS = sorted(set("".join(VOCABULARY))) + [SPACE, ENTER]
+_KEYS = tuple(sorted(set("".join(VOCABULARY)))) + (SPACE, ENTER)
+_KEY_INDEX = {key: i for i, key in enumerate(_KEYS)}
 
 # a word draw searches one double in this cdf, built as Generator.choice builds it from p
 _RANK_WEIGHTS = 1.0 / np.arange(1, len(VOCABULARY) + 1)
@@ -137,11 +138,13 @@ def sample_models(spec: SynthSpec) -> list[TypistModel]:
     return models
 
 
-def _session_events(model: TypistModel, platform: str, rng: np.random.Generator) -> list[KeyEvent]:
+def _session_log(model: TypistModel, platform: str, session_id: int, rng: np.random.Generator) -> SessionLog:
     expected = model.verbosity[platform]
     target = max(4, int(round(rng.normal(expected, 0.12 * expected))))
 
-    times: list[tuple[str, float, float]] = []
+    keys: list[int] = []  # per strike, the key's index in _KEYS
+    presses: list[float] = []
+    releases: list[float] = []
     prev_key: str | None = None
     prev_press = 0.0
     prev_release = 0.0
@@ -160,7 +163,9 @@ def _session_events(model: TypistModel, platform: str, rng: np.random.Generator)
             # a key pressed again before its own release would read as auto-repeat
             press = max(prev_release + flight, prev_press + 1.0, released.get(key, -math.inf) + 0.5)
         release = press + hold
-        times.append((key, press, release))
+        keys.append(_KEY_INDEX[key])
+        presses.append(press)
+        releases.append(release)
         released[key] = release
         prev_key, prev_press, prev_release = key, press, release
 
@@ -173,10 +178,11 @@ def _session_events(model: TypistModel, platform: str, rng: np.random.Generator)
         emitted += len(word) + 1
     strike(ENTER)
 
-    events = [KeyEvent(key, Action.PRESS, press) for key, press, _ in times]
-    events += [KeyEvent(key, Action.RELEASE, release) for key, _, release in times]
-    events.sort(key=lambda e: e.time_ms)
-    return events
+    # every press, then every release, in one stable sort by time
+    times = np.array(presses + releases)
+    order = np.argsort(times, kind="stable")
+    keys = np.array(keys + keys, np.intp)[order]
+    return SessionLog(model.user_id, platform, session_id, _KEYS, keys, order < len(presses), times[order])
 
 
 def generate_corpus(spec: SynthSpec) -> Corpus:
@@ -187,6 +193,5 @@ def generate_corpus(spec: SynthSpec) -> Corpus:
         for platform_index, platform in enumerate(spec.platforms):
             for session_id in range(1, spec.sessions_per_platform + 1):
                 rng = _rng(spec, _EVENT_STREAM, user_index, platform_index, session_id)
-                events = _session_events(model, platform, rng)
-                logs.append(SessionLog(model.user_id, platform, session_id, events))
+                logs.append(_session_log(model, platform, session_id, rng))
     return Corpus.from_logs(logs)

@@ -85,29 +85,45 @@ def feature_ids(profiles: Iterable[ProfileLike]) -> dict[FeatureKey, int]:
     return {key: i for i, key in enumerate(sorted(keys))}
 
 
-def prepare_profile(parts: Sequence[ProfileLike], ids: Mapping[FeatureKey, int]) -> PreparedProfile:
+class SessionRun(NamedTuple):
+    """One session map in columnar form: its values, in map order, and the feature id of each."""
+
+    fids: np.ndarray  # int64
+    values: np.ndarray  # float64
+
+
+def session_run(part: ProfileLike, ids: Mapping[FeatureKey, int]) -> SessionRun:
+    """The values of one session map, each with its feature id, in map order."""
+    runs = list(part.values())
+    run_fids = np.fromiter(map(ids.__getitem__, part), np.int64, len(runs))
+    fids = np.repeat(run_fids, np.fromiter(map(len, runs), np.int64, len(runs)))
+    return SessionRun(fids, np.fromiter(itertools.chain.from_iterable(runs), np.float64, fids.size))
+
+
+def prepare_profile(parts: Sequence[ProfileLike | SessionRun], ids: Mapping[FeatureKey, int]) -> PreparedProfile:
     """Pool the value lists of ``parts`` per feature, sort them, and precompute the medians.
 
-    ``parts`` are the session maps of one side of one user. Values are sorted
-    per feature, so the order of the parts changes no score. ``ids`` must
-    hold every key of every part, and profiles scored against each other
-    must share it (see :func:`feature_ids`).
+    ``parts`` are the session maps of one side of one user, or their
+    :func:`session_run` runs. Values are sorted per feature, so the order of
+    the parts changes no score. ``ids`` must hold every key of every part,
+    and profiles scored against each other must share it (see
+    :func:`feature_ids`).
     """
-    runs = [run for part in parts for run in part.values()]
-    run_fids = np.fromiter((ids[key] for part in parts for key in part), np.int64, len(runs))
-    value_fids = np.repeat(run_fids, np.fromiter(map(len, runs), np.int64, len(runs)))
-    values = np.fromiter(itertools.chain.from_iterable(runs), np.float64, value_fids.size)
+    runs = [part if isinstance(part, SessionRun) else session_run(part, ids) for part in parts]
+    value_fids = np.concatenate([run.fids for run in runs] or [np.empty(0, np.int64)])
+    values = np.concatenate([run.values for run in runs] or [np.empty(0)])
     # one sort puts features in id order and values ascending within each
     order = np.lexsort((values, value_fids))
     values, value_fids = values[order], value_fids[order]
-    fids = np.unique(run_fids)
-    offsets = np.append(np.searchsorted(value_fids, fids), value_fids.size)
-    count = np.diff(offsets)
-    if not count.all():
-        empty = fids[count == 0][0]
-        key = next(k for part in parts for k in part if ids[k] == empty)
+    starts = np.flatnonzero(np.diff(value_fids, prepend=-1))
+    fids = value_fids[starts]
+    count = np.diff(np.append(starts, value_fids.size))
+    # a feature that the maps name holds at least one value in some part
+    named = {ids[key] for part in parts if not isinstance(part, SessionRun) for key in part}
+    empty = sorted(named.difference(fids.tolist()))
+    if empty:
+        key = next(k for part in parts if not isinstance(part, SessionRun) for k in part if ids[k] == empty[0])
         raise EmptyListError(f"empty value list for feature {key}")
-    starts = offsets[:-1]
 
     mid = starts + count // 2
     median = values[mid]

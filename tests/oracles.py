@@ -1,14 +1,19 @@
 """Independent brute-force transcriptions of the three verifier algorithms,
-of rank-k accuracy and of the log parser.
+of rank-k accuracy and of the log parser, and row-at-a-time copies of the
+pairing and the three extractors.
 
 Written against the algorithm definitions only, with plain loops and the
 statistics module; the verifier oracles deliberately share no code with the
 package so they can serve as the reference side of the equivalence checks.
+The pairing and extractor oracles are the package's earlier loops over
+named-tuple rows, kept as they were, that its columnar versions replace.
 """
 
 from __future__ import annotations
 
 import statistics
+from collections import defaultdict
+from operator import itemgetter
 
 
 def oracle_similarity(a: dict, b: dict, corrected: bool = False) -> float:
@@ -159,3 +164,84 @@ def parse_log_oracle(data, strict: bool = True, source=None) -> dict:
             out["warnings"].append(f"session {key}: out-of-order timestamps, re-sorted")
         out["sessions"].append((key[0], key[1], key[2], events))
     return out
+
+
+# -- row-at-a-time pairing and extraction ----------------------------------------
+
+_press_ms = itemgetter(1)
+
+
+def pair_events_oracle(events) -> tuple[list, int, int, int]:
+    """Match each PRESS to the next RELEASE of the same key, one ``KeyEvent`` row at a time.
+
+    Returns the ``PairedKeystroke`` rows ordered by press time (stable) and
+    the counts of repeats, orphan releases and unreleased presses.
+    """
+    from keydyn.ingest import Action, PairedKeystroke
+
+    pairs = []
+    pending: dict[str, float] = {}
+    repeats = orphans = 0
+    press = Action.PRESS
+    for key, action, time_ms in events:
+        if action is press:
+            if key in pending:
+                repeats += 1
+            else:
+                pending[key] = time_ms
+        else:
+            press_ms = pending.pop(key, None)
+            if press_ms is None:
+                orphans += 1
+            else:
+                pairs.append(PairedKeystroke(key, press_ms, time_ms))
+    pairs.sort(key=_press_ms)
+    return pairs, repeats, orphans, len(pending)
+
+
+def _keyed(kind, grouped: dict) -> dict:
+    from keydyn.features import FeatureKey
+
+    return {FeatureKey(kind, label): values for label, values in grouped.items()}
+
+
+def extract_unigraphs_oracle(pairs) -> dict:
+    from keydyn.features import Kind
+
+    grouped: defaultdict[str, list[float]] = defaultdict(list)
+    for key, press_ms, release_ms in pairs:
+        grouped[key].append(release_ms - press_ms)
+    return _keyed(Kind.UNIGRAPH, grouped)
+
+
+def extract_digraphs_oracle(pairs) -> dict:
+    from keydyn.features import Kind
+
+    grouped: defaultdict[tuple[str, str], list[float]] = defaultdict(list)
+    for (first, _, release_ms), (second, press_ms, _) in zip(pairs, pairs[1:]):
+        grouped[first, second].append(press_ms - release_ms)
+    return _keyed(Kind.DIGRAPH, grouped)
+
+
+def _is_word_char(key: str) -> bool:
+    return len(key) == 1 and not key.isspace()
+
+
+def extract_wordholds_oracle(pairs) -> dict:
+    from keydyn.features import Kind
+
+    grouped: defaultdict[str, list[float]] = defaultdict(list)
+    word: list[str] = []
+    first_press = last_release = 0.0
+    for key, press_ms, release_ms in pairs:
+        if _is_word_char(key):
+            if not word:
+                first_press = press_ms
+            word.append(key)
+            last_release = release_ms
+        elif word:
+            grouped["".join(word)].append(last_release - first_press)
+            word = []
+    if word:
+        grouped["".join(word)].append(last_release - first_press)
+    return _keyed(Kind.WORDHOLD, grouped)

@@ -306,6 +306,16 @@ def test_config_value_keeps_its_text(corpus_dir, tmp_path, monkeypatch, name):
     assert len(list((tmp_path / name).glob("*.json"))) == 4 * 3 * 6
 
 
+@pytest.mark.parametrize("line", ['out = "abc', "out = 'abc # c", 'out = "ab"c'])
+def test_config_unclosed_quote_is_usage_error(corpus_dir, tmp_path, monkeypatch, capsys, line):
+    cfg = tmp_path / "keydyn.cfg"
+    cfg.write_text(line + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", str(cfg), "extract", str(corpus_dir / "corpus.csv")]) == 1
+    assert "must close its quote" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["keydyn.cfg"]
+
+
 def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "keydyn.cfg"
     cfg.write_text('user = 2\nout_dir = "{}"\n'.format(tmp_path / "out"))

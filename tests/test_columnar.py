@@ -1,0 +1,176 @@
+"""The columnar pairing, extractors and parser against their row-at-a-time oracles, bit for bit."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from keydyn import ingest
+from keydyn.errors import MalformedRowError
+from keydyn.features import extract_digraphs, extract_unigraphs, extract_wordholds
+from keydyn.ingest import Action, KeyEvent, SessionLog, pair_events, parse_log
+
+from oracles import (
+    extract_digraphs_oracle,
+    extract_unigraphs_oracle,
+    extract_wordholds_oracle,
+    pair_events_oracle,
+    parse_log_oracle,
+)
+
+EXTRACTORS = (
+    (extract_unigraphs, extract_unigraphs_oracle),
+    (extract_digraphs, extract_digraphs_oracle),
+    (extract_wordholds, extract_wordholds_oracle),
+)
+
+
+def bits(values):
+    """Floats as their exact bits, so -0.0 and 0.0 differ."""
+    return [float.hex(float(v)) for v in values]
+
+
+def exact_pairs(pairs):
+    return [(p.key, *bits((p.press_ms, p.release_ms))) for p in pairs]
+
+
+def exact_features(features):
+    return [(key, bits(values)) for key, values in features.items()]
+
+
+# few keys and few distinct times: equal timestamps, rollover, auto-repeat,
+# orphan releases and unreleased presses are all common; " ", SPACE, ENTER
+# and SHIFT end words, and a session of them alone has no word character
+session_events = st.lists(
+    st.tuples(
+        st.sampled_from(("a", "b", "e", " ", "SPACE", "ENTER", "SHIFT")),
+        st.sampled_from(("P", "R")),
+        st.sampled_from((0.0, -0.0, 1.0, 2.0, 2.5, 7.0, 1e300)),
+    ),
+    max_size=30,
+)
+
+
+def session(raw, in_time_order):
+    if in_time_order:  # as parsed sessions are: stable by time, equal times in drawn order
+        raw = sorted(raw, key=lambda e: e[2])
+    return SessionLog.from_events("u", "F", 1, [KeyEvent(k, Action(a), t) for k, a, t in raw])
+
+
+@settings(max_examples=400, deadline=None)
+@example([("a", "P", 0.0), ("a", "R", 1.0)], True)  # one keystroke
+@example([("SPACE", "P", 0.0), ("SPACE", "R", 1.0), ("ENTER", "P", 1.0), ("ENTER", "R", 2.0)], True)
+@example([("a", "P", -0.0), ("b", "P", 0.0), ("b", "R", 0.0), ("a", "R", -0.0)], True)
+@example([("a", "R", 0.0), ("a", "P", 1.0), ("a", "P", 1.0), ("b", "P", 2.0), ("a", "R", 2.0)], True)
+@given(session_events, st.booleans())
+def test_pairing_matches_oracle(raw, in_time_order):
+    log = session(raw, in_time_order)
+    result = pair_events(log)
+    pairs, repeats, orphans, unreleased = pair_events_oracle(log.events)
+    assert exact_pairs(result.pairs) == exact_pairs(pairs)
+    assert (result.dropped_repeats, result.dropped_orphan_releases, result.dropped_unreleased) == (
+        repeats,
+        orphans,
+        unreleased,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@example([("a", "P", 0.0), ("a", "R", 1.0)], True)
+@example([("SPACE", "P", 0.0), ("SPACE", "R", 1.0)], True)
+@example([("e", "P", 0.0), ("e", "R", -0.0)], True)  # a hold of -0.0
+@given(session_events, st.booleans())
+def test_extractors_match_oracles(raw, in_time_order):
+    log = session(raw, in_time_order)
+    columns = pair_events(log).pairs
+    rows = pair_events_oracle(log.events)[0]
+    for extract, oracle in EXTRACTORS:
+        want = exact_features(oracle(rows))
+        assert exact_features(extract(columns)) == want  # keys in occurrence order, values too
+        assert exact_features(extract(rows)) == want  # rows are read through the same columns
+
+
+# -- parsing across block edges ----------------------------------------------------
+
+# length-preserving faults, so the blocks of a corpus keep their edges
+FAULTS = (
+    lambda row: row.replace(",P,", ",X,").replace(",R,", ",X,"),  # unknown action
+    lambda row: row[:-1] + "x",  # malformed timestamp
+    lambda row: row.replace(",", ";", 1),  # five fields
+    lambda row: " " * len(row),  # a blank line: skipped, not counted
+    lambda row: " " * row.index(",") + row[row.index(",") :],  # blank user id
+)
+
+
+def interleaved_rows(n_rows, seed=11):
+    """Rows of 40 sessions, dealt out of order, each session's times mostly rising, many tied."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    clock = np.zeros(40)
+    for owner in rng.integers(0, 40, n_rows).tolist():
+        clock[owner] += rng.integers(-5, 120)  # steps back re-sort a session, steps of 0 tie
+        key = "abcdefg"[int(rng.integers(0, 7))]
+        user, session_id = divmod(owner, 4)
+        rows.append(f"u{user:02d},F,{session_id + 1},{key},{'PR'[int(rng.integers(0, 2))]},{abs(clock[owner])}")
+    return rows
+
+
+def block_edges(text):
+    """Index of the first row of each block after the first, as ``parse_log`` cuts ``text``."""
+    edges, start = [], 0
+    while True:
+        end = text.find("\n", start + ingest._BLOCK_CHARS) + 1
+        if not end or end >= len(text):
+            return edges
+        edges.append(text.count("\n", 0, end) - 1)  # rows exclude the header
+        start = end
+
+
+def corpus_text(rows):
+    return "\n".join([ingest.CSV_HEADER] + rows) + "\n"
+
+
+def parse_outcome(parse, text, strict):
+    try:
+        result = parse(text, strict=strict)
+    except MalformedRowError as exc:
+        return "malformed", (exc.row, str(exc))
+    if isinstance(result, dict):
+        return "ok", result
+    return "ok", {
+        "sessions": [
+            (s.user_id, s.platform, s.session_id, [(e.key, e.action.value, e.time_ms) for e in s.events])
+            for s in result.sessions
+        ],
+        "warnings": result.warnings,
+        "rows_total": result.rows_total,
+        "rows_rejected": result.rows_rejected,
+        "resorted_sessions": result.resorted_sessions,
+    }
+
+
+def test_parse_across_block_edges_matches_oracle():
+    rows = interleaved_rows(100_000)
+    edges = block_edges(corpus_text(rows))
+    assert len(edges) >= 3
+    faulty = list(rows)
+    for n, edge in enumerate(edges):  # faults on both sides of every edge
+        for offset in (-2, -1, 0, 1):
+            faulty[edge + offset] = FAULTS[(n + offset) % len(FAULTS)](faulty[edge + offset])
+    text = corpus_text(faulty)
+    assert block_edges(text) == edges
+    got = parse_outcome(parse_log, text, strict=False)
+    assert got == parse_outcome(parse_log_oracle, text, strict=False)
+    blank = sum(not row.strip() for row in faulty)
+    assert (got[1]["rows_total"], got[1]["rows_rejected"]) == (len(rows) - blank, 4 * len(edges) - blank)
+    assert got[1]["resorted_sessions"] > 0
+
+    # strict mode stops at the first fault, on either side of an edge
+    for offset in (-1, 0):
+        one = list(rows)
+        one[edges[1] + offset] = FAULTS[0](one[edges[1] + offset])
+        text = corpus_text(one)
+        got = parse_outcome(parse_log, text, strict=True)
+        assert got == parse_outcome(parse_log_oracle, text, strict=True)
+        assert got[1][0] == edges[1] + offset + 2
+

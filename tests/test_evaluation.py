@@ -49,7 +49,7 @@ def tiny_corpus(users=("u1", "u2"), platforms=("F", "T"), sessions=range(1, 7), 
                     KeyEvent("b", Action.PRESS, hold + 100.0),
                     KeyEvent("b", Action.RELEASE, hold + 100.0 + hold),
                 ]
-                logs.append(SessionLog(user, platform, session, events))
+                logs.append(SessionLog.from_events(user, platform, session, events))
     return Corpus.from_logs(logs)
 
 
@@ -268,6 +268,10 @@ def test_benchmark_config_validation():
         BenchmarkConfig(scenario_kinds=("same", "sam"))
     with pytest.raises(ValueError, match="repeated feature kinds"):
         BenchmarkConfig(kinds=(Kind.UNIGRAPH, Kind.DIGRAPH, Kind.UNIGRAPH))
+    # a kind is a Kind member: its letter alone is not one
+    for kinds in (("X",), ("U",), (Kind.UNIGRAPH, "D")):
+        with pytest.raises(ValueError, match="unknown feature kinds"):
+            BenchmarkConfig(kinds=kinds)
     BenchmarkConfig(k_max=1)
 
 

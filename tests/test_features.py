@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
+import pytest
 from hypothesis import given, strategies as st
 
 from keydyn.features import (
@@ -127,7 +128,7 @@ def test_wordhold_values_non_negative(rng):
 
 
 def make_session(events, user="u1", platform="F", session=1):
-    return SessionLog(user, platform, session, [KeyEvent(k, Action(a), float(t)) for k, a, t in events])
+    return SessionLog.from_events(user, platform, session, [KeyEvent(k, Action(a), float(t)) for k, a, t in events])
 
 
 def test_session_features_provenance_and_kinds():
@@ -173,6 +174,36 @@ def test_profile_json_round_trip():
     }
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert '\n    "D:a|b": [\n      -30.0\n    ],\n    "U:a": [\n      50.0,\n      40.0\n    ],' in text
+
+
+@pytest.mark.parametrize(
+    "user,platform,session,features",
+    [
+        ("u1", "F", 1, {}),  # an empty map
+        ("u1", "F", 1, {U("a"): []}),  # an empty list
+        (
+            "u07",
+            "T",
+            -3,
+            {
+                D("a", "b"): [-30.0, -30.0, 0.0, -0.0, 0.0],
+                U("a"): [1e300, -1e-300, 5e-324, 1.7976931348623157e308, 0.1, 2.0 / 3.0],
+                W("hi"): [150.0, 150.0, 150.0],
+                D("SPACE", "é"): [12.5],
+            },
+        ),
+        ("ü\u2603", "Ï\tx", 10**12, {U("\u00e9"): [-1.5], U('"'): [2.0], U("\\"): [3.0], W("ab\x01"): [4.0]}),
+    ],
+)
+def test_profile_json_bytes_are_those_of_json_dumps(user, platform, session, features):
+    log = make_session([], user=user, platform=platform, session=session)
+    doc = {
+        "user": user,
+        "platforms": [platform],
+        "sessions": [session],
+        "features": {key.to_string(): list(values) for key, values in features.items()},
+    }
+    assert profile_to_json(log, features) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # -- determinism -------------------------------------------------------------

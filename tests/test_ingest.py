@@ -22,7 +22,7 @@ HEADER = "user_id,platform,session_id,key,action,time_ms\n"
 
 
 def make_log(events, user="u1", platform="F", session=1):
-    return SessionLog(user, platform, session, [KeyEvent(k, Action(a), float(t)) for k, a, t in events])
+    return SessionLog.from_events(user, platform, session, [KeyEvent(k, Action(a), float(t)) for k, a, t in events])
 
 
 def test_parse_four_rows_one_session():
@@ -232,7 +232,7 @@ def test_pair_events_drops_auto_repeat():
 def test_pair_events_drops_orphans_and_unreleased():
     log = make_log([("b", "R", 5), ("a", "P", 10)])
     result = pair_events(log)
-    assert result.pairs == []
+    assert list(result.pairs) == []
     assert result.dropped_orphan_releases == 1
     assert result.dropped_unreleased == 1
 
@@ -272,7 +272,7 @@ def test_pairing_invariants(raw_events):
 def test_pairing_deterministic(raw_events):
     ordered = sorted(raw_events, key=lambda e: e[2])
     log = make_log(ordered)
-    assert pair_events(log).pairs == pair_events(log).pairs
+    assert list(pair_events(log).pairs) == list(pair_events(log).pairs)
 
 
 # -- differential parse oracle ---------------------------------------------------
@@ -361,7 +361,7 @@ def test_parse_log_arbitrary_bytes_parse_or_raise_keydyn_error(data, strict):
 
 label = st.text(alphabet="abcdefXYZ019_-", min_size=1, max_size=4)
 session_log = st.builds(
-    lambda user, platform, session, raw: SessionLog(
+    lambda user, platform, session, raw: SessionLog.from_events(
         user, platform, session, [KeyEvent(k, Action(a), t) for k, a, t in sorted(raw, key=lambda e: e[2])]
     ),
     label,
