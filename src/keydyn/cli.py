@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import evaluation, matrix, synth
-from .errors import KeydynError
+from .errors import KeydynError, MalformedReportError
 from .features import ALL_KINDS, Kind, profile_to_json, session_features
 from .ingest import ParseResult, pair_events, read_corpus, serialize_corpus
 from .verifiers import DEFAULT_ABSOLUTE_THRESHOLD, SimilarityMode
@@ -33,8 +33,12 @@ class _Parser(argparse.ArgumentParser):
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse a key = value config file into text values; each option's own type reads them."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: config file is not UTF-8 text: {exc}") from None
     values: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -335,7 +339,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    report = evaluation.report_from_json(Path(args.report).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.report).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedReportError(f"not an evaluation report: {exc.__class__.__name__}: {exc}") from None
+    report = evaluation.report_from_json(text)
     if args.format == "csv":
         sys.stdout.write(evaluation.report_to_csv(report))
         return 0

@@ -1,19 +1,20 @@
 """Platform scenarios, k-rank accuracy, and the benchmark driver.
 
 :func:`build_scenario_data` serves every scenario of a run at once: it
-extracts each needed session once into its run of (feature id, value), over
-one vocabulary of those sessions' keys, and pools each distinct (user, side)
-profile from those runs once, so scenarios that share a side share its
-prepared profile.
+extracts each needed session once and turns it into its run of (feature id,
+value) with :func:`keydyn.verifiers.session_runs`, over one vocabulary of
+those sessions' keys, and pools each distinct (user, side) profile from
+those runs once, so scenarios that share a side share its prepared profile.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -24,18 +25,17 @@ from .errors import (
     OverlappingPlatformsError,
     SamePlatformError,
 )
-from .features import ALL_KINDS, FeatureKey, Kind, session_features
+from .features import ALL_KINDS, Kind, session_features
 from .ingest import Corpus
 from .matrix import FusionMethod, ScoreMatrix, score_matrices
 from .verifiers import (
     DEFAULT_ABSOLUTE_THRESHOLD,
     PreparedProfile,
-    SessionRun,
     SimilarityMode,
     Verifier,
     check_threshold,
     prepare_profile,
-    session_run,
+    session_runs,
 )
 
 # (platform, session ids) cells required from each user for one side
@@ -84,14 +84,6 @@ def _eligible_users(corpus: Corpus, scenario: Scenario) -> tuple[list[str], list
     return eligible, excluded
 
 
-class _FirstSight(dict):
-    """Feature ids in order of first sight: looking up a new key gives it the next id."""
-
-    def __missing__(self, key: FeatureKey) -> int:
-        self[key] = len(self)
-        return len(self) - 1
-
-
 def build_scenario_data(
     corpus: Corpus,
     scenarios: Sequence[Scenario],
@@ -103,8 +95,9 @@ def build_scenario_data(
     Users missing any required (platform, session) cell are excluded from a
     scenario; each scenario must leave at least one eligible user. Each
     needed session is extracted into its run once, and each distinct (user,
-    side) profile is pooled from those runs once, over one vocabulary of the
-    needed sessions' keys with ids ascending in key order.
+    side) profile is pooled from those runs once, over one
+    :func:`~keydyn.verifiers.session_runs` vocabulary of the needed sessions'
+    keys.
     """
     rosters = [_eligible_users(corpus, scenario) for scenario in scenarios]
     sides = {
@@ -114,16 +107,10 @@ def build_scenario_data(
         for user in eligible
     }
     needed = dict.fromkeys(cell for cells in sides.values() for cell in cells)
-    # each session becomes its run as soon as it is extracted, so its feature map
-    # dies young; ids go out in order of first sight, then ascend with the keys
-    first_seen = _FirstSight()
-    runs = {cell: session_run(session_features(corpus.sessions[cell], kinds), first_seen) for cell in needed}
-    keys = sorted(first_seen)
-    renumber = np.empty(len(keys), np.int64)
-    renumber[[first_seen[key] for key in keys]] = np.arange(len(keys))
-    runs = {cell: SessionRun(renumber[run.fids], run.values) for cell, run in runs.items()}
-    ids = dict(zip(keys, range(len(keys))))
-    prepared = {side: prepare_profile([runs[cell] for cell in cells], ids) for side, cells in sides.items()}
+    # a generator, so each session's feature map dies as soon as it is a run
+    runs, _ = session_runs(session_features(corpus.sessions[cell], kinds) for cell in needed)
+    by_cell = dict(zip(needed, runs))
+    prepared = {side: prepare_profile([by_cell[cell] for cell in cells]) for side, cells in sides.items()}
     return [
         ScenarioData(
             scenario,
@@ -324,20 +311,42 @@ def report_to_json(report: EvaluationReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _typed(value: Any, kind: type | tuple[type, ...], name: str) -> Any:
+    """``value`` if it is a ``kind``, else TypeError; a JSON true or false is no number here."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{name} has the wrong type: {value!r}")
+    return value
+
+
 def report_from_json(text: str) -> EvaluationReport:
     """Read back a :func:`report_to_json` document; MalformedReportError if it is not one."""
     try:
         doc = json.loads(text)
         report = EvaluationReport(config=doc["config"], dataset=doc["dataset"])
         report.scenarios = [
-            ScenarioSummary(s["name"], s["kind"], s["n_users"], tuple(s["excluded"]))
+            ScenarioSummary(
+                _typed(s["name"], str, "name"),
+                _typed(s["kind"], str, "kind"),
+                _typed(s["n_users"], int, "n_users"),
+                tuple(_typed(user, str, "an excluded user") for user in _typed(s["excluded"], list, "excluded")),
+            )
             for s in doc["scenarios"]
         ]
         report.rows = [
-            ResultRow(r["scenario"], r["kind"], r["scorer"], r["k"], r["accuracy"])
+            ResultRow(
+                _typed(r["scenario"], str, "scenario"),
+                _typed(r["kind"], str, "kind"),
+                _typed(r["scorer"], str, "scorer"),
+                _typed(r["k"], int, "k"),
+                _typed(r["accuracy"], (int, float), "accuracy"),
+            )
             for r in doc["results"]
         ]
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        for row in report.rows:
+            if not math.isfinite(row.accuracy):
+                raise ValueError(f"accuracy must be finite, got {row.accuracy!r}")
+    # JSONDecodeError is a ValueError; OverflowError comes from an integer too large for a float
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise MalformedReportError(f"not an evaluation report: {exc.__class__.__name__}: {exc}") from None
     return report
 

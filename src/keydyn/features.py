@@ -4,8 +4,9 @@ Each extractor maps paired keystrokes of ONE session to a plain dict from
 feature key to the list of observed durations (ms) in occurrence order. The
 three kinds live in one dict with kind-disjoint keys, so verifiers see a
 single common-feature set. A user's enrollment or probe profile pools the
-dicts of several sessions; :func:`keydyn.verifiers.prepare_profile` does the
-pooling, so no digraph or word ever spans two sessions.
+dicts of several sessions; :func:`keydyn.verifiers.session_runs` and
+:func:`~keydyn.verifiers.prepare_profile` do the pooling, so no digraph or
+word ever spans two sessions.
 """
 
 from __future__ import annotations

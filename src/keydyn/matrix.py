@@ -21,9 +21,9 @@ from .verifiers import (
     Verifier,
     absolute_from_prepared,
     check_threshold,
-    feature_ids,
     itad_from_prepared,
     prepare_profile,
+    session_runs,
     similarity_from_prepared,
 )
 
@@ -109,9 +109,9 @@ def build_score_matrix(
     scenario: str = "",
 ) -> ScoreMatrix:
     """Build one verifier's score matrix from plain profile maps, one per user and side."""
-    ids = feature_ids(itertools.chain(enroll.values(), probe.values()))
-    enroll_prep = {u: prepare_profile([p], ids) for u, p in enroll.items()}
-    probe_prep = {u: prepare_profile([p], ids) for u, p in probe.items()}
+    runs, _ = session_runs(itertools.chain(enroll.values(), probe.values()))
+    enroll_prep = {u: prepare_profile([run]) for u, run in zip(enroll, runs)}
+    probe_prep = {u: prepare_profile([run]) for u, run in zip(probe, runs[len(enroll) :])}
     label = verifier.value
     return score_matrices(enroll_prep, probe_prep, (label,), mode=mode, threshold=threshold, scenario=scenario)[label]
 

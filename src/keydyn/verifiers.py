@@ -5,14 +5,14 @@ their common feature set and return a match score in [0, 1]. Profiles are
 any Mapping from feature key to a non-empty sequence of durations; the
 per-session dicts of :mod:`keydyn.features` qualify.
 
-Scoring runs on a columnar form: :func:`feature_ids` interns the feature
-keys of a run to ints, :func:`prepare_profile` pools the session maps of one
-side into sorted per-feature value runs with their medians, and a
-:class:`Roster` lays out a scenario's two sides once for all three
-verifiers, with one joint ranking of their values sorted on first use. Each
-``*_from_prepared`` kernel scores a whole probe x enrollment matrix from the
-roster, looping over probe users only. The pair-level ``*_score`` functions
-are 1x1 calls into the same kernels.
+Scoring runs on a columnar form: :func:`session_runs` turns session maps
+into runs of (feature id, value) over one vocabulary of their keys,
+:func:`prepare_profile` pools the runs of one side into sorted per-feature
+value runs with their medians, and a :class:`Roster` lays out a scenario's
+two sides once for all three verifiers, with one joint ranking of their
+values sorted on first use. Each ``*_from_prepared`` kernel scores a whole
+probe x enrollment matrix from the roster, looping over probe users only.
+The pair-level ``*_score`` functions are 1x1 calls into the same kernels.
 """
 
 from __future__ import annotations
@@ -72,19 +72,6 @@ class PreparedProfile(NamedTuple):
     count: np.ndarray  # int64 per feature
 
 
-def feature_ids(profiles: Iterable[ProfileLike]) -> dict[FeatureKey, int]:
-    """Intern every feature key of the given profiles to an int, in sorted key order.
-
-    Because ids ascend with the keys, kernels that walk features in id order
-    walk them in sorted-key order, so a score does not depend on which other
-    profiles shared the vocabulary.
-    """
-    keys: set[FeatureKey] = set()
-    for profile in profiles:
-        keys.update(profile.keys())
-    return {key: i for i, key in enumerate(sorted(keys))}
-
-
 class SessionRun(NamedTuple):
     """One session map in columnar form: its values, in map order, and the feature id of each."""
 
@@ -92,24 +79,42 @@ class SessionRun(NamedTuple):
     values: np.ndarray  # float64
 
 
-def session_run(part: ProfileLike, ids: Mapping[FeatureKey, int]) -> SessionRun:
-    """The values of one session map, each with its feature id, in map order."""
-    runs = list(part.values())
-    run_fids = np.fromiter(map(ids.__getitem__, part), np.int64, len(runs))
-    fids = np.repeat(run_fids, np.fromiter(map(len, runs), np.int64, len(runs)))
-    return SessionRun(fids, np.fromiter(itertools.chain.from_iterable(runs), np.float64, fids.size))
+def session_runs(maps: Iterable[ProfileLike]) -> tuple[list[SessionRun], list[FeatureKey]]:
+    """The run of each of ``maps``, over one vocabulary ``keys``: id ``i`` names ``keys[i]``.
 
-
-def prepare_profile(parts: Sequence[ProfileLike | SessionRun], ids: Mapping[FeatureKey, int]) -> PreparedProfile:
-    """Pool the value lists of ``parts`` per feature, sort them, and precompute the medians.
-
-    ``parts`` are the session maps of one side of one user, or their
-    :func:`session_run` runs. Values are sorted per feature, so the order of
-    the parts changes no score. ``ids`` must hold every key of every part,
-    and profiles scored against each other must share it (see
-    :func:`feature_ids`).
+    The maps are read one at a time and none is kept, so a generator of
+    session maps holds at most two alive. Ids go out in order of first sight,
+    then are renumbered to ascend with the sorted keys: kernels that walk
+    features in id order walk them in sorted-key order, so a score does not
+    depend on which other maps shared the vocabulary. A feature with an empty
+    value list raises EmptyListError.
     """
-    runs = [part if isinstance(part, SessionRun) else session_run(part, ids) for part in parts]
+    ids: dict[FeatureKey, int] = {}
+    # every key read draws a number and a new key keeps it, so first-sight
+    # ids are unique and rising, with gaps, at the cost of one C-level pass
+    numbers = itertools.count()
+    runs = []
+    for part in maps:
+        lists = list(part.values())
+        counts = np.fromiter(map(len, lists), np.int64, len(lists))
+        if not counts.all():
+            raise EmptyListError(f"empty value list for feature {list(part)[counts.argmin()]}")
+        fids = np.repeat(np.fromiter(map(ids.setdefault, part, numbers), np.int64, len(lists)), counts)
+        runs.append(SessionRun(fids, np.fromiter(itertools.chain.from_iterable(lists), np.float64, fids.size)))
+    keys = sorted(ids)
+    renumber = np.empty(next(numbers), np.int64)
+    renumber[[ids[key] for key in keys]] = np.arange(len(keys))
+    return [SessionRun(renumber[run.fids], run.values) for run in runs], keys
+
+
+def prepare_profile(runs: Sequence[SessionRun]) -> PreparedProfile:
+    """Pool the values of ``runs`` per feature, sort them, and precompute the medians.
+
+    ``runs`` are the session runs of one side of one user, from one
+    :func:`session_runs` vocabulary shared by every profile it is scored
+    against. Values are sorted per feature, so the order of the runs changes
+    no score.
+    """
     value_fids = np.concatenate([run.fids for run in runs] or [np.empty(0, np.int64)])
     values = np.concatenate([run.values for run in runs] or [np.empty(0)])
     # one sort puts features in id order and values ascending within each
@@ -118,12 +123,6 @@ def prepare_profile(parts: Sequence[ProfileLike | SessionRun], ids: Mapping[Feat
     starts = np.flatnonzero(np.diff(value_fids, prepend=-1))
     fids = value_fids[starts]
     count = np.diff(np.append(starts, value_fids.size))
-    # a feature that the maps name holds at least one value in some part
-    named = {ids[key] for part in parts if not isinstance(part, SessionRun) for key in part}
-    empty = sorted(named.difference(fids.tolist()))
-    if empty:
-        key = next(k for part in parts if not isinstance(part, SessionRun) for k in part if ids[k] == empty[0])
-        raise EmptyListError(f"empty value list for feature {key}")
 
     mid = starts + count // 2
     median = values[mid]
@@ -301,8 +300,8 @@ def itad_from_prepared(roster: Roster) -> np.ndarray:
 
 def _prepare_pair(enroll: ProfileLike, probe: ProfileLike) -> Roster:
     """A one-user roster on each side, for scoring one pair as a 1x1 matrix."""
-    ids = feature_ids((enroll, probe))
-    return Roster([prepare_profile([enroll], ids)], [prepare_profile([probe], ids)])
+    (enroll_run, probe_run), _ = session_runs((enroll, probe))
+    return Roster([prepare_profile([enroll_run])], [prepare_profile([probe_run])])
 
 
 def similarity_score(

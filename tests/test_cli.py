@@ -257,6 +257,9 @@ def test_report_not_json_is_data_error(tmp_path, capsys):
     bad.write_text("not json")
     assert main(["report", str(bad)]) == 2
     assert "error [MALFORMED_REPORT]" in capsys.readouterr().err
+    bad.write_bytes(b"\xff{}")  # not UTF-8
+    assert main(["report", str(bad)]) == 2
+    assert "error [MALFORMED_REPORT]" in capsys.readouterr().err
 
 
 def test_report_missing_dataset_is_data_error(corpus_dir, tmp_path, capsys):
@@ -268,6 +271,47 @@ def test_report_missing_dataset_is_data_error(corpus_dir, tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", str(out / "report.json")]) == 2
     assert "error [MALFORMED_REPORT]" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def report_doc(corpus_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("rep")
+    assert main(["evaluate", str(corpus_dir), "--out", str(out), "--scorers", "itad", "--scenarios", "same"]) == 0
+    return json.loads((out / "report.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("results", "accuracy", "x"),
+        ("results", "accuracy", None),
+        ("results", "accuracy", float("nan")),
+        ("results", "accuracy", float("inf")),
+        pytest.param("results", "accuracy", 10**400, id="results-accuracy-huge"),
+        ("results", "accuracy", True),
+        ("results", "scenario", 3),
+        ("results", "kind", None),
+        ("results", "scorer", ["itad"]),
+        ("results", "k", 1.0),
+        ("results", "k", True),
+        ("scenarios", "name", 3),
+        ("scenarios", "kind", 1),
+        ("scenarios", "n_users", "4"),
+        ("scenarios", "n_users", False),
+        ("scenarios", "excluded", "u1"),
+        ("scenarios", "excluded", [1]),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_report_wrong_field_type_is_data_error(report_doc, tmp_path, capsys, section, field, value, fmt):
+    doc = json.loads(json.dumps(report_doc))
+    doc[section][0][field] = value
+    bad = tmp_path / "report.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["report", str(bad), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert "error [MALFORMED_REPORT]" in captured.err and captured.out == ""
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
@@ -313,6 +357,14 @@ def test_config_unclosed_quote_is_usage_error(corpus_dir, tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     assert main(["--config", str(cfg), "extract", str(corpus_dir / "corpus.csv")]) == 1
     assert "must close its quote" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["keydyn.cfg"]
+
+
+def test_config_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "keydyn.cfg"
+    cfg.write_bytes(b'users = 2\nout_dir = "\xff"\n')
+    assert main(["--config", str(cfg), "synth"]) == 1
+    assert f"usage error: {cfg}: config file is not UTF-8 text" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["keydyn.cfg"]
 
 

@@ -29,7 +29,7 @@ from keydyn.features import Kind, session_features
 from keydyn.ingest import Action, Corpus, KeyEvent, SessionLog
 from keydyn.matrix import ScoreMatrix, score_matrices
 from keydyn.synth import SynthSpec, generate_corpus
-from keydyn.verifiers import SimilarityMode, feature_ids, prepare_profile
+from keydyn.verifiers import SimilarityMode, prepare_profile, session_runs
 
 from oracles import oracle_k_rank
 
@@ -63,7 +63,7 @@ def assert_pools(profile, corpus, user, cells):
     vocabulary over its sessions gives them the same ids.
     """
     parts = [session_features(corpus.sessions[user, platform, session]) for platform, session in cells]
-    want = prepare_profile(parts, feature_ids(parts))
+    want = prepare_profile(session_runs(parts)[0])
     for got, expected in zip(profile, want):
         assert got.tobytes() == expected.tobytes()
 
@@ -309,9 +309,9 @@ def extracted(monkeypatch):
 def test_run_benchmark_prepares_each_side_once(small_synth_corpus, monkeypatch, extracted):
     prepared = []
 
-    def counting_prepare(parts, ids):
-        prepared.append(len(parts))
-        return prepare_profile(parts, ids)
+    def counting_prepare(runs):
+        prepared.append(len(runs))
+        return prepare_profile(runs)
 
     monkeypatch.setattr(evaluation, "prepare_profile", counting_prepare)
     run_benchmark(small_synth_corpus, BenchmarkConfig(scorers=("abs",), k_max=1))

@@ -19,7 +19,7 @@ from keydyn.features import (
     wordhold_key,
 )
 from keydyn.ingest import Action, KeyEvent, PairedKeystroke, SessionLog
-from keydyn.verifiers import feature_ids, prepare_profile
+from keydyn.verifiers import prepare_profile, session_runs
 
 U, D, W = unigraph_key, digraph_key, wordhold_key
 
@@ -143,12 +143,12 @@ def test_no_cross_session_digraphs_or_words():
     one = make_session([("a", "P", 0), ("a", "R", 50)], session=1)
     two = make_session([("b", "P", 0), ("b", "R", 40)], session=2)
     parts = [session_features(one), session_features(two)]
-    ids = feature_ids(parts)
-    pooled = prepare_profile(parts, ids)
-    assert set(ids) == {U("a"), U("b"), W("a"), W("b")}
-    assert D("a", "b") not in ids
-    assert W("ab") not in ids
-    assert pooled.fids.tolist() == sorted(ids.values())
+    runs, keys = session_runs(parts)
+    pooled = prepare_profile(runs)
+    assert set(keys) == {U("a"), U("b"), W("a"), W("b")}
+    assert D("a", "b") not in keys
+    assert W("ab") not in keys
+    assert pooled.fids.tolist() == list(range(len(keys)))
     assert pooled.values.tolist() == [50.0, 40.0, 50.0, 40.0]  # U:a, U:b, W:a, W:b
 
 

@@ -19,7 +19,7 @@ from keydyn.matrix import (
     matrix_to_json,
     score_matrices,
 )
-from keydyn.verifiers import SimilarityMode, Verifier, feature_ids, prepare_profile
+from keydyn.verifiers import SimilarityMode, Verifier, prepare_profile, session_runs
 
 from conftest import FEATURE_POOL, random_profile
 from oracles import oracle_absolute, oracle_itad, oracle_similarity
@@ -141,9 +141,9 @@ def test_one_joint_ranking_per_scenario(monkeypatch, scorers, sorts):
         return joint_ranks(fids, values)
 
     monkeypatch.setattr(verifiers, "_joint_ranks", counting)
-    ids = feature_ids([{U("a"): []}])
-    enroll = {u: prepare_profile([p], ids) for u, p in profiles(u1=100.0, u2=180.0).items()}
-    probe = {u: prepare_profile([p], ids) for u, p in profiles(u1=110.0, u2=170.0).items()}
+    runs, _ = session_runs([*profiles(u1=100.0, u2=180.0).values(), *profiles(u1=110.0, u2=170.0).values()])
+    enroll = {"u1": prepare_profile(runs[:1]), "u2": prepare_profile(runs[1:2])}
+    probe = {"u1": prepare_profile(runs[2:3]), "u2": prepare_profile(runs[3:])}
     assert set(score_matrices(enroll, probe, scorers)) == set(scorers)
     assert len(calls) == sorts
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,9 +11,9 @@ from keydyn.verifiers import (
     SimilarityMode,
     Verifier,
     absolute_score,
-    feature_ids,
     itad_score,
     prepare_profile,
+    session_runs,
     similarity_score,
 )
 
@@ -20,7 +22,6 @@ from oracles import oracle_absolute, oracle_itad, oracle_similarity
 
 U, D = unigraph_key, digraph_key
 PUB, CORR = SimilarityMode.AS_PUBLISHED, SimilarityMode.CORRECTED
-IDS = {U("a"): 0, U("b"): 1}
 
 
 # -- helper statistics ---------------------------------------------------------
@@ -28,7 +29,8 @@ IDS = {U("a"): 0, U("b"): 1}
 
 def test_median_conventions():
     def median(values):
-        return float(prepare_profile([{U("a"): [float(v) for v in values]}], {U("a"): 0}).median[0])
+        runs, _ = session_runs([{U("a"): [float(v) for v in values]}])
+        return float(prepare_profile(runs).median[0])
 
     assert median([1, 2, 3]) == 2
     assert median([1, 2, 3, 4]) == 2.5
@@ -38,11 +40,13 @@ def test_median_conventions():
 
 def test_median_empty_rejected():
     with pytest.raises(EmptyListError, match="'b'"):
-        prepare_profile([{U("a"): [1.0], U("b"): []}], IDS)
+        session_runs([{U("a"): [1.0], U("b"): []}])
     with pytest.raises(EmptyListError, match="'b'"):
-        prepare_profile([{U("a"): [1.0]}, {U("b"): []}], IDS)
-    # a feature empty in one part but not in another pools to a non-empty run
-    assert prepare_profile([{U("a"): []}, {U("a"): [2.0]}], IDS).values.tolist() == [2.0]
+        session_runs([{U("a"): [1.0]}, {U("b"): []}])
+    # each map is checked as it is read, so an empty list is rejected even when
+    # another map holds values of its feature
+    with pytest.raises(EmptyListError, match="'a'"):
+        session_runs([{U("a"): []}, {U("a"): [2.0]}])
 
 
 def test_sample_std():
@@ -66,7 +70,7 @@ def test_ecdf_counting():
 
 def test_prepare_profile_rejects_empty_lists():
     with pytest.raises(EmptyListError):
-        prepare_profile([{U("a"): []}], IDS)
+        session_runs([{U("a"): []}])
 
 
 def test_pooled_profile_equals_concatenated_parts(rng):
@@ -83,14 +87,37 @@ def test_pooled_profile_equals_concatenated_parts(rng):
         for part in parts:
             for key, values in part.items():
                 concatenated.setdefault(key, []).extend(values)
-        ids = feature_ids([{key: [] for key in pool}])
-        pooled = prepare_profile(parts, ids)
-        reference = prepare_profile([concatenated], ids)
+        # the concatenation holds every key of the parts, so all share one vocabulary
+        *runs, whole = session_runs([*parts, concatenated])[0]
+        pooled = prepare_profile(runs)
+        reference = prepare_profile([whole])
         for got, want in zip(pooled, reference):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
         # the order of the parts cannot change a bit
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(prepare_profile(parts[::-1], ids), pooled))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(prepare_profile(runs[::-1]), pooled))
+
+
+def test_session_runs_keeps_maps_short_lived():
+    # build_scenario_data's peak memory rests on each session map dying once it is a run
+    class Map(dict):
+        pass
+
+    refs = []
+
+    def maps():
+        for i in range(6):
+            # when map i is made, every map before map i - 1 is dead
+            assert [ref() for ref in refs[:-1]] == [None] * max(i - 1, 0)
+            part = Map({U("a"): [float(i)], D("a", "b"): [1.0, float(i)]})
+            refs.append(weakref.ref(part))
+            yield part
+
+    runs, keys = session_runs(maps())
+    assert len(refs) == len(runs) == 6
+    assert keys == sorted([U("a"), D("a", "b")])
+    assert [run.values.tolist() for run in runs[:2]] == [[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]
+    assert runs[0].fids.tolist() == [keys.index(U("a"))] + [keys.index(D("a", "b"))] * 2
 
 
 
