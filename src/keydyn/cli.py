@@ -116,6 +116,8 @@ def _parse_formats(value: str | None, allowed: tuple[str, ...]) -> tuple[str, ..
     unknown = [f for f in formats if f not in allowed]
     if unknown or not formats:
         raise UsageError(f"bad --formats {list(formats)}; choose from {list(allowed)}")
+    if len(set(formats)) != len(formats):
+        raise UsageError(f"bad --formats {list(formats)}: repeated formats")
     return formats
 
 
@@ -179,7 +181,11 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", dest="out_dir", help="directory for corpus.csv")
     spec = synth.SynthSpec
     p.add_argument("--users", type=int, help=f"number of synthetic users (default {spec.n_users})")
-    p.add_argument("--separation", type=float, help=f"inter-user spread multiplier (default {spec.separation})")
+    p.add_argument(
+        "--separation",
+        type=float,
+        help=f"inter-user spread multiplier, 0 to {synth.MAX_SEPARATION} (default {spec.separation})",
+    )
     p.add_argument("--platforms", help=f"comma list of platform labels (default {','.join(spec.platforms)})")
     p.add_argument("--sessions", type=int, help=f"sessions per platform (default {spec.sessions_per_platform})")
 

@@ -225,6 +225,8 @@ class BenchmarkConfig:
         unknown = [kind for kind in self.scenario_kinds if kind not in SCENARIO_KINDS]
         if unknown:
             raise ValueError(f"unknown scenario kinds {unknown}; choose from {list(SCENARIO_KINDS)}")
+        if len(set(self.scenario_kinds)) != len(self.scenario_kinds):
+            raise ValueError(f"repeated scenario kinds in {list(self.scenario_kinds)}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         check_threshold(self.threshold)

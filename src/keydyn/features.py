@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .ingest import Keystrokes, PairedKeystroke, SessionLog, pair_events
+from .ingest import Keystrokes, SessionLog, pair_events
 
 
 class Kind(str, Enum):
@@ -53,10 +53,6 @@ def wordhold_key(word: str) -> FeatureKey:
     return FeatureKey(Kind.WORDHOLD, word)
 
 
-def _columns(pairs: Keystrokes | Iterable[PairedKeystroke]) -> Keystrokes:
-    return pairs if isinstance(pairs, Keystrokes) else Keystrokes.from_rows(pairs)
-
-
 def _keyed(kind: Kind, labels: Iterable, values: Iterable[float]) -> dict[FeatureKey, list[float]]:
     """Each label's values in occurrence order, keyed by its feature key; labels in order of first occurrence."""
     grouped: defaultdict[object, list[float]] = defaultdict(list)
@@ -66,20 +62,18 @@ def _keyed(kind: Kind, labels: Iterable, values: Iterable[float]) -> dict[Featur
     return dict(zip(map(tuple.__new__, repeat(FeatureKey), zip(repeat(kind), grouped)), grouped.values()))
 
 
-def extract_unigraphs(pairs: Keystrokes | Iterable[PairedKeystroke]) -> dict[FeatureKey, list[float]]:
+def extract_unigraphs(pairs: Keystrokes) -> dict[FeatureKey, list[float]]:
     """Key hold times: release minus press per occurrence of each key."""
-    pairs = _columns(pairs)
     keys = map(pairs.key_names.__getitem__, pairs.keys.tolist())
     return _keyed(Kind.UNIGRAPH, keys, (pairs.release_ms - pairs.press_ms).tolist())
 
 
-def extract_digraphs(pairs: Keystrokes | Iterable[PairedKeystroke]) -> dict[FeatureKey, list[float]]:
+def extract_digraphs(pairs: Keystrokes) -> dict[FeatureKey, list[float]]:
     """Key interval times between consecutive keystrokes of one session.
 
     The latency is press(next) - release(previous); rollover typing makes
     negative values legitimate and they are retained. No pause filtering.
     """
-    pairs = _columns(pairs)
     keys = list(map(pairs.key_names.__getitem__, pairs.keys.tolist()))
     return _keyed(Kind.DIGRAPH, zip(keys, keys[1:]), (pairs.press_ms[1:] - pairs.release_ms[:-1]).tolist())
 
@@ -88,7 +82,7 @@ def _is_word_char(key: str) -> bool:
     return len(key) == 1 and not key.isspace()
 
 
-def extract_wordholds(pairs: Keystrokes | Iterable[PairedKeystroke]) -> dict[FeatureKey, list[float]]:
+def extract_wordholds(pairs: Keystrokes) -> dict[FeatureKey, list[float]]:
     """Word hold times: release of a word's last key minus press of its first.
 
     A word is a maximal run of character keystrokes; any non-character key
@@ -96,7 +90,6 @@ def extract_wordholds(pairs: Keystrokes | Iterable[PairedKeystroke]) -> dict[Fea
     not edit retroactively: the word as typed so far is emitted. A trailing
     word at end of session is emitted without a terminator.
     """
-    pairs = _columns(pairs)
     names = pairs.key_names
     in_word = np.zeros(pairs.keys.size + 2, np.int8)
     in_word[1:-1] = np.array([_is_word_char(key) for key in names], bool)[pairs.keys]
@@ -114,11 +107,8 @@ _EXTRACTORS = {
 }
 
 
-def extract_features(
-    pairs: Keystrokes | Iterable[PairedKeystroke], kinds: Sequence[Kind] = ALL_KINDS
-) -> dict[FeatureKey, list[float]]:
+def extract_features(pairs: Keystrokes, kinds: Sequence[Kind] = ALL_KINDS) -> dict[FeatureKey, list[float]]:
     """Run the requested extractors over one session's pairs, merged."""
-    pairs = _columns(pairs)
     merged: dict[FeatureKey, list[float]] = {}
     for kind in kinds:
         merged.update(_EXTRACTORS[kind](pairs))

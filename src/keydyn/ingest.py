@@ -7,8 +7,7 @@ contain commas: a literal comma key is spelled ``COMMA``.
 
 A session's events and its paired keystrokes are numpy columns, each key a
 code into the session's ``key_names``, so no Python object is made per event
-or keystroke. ``KeyEvent`` and ``PairedKeystroke`` are their row views, for
-code that builds or reads one row at a time.
+or keystroke.
 """
 
 from __future__ import annotations
@@ -18,9 +17,8 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -59,11 +57,6 @@ _SPECIAL_ALIASES = {
 }
 
 
-class Action(str, Enum):
-    PRESS = "P"
-    RELEASE = "R"
-
-
 _WHITESPACE_KEYS = {" ": "SPACE", "\t": "TAB", "\n": "ENTER", "\r": "ENTER"}
 
 
@@ -88,28 +81,7 @@ def canonicalize_key(label: str) -> str:
     return _SPECIAL_ALIASES.get(label.lower(), label.upper())
 
 
-class KeyEvent(NamedTuple):
-    key: str
-    action: Action
-    time_ms: float
-
-
-class PairedKeystroke(NamedTuple):
-    key: str
-    press_ms: float
-    release_ms: float
-
-
-# indexed by a press flag
-_ACTION_OF = (Action.RELEASE, Action.PRESS)
-_ACTION_TEXT = ("R", "P")
-
-
-def _codes(keys: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The distinct ``keys`` in order of first sight, and each key's index among them."""
-    names: dict[str, int] = {}
-    codes = [names.setdefault(key, len(names)) for key in keys]
-    return tuple(names), np.array(codes, np.intp)
+_ACTION_TEXT = ("R", "P")  # indexed by a press flag
 
 
 @dataclass(eq=False)
@@ -129,28 +101,21 @@ class SessionLog:
     presses: np.ndarray  # bool
     times: np.ndarray  # float64, ms
 
-    @classmethod
-    def from_events(cls, user_id: str, platform: str, session_id: int, events: Iterable[KeyEvent]) -> "SessionLog":
-        events = list(events)
-        key_names, keys = _codes(event.key for event in events)
-        presses = np.array([event.action == Action.PRESS for event in events], bool)
-        times = np.array([event.time_ms for event in events], np.float64)
-        return cls(user_id, platform, session_id, key_names, keys, presses, times)
-
     @property
     def session_key(self) -> tuple[str, str, int]:
         return (self.user_id, self.platform, self.session_id)
 
-    @property
-    def events(self) -> list[KeyEvent]:
-        """The events as rows."""
-        keys = map(self.key_names.__getitem__, self.keys.tolist())
-        return list(map(KeyEvent, keys, map(_ACTION_OF.__getitem__, self.presses.tolist()), self.times.tolist()))
-
     def __eq__(self, other: object) -> bool:
+        """Same session key and the same events: key names, press flags and times, event by event."""
         if not isinstance(other, SessionLog):
             return NotImplemented
-        return self.session_key == other.session_key and self.events == other.events
+        return (
+            self.session_key == other.session_key
+            and list(map(self.key_names.__getitem__, self.keys.tolist()))
+            == list(map(other.key_names.__getitem__, other.keys.tolist()))
+            and np.array_equal(self.presses, other.presses)
+            and np.array_equal(self.times, other.times)
+        )
 
 
 @dataclass
@@ -414,7 +379,7 @@ class Keystrokes:
     """One session's paired keystrokes as columns, in press order; ties keep release order.
 
     Keystroke ``i`` holds key ``key_names[keys[i]]`` from ``press_ms[i]`` to
-    ``release_ms[i]``. Iterating yields :class:`PairedKeystroke` rows.
+    ``release_ms[i]``.
     """
 
     key_names: tuple[str, ...]
@@ -422,19 +387,8 @@ class Keystrokes:
     press_ms: np.ndarray  # float64
     release_ms: np.ndarray  # float64
 
-    @classmethod
-    def from_rows(cls, pairs: Iterable[PairedKeystroke]) -> "Keystrokes":
-        pairs = list(pairs)
-        key_names, keys = _codes(pair.key for pair in pairs)
-        press = np.array([pair.press_ms for pair in pairs], np.float64)
-        return cls(key_names, keys, press, np.array([pair.release_ms for pair in pairs], np.float64))
-
     def __len__(self) -> int:
         return self.keys.size
-
-    def __iter__(self) -> Iterator[PairedKeystroke]:
-        keys = map(self.key_names.__getitem__, self.keys.tolist())
-        return map(PairedKeystroke, keys, self.press_ms.tolist(), self.release_ms.tolist())
 
 
 @dataclass

@@ -60,6 +60,11 @@ _USER_FLIGHT_KEY_STD = 11.0
 _USER_FLIGHT_STD_LOGSTD = 0.10
 _USER_CHATTINESS_LOGSTD = 0.15
 
+# The largest separation. A user's session length scales by
+# exp(separation * N(0, 0.15)): at 10 the chattiest of 50 users types a few
+# dozen times the platform's length, and far beyond it lengths explode.
+MAX_SEPARATION = 10.0
+
 _POP_STREAM, _MODEL_STREAM, _EVENT_STREAM = 0, 1, 2
 
 
@@ -78,10 +83,16 @@ class SynthSpec:
             raise ValueError("n_users must be >= 1")
         if self.sessions_per_platform < 1:
             raise ValueError("sessions_per_platform must be >= 1")
-        if self.separation < 0:
-            raise ValueError("separation must be >= 0")
+        if not 0.0 <= self.separation <= MAX_SEPARATION:  # NaN fails too
+            raise ValueError(f"separation must be finite, >= 0 and <= {MAX_SEPARATION}, got {self.separation!r}")
         if not self.platforms or len(set(self.platforms)) != len(self.platforms):
             raise ValueError(f"platforms must be distinct and at least one, got {list(self.platforms)}")
+        for label in self.platforms:
+            # the CSV strips each field and splits rows at line breaks and fields at commas
+            if label.splitlines() != [label] or label != label.strip() or "," in label:
+                raise ValueError(
+                    f"platform labels must be non-empty, with no surrounding space, comma or line break, got {label!r}"
+                )
 
 
 @dataclass(frozen=True)

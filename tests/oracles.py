@@ -172,19 +172,16 @@ _press_ms = itemgetter(1)
 
 
 def pair_events_oracle(events) -> tuple[list, int, int, int]:
-    """Match each PRESS to the next RELEASE of the same key, one ``KeyEvent`` row at a time.
+    """Match each PRESS to the next RELEASE of the same key, one ``(key, "P" | "R", time_ms)`` row at a time.
 
-    Returns the ``PairedKeystroke`` rows ordered by press time (stable) and
-    the counts of repeats, orphan releases and unreleased presses.
+    Returns the ``(key, press_ms, release_ms)`` rows ordered by press time
+    (stable) and the counts of repeats, orphan releases and unreleased presses.
     """
-    from keydyn.ingest import Action, PairedKeystroke
-
     pairs = []
     pending: dict[str, float] = {}
     repeats = orphans = 0
-    press = Action.PRESS
     for key, action, time_ms in events:
-        if action is press:
+        if action == "P":
             if key in pending:
                 repeats += 1
             else:
@@ -194,7 +191,7 @@ def pair_events_oracle(events) -> tuple[list, int, int, int]:
             if press_ms is None:
                 orphans += 1
             else:
-                pairs.append(PairedKeystroke(key, press_ms, time_ms))
+                pairs.append((key, press_ms, time_ms))
     pairs.sort(key=_press_ms)
     return pairs, repeats, orphans, len(pending)
 

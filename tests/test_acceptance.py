@@ -70,7 +70,8 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_hand_traced_fixtures():
     from keydyn.features import extract_digraphs
-    from keydyn.ingest import PairedKeystroke
+
+    from columns import keystrokes
 
     a3 = {U("a"): [100.0, 110.0, 120.0]}
     checks = [
@@ -81,12 +82,8 @@ def test_criterion_2_hand_traced_fixtures():
         absolute_score({U("a"): [100.0], U("b"): [200.0]}, {U("a"): [140.0], U("b"): [350.0]}) == 0.5,
         itad_score({U("a"): [100.0, 200.0]}, {U("a"): [150.0]}) == 0.5,
         itad_score({U("a"): [100.0]}, {U("a"): [100.0]}) == 1.0,
-        extract_digraphs(
-            [PairedKeystroke("a", 0.0, 50.0), PairedKeystroke("b", 120.0, 160.0)]
-        ) == {D("a", "b"): [70.0]},
-        extract_digraphs(
-            [PairedKeystroke("a", 0.0, 60.0), PairedKeystroke("b", 30.0, 90.0)]
-        ) == {D("a", "b"): [-30.0]},
+        extract_digraphs(keystrokes([("a", 0.0, 50.0), ("b", 120.0, 160.0)])) == {D("a", "b"): [70.0]},
+        extract_digraphs(keystrokes([("a", 0.0, 60.0), ("b", 30.0, 90.0)])) == {D("a", "b"): [-30.0]},
     ]
     _verdict("2 hand-traced-fixtures", all(checks), f"{sum(checks)}/{len(checks)} fixtures exact")
 

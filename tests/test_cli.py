@@ -40,6 +40,22 @@ def test_synth_empty_or_repeated_platforms_is_usage_error(tmp_path, capsys, plat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("separation", ["nan", "inf", "-inf", "1e308", "10.5"])
+def test_synth_separation_out_of_range_is_usage_error(tmp_path, capsys, separation):
+    out = tmp_path / "x"
+    assert main(["synth", "--out-dir", str(out), "--users", "2", f"--separation={separation}"]) == 1
+    assert "separation must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("platforms", ["F\nX,I", "F,I\rX", "F\x1cX"])
+def test_synth_platform_label_the_csv_cannot_carry_is_usage_error(tmp_path, capsys, platforms):
+    out = tmp_path / "x"
+    assert main(["synth", "--out-dir", str(out), "--users", "2", "--platforms", platforms]) == 1
+    assert "platform labels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_deterministic_given_seed(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["--seed", "9", "synth", "--out-dir", str(a), "--users", "2"]) == 0
@@ -216,6 +232,23 @@ def test_repeated_scorer_is_usage_error(corpus_dir, tmp_path, capsys, command, s
     out = tmp_path / "x"
     assert main([*command, str(corpus_dir), "--out", str(out), "--scorers", scorers]) == 1
     assert "repeated scorers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option, value, message",
+    [
+        (["evaluate"], "--formats", "json,json", "repeated formats"),
+        (["evaluate"], "--formats", "csv,json,csv", "repeated formats"),
+        (SCORE, "--formats", "csv,csv", "repeated formats"),
+        (["evaluate"], "--scenarios", "same,same", "repeated scenario kinds"),
+        (["evaluate"], "--scenarios", "cross,combined,cross", "repeated scenario kinds"),
+    ],
+)
+def test_repeated_format_or_scenario_kind_is_usage_error(corpus_dir, tmp_path, capsys, command, option, value, message):
+    out = tmp_path / "x"
+    assert main([*command, str(corpus_dir), "--out", str(out), option, value]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

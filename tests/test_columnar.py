@@ -8,8 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from keydyn import ingest
 from keydyn.errors import MalformedRowError
 from keydyn.features import extract_digraphs, extract_unigraphs, extract_wordholds
-from keydyn.ingest import Action, KeyEvent, SessionLog, pair_events, parse_log
+from keydyn.ingest import pair_events, parse_log
 
+from columns import event_rows, keystroke_rows, keystrokes, session_log
 from oracles import (
     extract_digraphs_oracle,
     extract_unigraphs_oracle,
@@ -30,8 +31,8 @@ def bits(values):
     return [float.hex(float(v)) for v in values]
 
 
-def exact_pairs(pairs):
-    return [(p.key, *bits((p.press_ms, p.release_ms))) for p in pairs]
+def exact_pairs(rows):
+    return [(key, *bits((press_ms, release_ms))) for key, press_ms, release_ms in rows]
 
 
 def exact_features(features):
@@ -54,7 +55,7 @@ session_events = st.lists(
 def session(raw, in_time_order):
     if in_time_order:  # as parsed sessions are: stable by time, equal times in drawn order
         raw = sorted(raw, key=lambda e: e[2])
-    return SessionLog.from_events("u", "F", 1, [KeyEvent(k, Action(a), t) for k, a, t in raw])
+    return session_log(raw, "u", "F", 1)
 
 
 @settings(max_examples=400, deadline=None)
@@ -66,8 +67,8 @@ def session(raw, in_time_order):
 def test_pairing_matches_oracle(raw, in_time_order):
     log = session(raw, in_time_order)
     result = pair_events(log)
-    pairs, repeats, orphans, unreleased = pair_events_oracle(log.events)
-    assert exact_pairs(result.pairs) == exact_pairs(pairs)
+    pairs, repeats, orphans, unreleased = pair_events_oracle(event_rows(log))
+    assert exact_pairs(keystroke_rows(result.pairs)) == exact_pairs(pairs)
     assert (result.dropped_repeats, result.dropped_orphan_releases, result.dropped_unreleased) == (
         repeats,
         orphans,
@@ -83,11 +84,11 @@ def test_pairing_matches_oracle(raw, in_time_order):
 def test_extractors_match_oracles(raw, in_time_order):
     log = session(raw, in_time_order)
     columns = pair_events(log).pairs
-    rows = pair_events_oracle(log.events)[0]
+    rows = pair_events_oracle(event_rows(log))[0]
     for extract, oracle in EXTRACTORS:
         want = exact_features(oracle(rows))
         assert exact_features(extract(columns)) == want  # keys in occurrence order, values too
-        assert exact_features(extract(rows)) == want  # rows are read through the same columns
+        assert exact_features(extract(keystrokes(rows))) == want  # the oracle's pairs, as columns
 
 
 # -- parsing across block edges ----------------------------------------------------
@@ -139,7 +140,7 @@ def parse_outcome(parse, text, strict):
         return "ok", result
     return "ok", {
         "sessions": [
-            (s.user_id, s.platform, s.session_id, [(e.key, e.action.value, e.time_ms) for e in s.events])
+            (s.user_id, s.platform, s.session_id, event_rows(s))
             for s in result.sessions
         ],
         "warnings": result.warnings,

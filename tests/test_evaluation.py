@@ -26,11 +26,12 @@ from keydyn.evaluation import (
     same_platform_scenario,
 )
 from keydyn.features import Kind, session_features
-from keydyn.ingest import Action, Corpus, KeyEvent, SessionLog
+from keydyn.ingest import Corpus
 from keydyn.matrix import ScoreMatrix, score_matrices
 from keydyn.synth import SynthSpec, generate_corpus
 from keydyn.verifiers import SimilarityMode, prepare_profile, session_runs
 
+from columns import session_log
 from oracles import oracle_k_rank
 
 
@@ -44,12 +45,12 @@ def tiny_corpus(users=("u1", "u2"), platforms=("F", "T"), sessions=range(1, 7), 
                     continue
                 hold = 50.0 + 40.0 * ui + 0.25 * pi + session  # user-distinct, platform- and session-jittered
                 events = [
-                    KeyEvent("a", Action.PRESS, 0.0),
-                    KeyEvent("a", Action.RELEASE, hold),
-                    KeyEvent("b", Action.PRESS, hold + 100.0),
-                    KeyEvent("b", Action.RELEASE, hold + 100.0 + hold),
+                    ("a", "P", 0.0),
+                    ("a", "R", hold),
+                    ("b", "P", hold + 100.0),
+                    ("b", "R", hold + 100.0 + hold),
                 ]
-                logs.append(SessionLog.from_events(user, platform, session, events))
+                logs.append(session_log(events, user, platform, session))
     return Corpus.from_logs(logs)
 
 
@@ -268,6 +269,10 @@ def test_benchmark_config_validation():
         BenchmarkConfig(scenario_kinds=("same", "sam"))
     with pytest.raises(ValueError, match="repeated feature kinds"):
         BenchmarkConfig(kinds=(Kind.UNIGRAPH, Kind.DIGRAPH, Kind.UNIGRAPH))
+    with pytest.raises(ValueError, match="repeated scenario kinds"):
+        BenchmarkConfig(scenario_kinds=("same", "same"))
+    with pytest.raises(ValueError, match="repeated scenario kinds"):
+        BenchmarkConfig(scenario_kinds=("cross", "same", "cross"))
     # a kind is a Kind member: its letter alone is not one
     for kinds in (("X",), ("U",), (Kind.UNIGRAPH, "D")):
         with pytest.raises(ValueError, match="unknown feature kinds"):

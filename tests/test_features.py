@@ -18,14 +18,16 @@ from keydyn.features import (
     unigraph_key,
     wordhold_key,
 )
-from keydyn.ingest import Action, KeyEvent, PairedKeystroke, SessionLog
 from keydyn.verifiers import prepare_profile, session_runs
+
+from columns import keystrokes
+from columns import session_log as make_session
 
 U, D, W = unigraph_key, digraph_key, wordhold_key
 
 
 def pairs_of(*triples):
-    return [PairedKeystroke(k, float(p), float(r)) for k, p, r in triples]
+    return keystrokes(triples)
 
 
 def value_count(features):
@@ -46,7 +48,7 @@ def test_unigraph_occurrence_order():
 
 
 def test_unigraph_empty():
-    assert extract_unigraphs([]) == {}
+    assert extract_unigraphs(pairs_of()) == {}
 
 
 def test_unigraph_value_count_matches_pairs(rng):
@@ -90,7 +92,7 @@ def test_wordhold_single_letter_equals_unigraph():
     pairs = pairs_of(("a", 10, 60), ("ENTER", 80, 100))
     fd = extract_wordholds(pairs)
     assert fd == {W("a"): [50.0]}
-    assert fd[W("a")] == extract_unigraphs(pairs[:1])[U("a")]
+    assert fd[W("a")] == extract_unigraphs(pairs_of(("a", 10, 60)))[U("a")]
 
 
 def test_wordhold_trailing_word_emitted():
@@ -116,19 +118,12 @@ def test_wordhold_values_non_negative(rng):
     for _ in range(50):
         n = int(rng.integers(1, 12))
         presses = sorted(float(t) for t in rng.uniform(0, 1000, n))
-        pairs = [
-            PairedKeystroke("ab"[int(rng.integers(0, 2))], p, p + float(rng.uniform(0, 200)))
-            for p in presses
-        ]
+        pairs = keystrokes([("ab"[int(rng.integers(0, 2))], p, p + float(rng.uniform(0, 200))) for p in presses])
         fd = extract_wordholds(pairs)
         assert all(v >= 0 for values in fd.values() for v in values)
 
 
 # -- per-session extraction ---------------------------------------------------
-
-
-def make_session(events, user="u1", platform="F", session=1):
-    return SessionLog.from_events(user, platform, session, [KeyEvent(k, Action(a), float(t)) for k, a, t in events])
 
 
 def test_session_features_provenance_and_kinds():
@@ -217,7 +212,7 @@ def test_profile_json_bytes_are_those_of_json_dumps(user, platform, session, fea
 )
 def test_extractors_deterministic(raw):
     presses = sorted(raw, key=lambda r: r[1])
-    pairs = [PairedKeystroke(k, float(p), float(p + h)) for k, p, h in presses]
+    pairs = keystrokes([(k, p, p + h) for k, p, h in presses])
     assert extract_features(pairs) == extract_features(pairs)
     total = value_count(extract_unigraphs(pairs))
     assert total == len(pairs)

@@ -1,13 +1,12 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from keydyn.errors import DuplicateSessionError, EmptyInputError, KeydynError, MalformedRowError
 from keydyn.ingest import (
-    Action,
     Corpus,
-    KeyEvent,
     SessionLog,
     canonicalize_key,
     pair_events,
@@ -16,13 +15,11 @@ from keydyn.ingest import (
     serialize_corpus,
 )
 
+from columns import event_rows, keystroke_rows
+from columns import session_log as make_log  # the name session_log is this module's hypothesis strategy
 from oracles import parse_log_oracle
 
 HEADER = "user_id,platform,session_id,key,action,time_ms\n"
-
-
-def make_log(events, user="u1", platform="F", session=1):
-    return SessionLog.from_events(user, platform, session, [KeyEvent(k, Action(a), float(t)) for k, a, t in events])
 
 
 def test_parse_four_rows_one_session():
@@ -36,8 +33,8 @@ def test_parse_four_rows_one_session():
     assert len(result.sessions) == 1
     log = result.sessions[0]
     assert log.session_key == ("u1", "F", 1)
-    assert len(log.events) == 4
-    assert [e.time_ms for e in log.events] == [0, 50, 120, 160]
+    assert len(event_rows(log)) == 4
+    assert [t for _, _, t in event_rows(log)] == [0, 50, 120, 160]
     assert result.warnings == []
 
 
@@ -85,7 +82,7 @@ def test_parse_out_of_order_rows_resorted():
         "u1,F,1,b,R,160\n"
     )
     result = parse_log(text)
-    times = [e.time_ms for e in result.sessions[0].events]
+    times = [t for _, _, t in event_rows(result.sessions[0])]
     assert times == sorted(times) == [0, 50, 120, 160]
     assert result.resorted_sessions == 1
     assert any("re-sorted" in w for w in result.warnings)
@@ -113,19 +110,19 @@ def test_parse_malformed_rows(row, reason_part):
     lenient = parse_log(text, strict=False)
     assert lenient.rows_rejected == 1
     assert any("row 3" in w for w in lenient.warnings)
-    assert len(lenient.sessions[0].events) == 1
+    assert len(event_rows(lenient.sessions[0])) == 1
 
 
 def test_parse_duplicate_rows_kept():
     text = HEADER + "u1,F,1,a,P,10\nu1,F,1,a,P,10\n"
     result = parse_log(text)
-    assert len(result.sessions[0].events) == 2
+    assert len(event_rows(result.sessions[0])) == 2
 
 
 def test_parse_keys_canonicalized():
     text = HEADER + "u1,F,1,A,P,0\nu1,F,1,Key.space,P,5\nu1,F,1,COMMA,P,9\n"
-    events = parse_log(text).sessions[0].events
-    assert [e.key for e in events] == ["a", "SPACE", "COMMA"]
+    events = event_rows(parse_log(text).sessions[0])
+    assert [key for key, _, _ in events] == ["a", "SPACE", "COMMA"]
 
 
 @pytest.mark.parametrize(
@@ -170,6 +167,24 @@ def test_serialize_parse_round_trip():
     assert serialize_corpus(round_tripped) == text
 
 
+def test_session_logs_compare_by_events_not_codes():
+    rows = [("a", "P", 0.0), ("b", "P", 5.0), ("a", "R", 40.0), ("b", "R", 60.0)]
+    log = make_log(rows)
+    # the same events coded against other key names: another order, and a name no event uses
+    recoded = SessionLog("u1", "F", 1, ("z", "b", "a"), np.array([2, 1, 2, 1]), log.presses.copy(), log.times.copy())
+    assert recoded.key_names != log.key_names
+    assert recoded == log and log == recoded
+
+    one_key = [("a", "P", 0.0), ("b", "P", 5.0), ("b", "R", 40.0), ("b", "R", 60.0)]
+    one_press = [("a", "P", 0.0), ("b", "R", 5.0), ("a", "R", 40.0), ("b", "R", 60.0)]
+    one_time = [("a", "P", 0.0), ("b", "P", 5.0), ("a", "R", 40.5), ("b", "R", 60.0)]
+    for events in (one_key, one_press, one_time, rows[:-1], rows + [("a", "P", 70.0)]):
+        assert make_log(events) != log and log != make_log(events)
+    for head in (("u2", "F", 1), ("u1", "I", 1), ("u1", "F", 2)):
+        assert make_log(rows, *head) != log
+    assert log != rows
+
+
 def test_corpus_roster_and_duplicate_detection():
     a = make_log([("a", "P", 0)], user="ub")
     b = make_log([("a", "P", 0)], user="ua")
@@ -212,27 +227,27 @@ def test_read_corpus_sums_several_paths(tmp_path):
 def test_pair_events_simple():
     log = make_log([("a", "P", 0), ("a", "R", 50)])
     result = pair_events(log)
-    assert [(p.key, p.press_ms, p.release_ms) for p in result.pairs] == [("a", 0, 50)]
+    assert keystroke_rows(result.pairs) == [("a", 0, 50)]
     assert result.dropped_total == 0
 
 
 def test_pair_events_rollover_preserved():
     log = make_log([("a", "P", 0), ("b", "P", 30), ("a", "R", 60), ("b", "R", 90)])
     result = pair_events(log)
-    assert [(p.key, p.press_ms, p.release_ms) for p in result.pairs] == [("a", 0, 60), ("b", 30, 90)]
+    assert keystroke_rows(result.pairs) == [("a", 0, 60), ("b", 30, 90)]
 
 
 def test_pair_events_drops_auto_repeat():
     log = make_log([("a", "P", 0), ("a", "P", 10), ("a", "R", 50)])
     result = pair_events(log)
-    assert [(p.key, p.press_ms, p.release_ms) for p in result.pairs] == [("a", 0, 50)]
+    assert keystroke_rows(result.pairs) == [("a", 0, 50)]
     assert result.dropped_repeats == 1
 
 
 def test_pair_events_drops_orphans_and_unreleased():
     log = make_log([("b", "R", 5), ("a", "P", 10)])
     result = pair_events(log)
-    assert list(result.pairs) == []
+    assert keystroke_rows(result.pairs) == []
     assert result.dropped_orphan_releases == 1
     assert result.dropped_unreleased == 1
 
@@ -241,7 +256,7 @@ def test_pair_events_output_ordered_by_press():
     # b releases before a, but a was pressed first
     log = make_log([("a", "P", 0), ("b", "P", 5), ("b", "R", 8), ("a", "R", 90)])
     result = pair_events(log)
-    assert [p.key for p in result.pairs] == ["a", "b"]
+    assert [key for key, _, _ in keystroke_rows(result.pairs)] == ["a", "b"]
 
 
 events_strategy = st.lists(
@@ -259,20 +274,20 @@ def test_pairing_invariants(raw_events):
     ordered = sorted(raw_events, key=lambda e: e[2])
     log = make_log(ordered)
     result = pair_events(log)
-    presses = sum(1 for e in log.events if e.action is Action.PRESS)
+    presses = sum(1 for _, action, _ in event_rows(log) if action == "P")
     assert len(result.pairs) <= presses
-    assert all(p.release_ms >= p.press_ms for p in result.pairs)
-    press_times = [p.press_ms for p in result.pairs]
+    assert all(release_ms >= press_ms for _, press_ms, release_ms in keystroke_rows(result.pairs))
+    press_times = [press_ms for _, press_ms, _ in keystroke_rows(result.pairs)]
     assert press_times == sorted(press_times)
     # accounting: every event is either paired or counted as dropped
-    assert 2 * len(result.pairs) + result.dropped_total == len(log.events)
+    assert 2 * len(result.pairs) + result.dropped_total == len(event_rows(log))
 
 
 @given(events_strategy)
 def test_pairing_deterministic(raw_events):
     ordered = sorted(raw_events, key=lambda e: e[2])
     log = make_log(ordered)
-    assert list(pair_events(log).pairs) == list(pair_events(log).pairs)
+    assert keystroke_rows(pair_events(log).pairs) == keystroke_rows(pair_events(log).pairs)
 
 
 # -- differential parse oracle ---------------------------------------------------
@@ -316,7 +331,7 @@ def faulty_csv(draw):
 def plain(result):
     return {
         "sessions": [
-            (s.user_id, s.platform, s.session_id, [(e.key, e.action.value, e.time_ms) for e in s.events])
+            (s.user_id, s.platform, s.session_id, event_rows(s))
             for s in result.sessions
         ],
         "warnings": result.warnings,
@@ -361,9 +376,7 @@ def test_parse_log_arbitrary_bytes_parse_or_raise_keydyn_error(data, strict):
 
 label = st.text(alphabet="abcdefXYZ019_-", min_size=1, max_size=4)
 session_log = st.builds(
-    lambda user, platform, session, raw: SessionLog.from_events(
-        user, platform, session, [KeyEvent(k, Action(a), t) for k, a, t in sorted(raw, key=lambda e: e[2])]
-    ),
+    lambda user, platform, session, raw: make_log(sorted(raw, key=lambda e: e[2]), user, platform, session),
     label,
     label,
     st.integers(min_value=-5, max_value=10**6),

@@ -7,9 +7,11 @@ import math
 import pytest
 
 from keydyn.evaluation import build_scenario_data, k_rank_accuracy, same_platform_scenario
-from keydyn.ingest import Action, Corpus, pair_events, parse_log, serialize_corpus
+from keydyn.ingest import Corpus, pair_events, parse_log, serialize_corpus
 from keydyn.matrix import score_matrices
-from keydyn.synth import SynthSpec, TypistModel, generate_corpus, sample_models
+from keydyn.synth import MAX_SEPARATION, SynthSpec, TypistModel, generate_corpus, sample_models
+
+from columns import event_rows
 
 
 def test_zero_separation_yields_identical_models():
@@ -64,11 +66,11 @@ def test_events_release_after_press():
     corpus = generate_corpus(SynthSpec(seed=4, n_users=2, platforms=("F",), sessions_per_platform=2))
     for log in corpus:
         pressed = {}
-        for event in log.events:
-            if event.action is Action.PRESS:
-                pressed[event.key] = event.time_ms
+        for key, action, time_ms in event_rows(log):
+            if action == "P":
+                pressed[key] = time_ms
             else:
-                assert event.time_ms >= pressed[event.key]
+                assert time_ms >= pressed[key]
 
 
 def test_generated_corpus_is_clean_for_ingest():
@@ -80,7 +82,7 @@ def test_generated_corpus_is_clean_for_ingest():
     for spec in specs:
         corpus = generate_corpus(spec)
         for log in corpus:
-            times = [e.time_ms for e in log.events]
+            times = [t for _, _, t in event_rows(log)]
             assert times == sorted(times)
             assert all(t >= 0 for t in times)
             result = pair_events(log)
@@ -109,7 +111,7 @@ def test_verbosity_ordering_mirrors_platforms():
     corpus = generate_corpus(SynthSpec(seed=6, n_users=4, separation=0.0))
     totals = {p: 0 for p in ("F", "I", "T")}
     for log in corpus:
-        totals[log.platform] += len(log.events)
+        totals[log.platform] += len(event_rows(log))
     assert totals["F"] > totals["I"] > totals["T"]
 
 
@@ -126,6 +128,16 @@ def test_spec_validation():
         SynthSpec(platforms=())
     with pytest.raises(ValueError):
         SynthSpec(platforms=("F", "I", "F"))
+    # only specs are made here: the generator must never run at these separations
+    for separation in (math.nan, math.inf, -math.inf, 1e308, math.nextafter(MAX_SEPARATION, math.inf), 10.5):
+        with pytest.raises(ValueError, match="separation must be finite"):
+            SynthSpec(separation=separation)
+    assert SynthSpec(separation=MAX_SEPARATION).separation == MAX_SEPARATION
+    # labels the CSV cannot carry: it strips fields and splits at commas and line breaks
+    for label in ("", " F", "F ", "F\n", "F\nX", "F\r", "F,X", "F\x1cX", "F\u2028X"):
+        with pytest.raises(ValueError, match="platform labels"):
+            SynthSpec(platforms=("I", label))
+    assert SynthSpec(platforms=("F X", "I")).platforms == ("F X", "I")
 
 
 def test_rank1_accuracy_monotone_in_separation():
