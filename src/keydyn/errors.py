@@ -42,6 +42,12 @@ class EmptyListError(KeydynError, ValueError):
     code = "EMPTY_LIST"
 
 
+class ValueOutOfRangeError(KeydynError, ValueError):
+    """A profile value is not finite or exceeds ``keydyn.verifiers.MAX_MAGNITUDE`` in magnitude."""
+
+    code = "VALUE_OUT_OF_RANGE"
+
+
 class RosterMismatchError(KeydynError):
     code = "ROSTER_MISMATCH"
 

@@ -26,7 +26,7 @@ from .errors import (
     SamePlatformError,
 )
 from .features import ALL_KINDS, Kind, session_features
-from .ingest import Corpus
+from .ingest import Corpus, check_platform_label
 from .matrix import FusionMethod, ScoreMatrix, score_matrices
 from .verifiers import (
     DEFAULT_ABSOLUTE_THRESHOLD,
@@ -123,6 +123,7 @@ def build_scenario_data(
 
 
 def same_platform_scenario(platform: str) -> Scenario:
+    check_platform_label(platform)
     return Scenario(
         platform,
         "same",
@@ -132,6 +133,8 @@ def same_platform_scenario(platform: str) -> Scenario:
 
 
 def cross_platform_scenario(train_platform: str, test_platform: str) -> Scenario:
+    check_platform_label(train_platform)
+    check_platform_label(test_platform)
     if train_platform == test_platform:
         raise SamePlatformError(f"cross-platform scenario needs two distinct platforms, got {train_platform!r} twice")
     return Scenario(
@@ -143,7 +146,8 @@ def cross_platform_scenario(train_platform: str, test_platform: str) -> Scenario
 
 
 def combined_cross_scenario(train_platforms: Iterable[str], test_platform: str) -> Scenario:
-    train = sorted(set(train_platforms))
+    train = sorted(set(map(check_platform_label, train_platforms)))
+    check_platform_label(test_platform)
     if len(train) != 2:
         raise ValueError(f"combined-cross training set must hold two distinct platforms, got {train}")
     if test_platform in train:

@@ -81,6 +81,25 @@ def canonicalize_key(label: str) -> str:
     return _SPECIAL_ALIASES.get(label.lower(), label.upper())
 
 
+def check_platform_label(label: str) -> str:
+    """Return ``label``; ValueError unless a CSV field carries it unchanged.
+
+    The parse splits rows at line breaks and fields at commas, and strips
+    each field, so a label must be non-empty, with no surrounding space,
+    comma or line break. The CSV is UTF-8, so a lone surrogate, which is how
+    Python reads undecodable bytes of a command line, cannot be written.
+    """
+    if label.splitlines() != [label] or label != label.strip() or "," in label:
+        raise ValueError(
+            f"platform labels must be non-empty, with no surrounding space, comma or line break, got {label!r}"
+        )
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"platform labels must be text that UTF-8 can encode, got {label!r}") from None
+    return label
+
+
 _ACTION_TEXT = ("R", "P")  # indexed by a press flag
 
 

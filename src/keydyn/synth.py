@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Corpus, SessionLog
+from .ingest import Corpus, SessionLog, check_platform_label
 
 SPACE = "SPACE"
 ENTER = "ENTER"
@@ -88,11 +88,7 @@ class SynthSpec:
         if not self.platforms or len(set(self.platforms)) != len(self.platforms):
             raise ValueError(f"platforms must be distinct and at least one, got {list(self.platforms)}")
         for label in self.platforms:
-            # the CSV strips each field and splits rows at line breaks and fields at commas
-            if label.splitlines() != [label] or label != label.strip() or "," in label:
-                raise ValueError(
-                    f"platform labels must be non-empty, with no surrounding space, comma or line break, got {label!r}"
-                )
+            check_platform_label(label)
 
 
 @dataclass(frozen=True)

@@ -9,22 +9,26 @@ Scoring runs on a columnar form: :func:`session_runs` turns session maps
 into runs of (feature id, value) over one vocabulary of their keys,
 :func:`prepare_profile` pools the runs of one side into sorted per-feature
 value runs with their medians, and a :class:`Roster` lays out a scenario's
-two sides once for all three verifiers, with one joint ranking of their
-values sorted on first use. Each ``*_from_prepared`` kernel scores a whole
-probe x enrollment matrix from the roster, looping over probe users only.
+two sides once for all three verifiers. Similarity and ITAD compare
+(feature id, value) pairs exactly, as complex numbers that numpy orders by
+id, then value: each probe user's pairs are placed among the enrollment
+side's sorted values, medians and band edges. Each ``*_from_prepared``
+kernel scores a whole probe x enrollment matrix from the roster, looping
+over probe users only.
 The pair-level ``*_score`` functions are 1x1 calls into the same kernels.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyListError
+from .errors import EmptyListError, ValueOutOfRangeError
 from .features import FeatureKey
 
 
@@ -51,10 +55,15 @@ DEFAULT_ABSOLUTE_THRESHOLD = 1.5
 
 
 def check_threshold(threshold: float) -> float:
-    """Return the Absolute ratio threshold; ValueError unless it is > 1."""
-    if not threshold > 1:
-        raise ValueError(f"threshold must be > 1, got {threshold}")
+    """Return the Absolute ratio threshold; ValueError unless it is finite and > 1."""
+    if not 1 < threshold < math.inf:
+        raise ValueError(f"threshold must be > 1 and finite, got {threshold}")
     return threshold
+
+
+# The largest magnitude of a profile value, in ms (about 31,700 years). Within
+# it every median, std and band edge is finite, so pairs order exactly.
+MAX_MAGNITUDE = 1e15
 
 
 ProfileLike = Mapping[FeatureKey, Sequence[float]]
@@ -87,7 +96,8 @@ def session_runs(maps: Iterable[ProfileLike]) -> tuple[list[SessionRun], list[Fe
     then are renumbered to ascend with the sorted keys: kernels that walk
     features in id order walk them in sorted-key order, so a score does not
     depend on which other maps shared the vocabulary. A feature with an empty
-    value list raises EmptyListError.
+    value list raises EmptyListError, and a value that is not finite or whose
+    magnitude exceeds :data:`MAX_MAGNITUDE` raises ValueOutOfRangeError.
     """
     ids: dict[FeatureKey, int] = {}
     # every key read draws a number and a new key keeps it, so first-sight
@@ -100,7 +110,14 @@ def session_runs(maps: Iterable[ProfileLike]) -> tuple[list[SessionRun], list[Fe
         if not counts.all():
             raise EmptyListError(f"empty value list for feature {list(part)[counts.argmin()]}")
         fids = np.repeat(np.fromiter(map(ids.setdefault, part, numbers), np.int64, len(lists)), counts)
-        runs.append(SessionRun(fids, np.fromiter(itertools.chain.from_iterable(lists), np.float64, fids.size)))
+        values = np.fromiter(itertools.chain.from_iterable(lists), np.float64, fids.size)
+        out = ~(np.abs(values) <= MAX_MAGNITUDE)  # NaN is out too
+        if out.any():
+            first = out.argmax()
+            key = list(part)[np.searchsorted(np.cumsum(counts), first, side="right")]
+            value = float(values[first])
+            raise ValueOutOfRangeError(f"value {value!r} of feature {key} is not within +/-{MAX_MAGNITUDE:g} ms")
+        runs.append(SessionRun(fids, values))
     keys = sorted(ids)
     renumber = np.empty(next(numbers), np.int64)
     renumber[[ids[key] for key in keys]] = np.arange(len(keys))
@@ -149,49 +166,34 @@ def _run_std(values: np.ndarray, starts: np.ndarray, count: np.ndarray) -> np.nd
     return std
 
 
-def _joint_ranks(fids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense rank of each (fid, value) pair in lexicographic order, and that order.
+def _pairs(fids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each (feature id, value) pair as one complex number, which numpy orders by id, then value.
 
-    Equal pairs share a rank, so within one feature rank order is value
-    order, ties included, and the ranks of different features never
-    interleave. Integer ranks thus stand in exactly for the values in every
-    comparison, unlike float offsets per feature, which would round.
+    The parts are filled in place, as ``fids + 1j * values`` would turn an
+    infinite value's real part into NaN. Comparisons stay exact, -0.0 equals
+    0.0, and only a NaN would sort out of its feature; :func:`session_runs`
+    admits none.
     """
-    # sort by value, then stably by feature; pairs that tie may land in any
-    # order, as they share a rank. Feature ids that fit 16 bits get a radix sort.
-    by_value = np.argsort(values)
-    narrow = np.int16 if fids.size == 0 or fids.max() < 2**15 else np.int32
-    order = by_value[np.argsort(fids[by_value].astype(narrow), kind="stable")]
-    del by_value
-    new = np.empty(order.size, bool)
-    new[:1] = True
-    sorted_fids = fids[order]
-    np.not_equal(sorted_fids[1:], sorted_fids[:-1], out=new[1:])
-    del sorted_fids
-    sorted_values = values[order]
-    new[1:] |= sorted_values[1:] != sorted_values[:-1]
-    del sorted_values
-    ranks = np.empty(order.size, np.int32 if order.size < 2**31 else np.int64)
-    ranks[order] = np.cumsum(new, dtype=ranks.dtype)
-    return ranks, order
+    pairs = np.empty(values.size, np.complex128)
+    pairs.real, pairs.imag = fids, values
+    return pairs
 
 
-class _Ranks(NamedTuple):
-    """A roster's values, medians and Similarity band edges, ranked by one :func:`_joint_ranks` sort."""
-
-    probe: list[np.ndarray]  # per probe user, the ranks of its values, ascending
-    median: np.ndarray  # per enrollment entry
-    low: np.ndarray  # Similarity band, median -/+ std, per enrollment entry
-    high: np.ndarray
-    value: np.ndarray  # every enrollment value, in rank order
-    value_entry: np.ndarray  # the enrollment entry of each of ``value``
+def _placed(ascending: np.ndarray, own: np.ndarray, side: str) -> np.ndarray:
+    """For each of the ``ascending`` pairs, how many ``own`` pairs lie below it
+    (``side="right"``) or at or below it (``side="left"``)."""
+    below = np.bincount(np.searchsorted(ascending, own, side=side), minlength=ascending.size + 1)
+    np.cumsum(below, out=below)
+    return below[:-1]
 
 
 class Roster:
     """One scenario's profiles, laid out once for all three verifiers.
 
     Enrollment (user, feature) entries run user-major, ascending in feature id
-    within each user. :attr:`ranks` sorts on first use, so Absolute never sorts.
+    within each user. Similarity and ITAD compare (feature id, value) pairs:
+    :attr:`probe_pairs`, :attr:`thresholds` and :attr:`values` are each laid
+    out on first use, so Absolute lays out none of them.
     """
 
     def __init__(self, enroll: Sequence[PreparedProfile], probe: Sequence[PreparedProfile]) -> None:
@@ -202,20 +204,30 @@ class Roster:
         self.median = np.concatenate([p.median for p in enroll])
 
     @cached_property
-    def ranks(self) -> _Ranks:
+    def probe_pairs(self) -> list[np.ndarray]:
+        """Per probe user, its pairs, ascending as its profile holds them."""
+        return [_pairs(np.repeat(p.fids, p.count), p.values) for p in self.probe]
+
+    @cached_property
+    def thresholds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every entry's median, median - std and median + std as pairs, in one
+        ascending array, and the position of each in it: rows median, low, high."""
         values = np.concatenate([p.values for p in self.enroll])
-        starts = np.cumsum(self.count) - self.count
-        sigma = _run_std(values, starts, self.count)
-        values = np.concatenate(
-            [values, *(p.values for p in self.probe), self.median, self.median - sigma, self.median + sigma]
-        )
-        fids = np.concatenate([np.repeat(p.fids, p.count) for p in (*self.enroll, *self.probe)] + [self.fid] * 3)
-        ranks, order = _joint_ranks(fids, values)
-        n_values, n_entries = int(self.count.sum()), self.fid.size
-        ends = np.cumsum([p.values.size for p in self.probe] + [n_entries] * 2)
-        *probe, median, low, high = np.split(ranks[n_values:], ends)
-        order = order[order < n_values]
-        return _Ranks(probe, median, low, high, ranks[order], np.repeat(np.arange(n_entries), self.count)[order])
+        sigma = _run_std(values, np.cumsum(self.count) - self.count, self.count)
+        pairs = _pairs(np.tile(self.fid, 3), np.concatenate([self.median, self.median - sigma, self.median + sigma]))
+        order = np.argsort(pairs)
+        at = np.empty_like(order)
+        at[order] = np.arange(order.size)
+        return pairs[order], at.reshape(3, -1)
+
+    @cached_property
+    def values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every enrollment value as a pair, ascending, and the entry each belongs to."""
+        entry = np.repeat(np.arange(self.fid.size), self.count)
+        pairs = _pairs(self.fid[entry], np.concatenate([p.values for p in self.enroll]))
+        # each entry's values already ascend, so a stable sort merges runs
+        order = np.argsort(pairs, kind="stable")
+        return pairs[order], entry[order]
 
     def probes(self) -> Iterator[tuple[int, PreparedProfile, np.ndarray, np.ndarray]]:
         """Per probe user: its row, its profile, the enrollment entries whose
@@ -240,13 +252,12 @@ class Roster:
 
 def similarity_from_prepared(roster: Roster, mode: SimilarityMode) -> np.ndarray:
     """Similarity of every probe (rows) against every enrollment (columns)."""
-    ranks = roster.ranks
+    ascending, (_, low, high) = roster.thresholds
     scores = np.zeros((len(roster.probe), len(roster.enroll)))
     for row, p, common, pick in roster.probes():
-        own = ranks.probe[row]
+        own = roster.probe_pairs[row]
         # probe values strictly inside (low, high); an inverted band gives v < 0, counted as none
-        v = np.searchsorted(own, ranks.high[common], side="left")
-        v -= np.searchsorted(own, ranks.low[common], side="right")
+        v = _placed(ascending, own, "right")[high[common]] - _placed(ascending, own, "left")[low[common]]
         # 2v <= u is v/u <= 0.5 without rounding, u the probe's value count; k/t + (t-k)/t == 1.0 holds exactly
         published = 2 * v <= p.count[pick]
         scores[row] = roster.by_user(common, published if mode is SimilarityMode.AS_PUBLISHED else ~published)
@@ -284,15 +295,15 @@ def itad_from_prepared(roster: Roster) -> np.ndarray:
     |#{y < x} - #{y <= m}|, an exact integer; each feature adds that sum
     over n, and a pair adds its features in ascending id order.
     """
-    ranks = roster.ranks
+    ascending, (median, _, _) = roster.thresholds
+    values, entry = roster.values
     scores = np.zeros((len(roster.probe), len(roster.enroll)))
     for row, p, common, pick in roster.probes():
-        own = ranks.probe[row]
-        # below[k]: probe values ranked under the k-th enrollment value
-        below = np.bincount(np.searchsorted(ranks.value, own, side="right"), minlength=ranks.value.size + 1)
-        np.cumsum(below, out=below)
-        gap = below[:-1] - np.searchsorted(own, ranks.median, side="right")[ranks.value_entry]
-        tail = np.bincount(ranks.value_entry, weights=np.abs(gap, out=gap), minlength=roster.fid.size)
+        own = roster.probe_pairs[row]
+        # per enrollment value x of entry e: #{y < x} - #{y <= median of e}
+        gap = _placed(values, own, "right")
+        gap -= _placed(ascending, own, "left")[median][entry]
+        tail = np.bincount(entry, weights=np.abs(gap, out=gap), minlength=roster.fid.size)
         # bincount adds in entry order: per pair, ascending feature id
         scores[row] = roster.by_user(common, tail[common] / roster.count[common], p.count[pick])
     return scores

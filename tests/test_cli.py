@@ -48,7 +48,7 @@ def test_synth_separation_out_of_range_is_usage_error(tmp_path, capsys, separati
     assert not out.exists()
 
 
-@pytest.mark.parametrize("platforms", ["F\nX,I", "F,I\rX", "F\x1cX"])
+@pytest.mark.parametrize("platforms", ["F\nX,I", "F,I\rX", "F\x1cX", "F,\udcff"])
 def test_synth_platform_label_the_csv_cannot_carry_is_usage_error(tmp_path, capsys, platforms):
     out = tmp_path / "x"
     assert main(["synth", "--out-dir", str(out), "--users", "2", "--platforms", platforms]) == 1
@@ -263,6 +263,36 @@ def test_score_threshold_not_above_one_is_usage_error(corpus_dir, tmp_path, caps
     code = main(["score", str(corpus_dir), "--scenario", "same:F", "--out", str(out), "--threshold", "0.5"])
     assert code == 1
     assert "threshold must be > 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [SCORE, ["evaluate"]])
+@pytest.mark.parametrize("threshold", ["inf", "1e309", "nan"])
+def test_threshold_not_finite_is_usage_error(corpus_dir, tmp_path, capsys, command, threshold):
+    # an infinite threshold reached report.json as the non-JSON token Infinity
+    out = tmp_path / "x"
+    assert main([*command, str(corpus_dir), "--out", str(out), "--threshold", threshold]) == 1
+    assert "threshold must be > 1 and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["same:", "same: F", "cross::F", "combined:F,I:", "cross:F:I\nT", "same:\udcff"])
+def test_score_scenario_label_the_csv_cannot_carry_is_usage_error(tmp_path, capsys, scenario):
+    # rejected before any input is read, so an input that does not exist is never opened
+    out = tmp_path / "x"
+    assert main(["score", str(tmp_path / "missing.csv"), "--scenario", scenario, "--out", str(out)]) == 1
+    assert "platform labels must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_profile_value_beyond_bound_is_data_error(corpus_dir, tmp_path, capsys):
+    # well-formed rows: key q held from 0 to 1.7e308 ms in a session that every F scenario reads;
+    # the overflow warning it gave is an error under the test configuration
+    corpus = tmp_path / "huge.csv"
+    corpus.write_text((corpus_dir / "corpus.csv").read_text() + "u1,F,1,q,P,0\nu1,F,1,q,R,1.7e308\n")
+    out = tmp_path / "x"
+    assert main(["evaluate", str(corpus), "--out", str(out)]) == 2
+    assert "error [VALUE_OUT_OF_RANGE]: value 1.7e+308 of feature" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import json
 
@@ -78,9 +80,10 @@ def test_matrix_rejects_non_finite_values():
 
 # enrollment runs whose bands and medians land exactly on values below:
 # (100, 120) from std 10; (82.5, 137.5) from a single 110; an inverted band
-# from a single negative value; zero medians; an empty band from std 0
-TIE_RUNS = ([100.0, 110.0, 120.0], [110.0], [-40.0], [0.0], [-5.0, 0.0, 5.0], [7.0, 7.0, 7.0, 7.0])
-TIE_VALUES = (100.0, 110.0, 120.0, 82.5, 137.5, -40.0, -30.0, -50.0, 0.0, 5.0, 7.0)
+# from a single negative value; zero medians; an empty band from std 0;
+# signed zeros, which compare equal
+TIE_RUNS = ([100.0, 110.0, 120.0], [110.0], [-40.0], [0.0], [-5.0, 0.0, 5.0], [7.0, 7.0, 7.0, 7.0], [-0.0, 0.0, 0.0])
+TIE_VALUES = (100.0, 110.0, 120.0, 82.5, 137.5, -40.0, -30.0, -50.0, 0.0, -0.0, 5.0, 7.0)
 
 
 def tie_heavy_profile(rng):
@@ -131,21 +134,24 @@ def test_separated_synthetic_users_dominate_diagonal():
         assert m.values[i, i] > max(off)
 
 
-@pytest.mark.parametrize("scorers, sorts", [(ALL_SCORERS, 1), (["sim", "itad"], 1), (["abs"], 0)])
-def test_one_joint_ranking_per_scenario(monkeypatch, scorers, sorts):
-    calls = []
-    joint_ranks = verifiers._joint_ranks
+@pytest.mark.parametrize("scorers, builds", [(ALL_SCORERS, 1), (["sim", "itad"], 1), (["abs"], 0)])
+def test_pair_layouts_built_once_per_scenario(monkeypatch, scorers, builds):
+    calls = collections.Counter()
+    for name in ("probe_pairs", "thresholds", "values"):
+        build = getattr(verifiers.Roster, name).func
 
-    def counting(fids, values):
-        calls.append(fids.size)
-        return joint_ranks(fids, values)
+        def counting(roster, build=build, name=name):
+            calls[name] += 1
+            return build(roster)
 
-    monkeypatch.setattr(verifiers, "_joint_ranks", counting)
+        layout = functools.cached_property(counting)
+        layout.__set_name__(verifiers.Roster, name)
+        monkeypatch.setattr(verifiers.Roster, name, layout)
     runs, _ = session_runs([*profiles(u1=100.0, u2=180.0).values(), *profiles(u1=110.0, u2=170.0).values()])
     enroll = {"u1": prepare_profile(runs[:1]), "u2": prepare_profile(runs[1:2])}
     probe = {"u1": prepare_profile(runs[2:3]), "u2": prepare_profile(runs[3:])}
     assert set(score_matrices(enroll, probe, scorers)) == set(scorers)
-    assert len(calls) == sorts
+    assert [calls[name] for name in ("probe_pairs", "thresholds", "values")] == [builds] * 3
 
 
 def test_empty_roster_gives_empty_matrices():

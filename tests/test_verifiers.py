@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import math
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from keydyn.errors import EmptyListError
+from keydyn.errors import EmptyListError, ValueOutOfRangeError
 from keydyn.features import digraph_key, unigraph_key
 from keydyn.verifiers import (
+    MAX_MAGNITUDE,
     SimilarityMode,
     Verifier,
     absolute_score,
@@ -71,6 +73,30 @@ def test_ecdf_counting():
 def test_prepare_profile_rejects_empty_lists():
     with pytest.raises(EmptyListError):
         session_runs([{U("a"): []}])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308, -1e308, math.nextafter(MAX_MAGNITUDE, 2e15)])
+def test_values_beyond_bound_rejected(value):
+    bad = {U("a"): [100.0, 110.0], D("a", "b"): [5.0, value]}
+    with pytest.raises(ValueOutOfRangeError, match=r"'a', 'b'"):
+        session_runs([{U("a"): [1.0]}, bad])
+    for score in (similarity_score, absolute_score, itad_score):
+        with pytest.raises(ValueOutOfRangeError):
+            score(bad, {U("a"): [1.0]})
+        with pytest.raises(ValueOutOfRangeError):
+            score({U("a"): [1.0]}, bad)
+
+
+def test_values_at_bound_score_as_the_oracles_do():
+    # at the bound every median, std and band edge is finite (an overflow warning is an error
+    # under the test configuration), so pairs still order exactly
+    edge = {U("a"): [-MAX_MAGNITUDE, MAX_MAGNITUDE], U("b"): [MAX_MAGNITUDE], D("a", "b"): [-MAX_MAGNITUDE, 0.0, -0.0]}
+    other = {U("a"): [0.0, MAX_MAGNITUDE], U("b"): [-MAX_MAGNITUDE, MAX_MAGNITUDE], D("a", "b"): [-MAX_MAGNITUDE]}
+    for a, b in ((edge, edge), (edge, other), (other, edge)):
+        for mode in (PUB, CORR):
+            assert similarity_score(a, b, mode) == oracle_similarity(a, b, corrected=mode is CORR)
+        assert absolute_score(a, b) == oracle_absolute(a, b)
+        assert abs(itad_score(a, b) - oracle_itad(a, b)) <= 1e-12
 
 
 def test_pooled_profile_equals_concatenated_parts(rng):
