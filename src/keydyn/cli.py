@@ -8,13 +8,14 @@ Exit codes: 0 success, 1 usage error, 2 data/IO error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import evaluation, matrix, synth
-from .errors import KeydynError, MalformedReportError
+from .errors import KeydynError, MalformedReportError, OutputNameError
 from .features import ALL_KINDS, Kind, profile_to_json, session_features
 from .ingest import ParseResult, pair_events, read_corpus, serialize_corpus
 from .verifiers import DEFAULT_ABSOLUTE_THRESHOLD, SimilarityMode
@@ -207,18 +208,36 @@ def _print_warnings(summary: ParseResult) -> None:
         print(f"warning: {warning}", file=sys.stderr)
 
 
+def _output_name_fault(names: Iterable[tuple[str, str]]) -> str | None:
+    """Why the (file name, owner) outputs cannot share one directory, or None.
+
+    Each name must be a plain file name, with no path separator or NUL and
+    not ``.`` or ``..``, and no two outputs may share one.
+    """
+    owners: dict[str, str] = {}
+    for name, owner in names:
+        if name in (".", "..") or "\0" in name or os.path.basename(name) != name:
+            return f"{owner}: output name {name!r} is not a plain file name"
+        if name in owners:
+            return f"{owners[name]} and {owner} share the output name {name!r}"
+        owners[name] = owner
+    return None
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     out_dir = Path(_require(args.out, "--out"))
     kinds = _parse_kinds(args.kinds)
     corpus, summary = read_corpus(args.inputs, strict=False)
     _print_warnings(summary)
+    names = {(u, p, s): f"{u}_{p}_s{s}.json" for u, p, s in sorted(corpus.sessions)}
+    if fault := _output_name_fault((name, f"session {key}") for key, name in names.items()):
+        raise OutputNameError(fault)
     out_dir.mkdir(parents=True, exist_ok=True)
     keystrokes: Counter[str] = Counter()
-    for key in sorted(corpus.sessions):
+    for key, name in names.items():
         log = corpus.sessions[key]
         pairs = pair_events(log).pairs
         keystrokes[log.platform] += len(pairs)
-        name = f"{log.user_id}_{log.platform}_s{log.session_id}.json"
         (out_dir / name).write_text(profile_to_json(log, session_features(log, kinds, pairs)), encoding="utf-8")
     stats = corpus.summary()
     print(f"profiles written: {len(corpus.sessions)} -> {out_dir}")
@@ -229,17 +248,24 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _parse_scenario_text(text: str) -> evaluation.Scenario:
+    """The scenario ``text`` names; its name starts the name of each matrix file, so it must be a plain file name."""
     parts = text.split(":")
     try:
         if parts[0] == "same" and len(parts) == 2:
-            return evaluation.same_platform_scenario(parts[1])
-        if parts[0] == "cross" and len(parts) == 3:
-            return evaluation.cross_platform_scenario(parts[1], parts[2])
-        if parts[0] == "combined" and len(parts) == 3:
-            return evaluation.combined_cross_scenario(_csv_tuple(parts[1]), parts[2])
+            scenario = evaluation.same_platform_scenario(parts[1])
+        elif parts[0] == "cross" and len(parts) == 3:
+            scenario = evaluation.cross_platform_scenario(parts[1], parts[2])
+        elif parts[0] == "combined" and len(parts) == 3:
+            scenario = evaluation.combined_cross_scenario(_csv_tuple(parts[1]), parts[2])
+        else:
+            raise UsageError(
+                f"bad --scenario {text!r}; expected same:<P>, cross:<P1>:<P2>, or combined:<P1>,<P2>:<P3>"
+            )
     except (KeydynError, ValueError) as exc:
         raise UsageError(f"bad --scenario {text!r}: {exc}") from None
-    raise UsageError(f"bad --scenario {text!r}; expected same:<P>, cross:<P1>:<P2>, or combined:<P1>,<P2>:<P3>")
+    if fault := _output_name_fault([(scenario.name, "scenario name")]):
+        raise UsageError(f"bad --scenario {text!r}: {fault}")
+    return scenario
 
 
 def _benchmark_config(args: argparse.Namespace, **options: Any) -> evaluation.BenchmarkConfig:

@@ -48,6 +48,12 @@ class ValueOutOfRangeError(KeydynError, ValueError):
     code = "VALUE_OUT_OF_RANGE"
 
 
+class OutputNameError(KeydynError):
+    """An output's file name is not a plain file name, or two outputs share one."""
+
+    code = "BAD_OUTPUT_NAME"
+
+
 class RosterMismatchError(KeydynError):
     code = "ROSTER_MISMATCH"
 

@@ -108,7 +108,9 @@ def build_scenario_data(
     }
     needed = dict.fromkeys(cell for cells in sides.values() for cell in cells)
     # a generator, so each session's feature map dies as soon as it is a run
-    runs, _ = session_runs(session_features(corpus.sessions[cell], kinds) for cell in needed)
+    runs, _ = session_runs(
+        (session_features(corpus.sessions[cell], kinds) for cell in needed), (f"session {cell}" for cell in needed)
+    )
     by_cell = dict(zip(needed, runs))
     prepared = {side: prepare_profile([by_cell[cell] for cell in cells]) for side, cells in sides.items()}
     return [

@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -187,7 +187,7 @@ class ParseResult:
 
 _ACTIONS = {"P": 1, "R": 0}  # action -> press flag
 _EMPTY_FIELD = "empty user_id, platform, or key"
-_BLOCK_CHARS = 1 << 19  # text per bulk pass, about 16k rows; bounds the memory of its lines and fields
+_BLOCK_SIZE = 1 << 16  # bytes per read; smaller blocks cost wall time, larger ones memory
 
 
 def _session_head(head: tuple[str, str, str], sessions: dict[tuple[str, str, int], int]) -> int:
@@ -224,13 +224,44 @@ def _row_reason(line: str) -> str:
     return f"negative or non-finite timestamp {time_raw.strip()!r}"
 
 
-def _line_blocks(text: str) -> Iterator[list[str]]:
-    """The lines of ``text`` as ``text.splitlines()`` splits them, one block of about ``_BLOCK_CHARS`` at a time."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)  # a block never splits "\r\n"
-        yield text[start:end].splitlines()
-        start = end
+def _blocks(stream: BinaryIO) -> Iterator[bytes]:
+    """What ``stream`` holds from where it stands, in blocks that each end after a ``\\n`` (the last may not).
+
+    ``_BLOCK_SIZE`` is read at a time and cut after its last line feed; the
+    rest starts the next block, so no block splits a line, a ``\\r\\n`` or a
+    UTF-8 character. A read with no line feed joins the next one, so a file
+    whose lines all end in a lone ``\\r`` is one block.
+    """
+    parts = []
+    while chunk := stream.read(_BLOCK_SIZE):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            parts.append(chunk[:cut])
+            yield b"".join(parts)
+            parts = []
+        parts.append(chunk[cut:])
+    if rest := b"".join(parts):
+        yield rest
+
+
+def _text_blocks(stream: BinaryIO, source: str | None) -> Iterator[str]:
+    """The text of :func:`_blocks`, decoded as UTF-8 one block at a time."""
+    offset = row = 0  # the bytes and the line feeds before the block
+    for block in _blocks(stream):
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            row += block.count(b"\n", 0, exc.start) + 1
+            raise MalformedRowError(row, f"invalid UTF-8 at byte {offset + exc.start}", source) from None
+        offset, row = offset + len(block), row + block.count(b"\n")
+        yield text
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """``parts`` as one array; the list is emptied, so each part dies once the whole exists."""
+    whole = np.concatenate(parts)
+    parts.clear()
+    return whole
 
 
 def _float_or_nan(text: str) -> float:
@@ -240,34 +271,41 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def parse_log(data: bytes | str, *, strict: bool = True, source: str | None = None) -> ParseResult:
+def parse_log(
+    data: bytes | str | BinaryIO, *, strict: bool = True, source: str | None = None
+) -> ParseResult:
     """Parse canonical CSV into session logs.
 
-    Rows with an unknown action, malformed timestamp, negative or non-finite
-    time, or the wrong field count are rejected: in strict mode the first one raises
+    ``data`` is the CSV as bytes or text, or a seekable binary stream read
+    from where it stands; the stream is read twice and not closed. Text is
+    parsed as its UTF-8 bytes, so text with a lone surrogate, which UTF-8
+    cannot carry, fails as those bytes would. Rows with
+    an unknown action, malformed timestamp, negative or non-finite time, or
+    the wrong field count are rejected: in strict mode the first one raises
     :class:`MalformedRowError`, otherwise each is recorded as a warning and
     skipped. Duplicate rows are kept. Events are sorted by time (stable), and
     sessions whose rows arrived out of order are counted in
     ``resorted_sessions``. Bytes that are not valid UTF-8 raise
-    :class:`MalformedRowError` in either mode.
+    :class:`MalformedRowError` in either mode, before any row is judged.
 
-    Rows are checked in bulk, a block of lines at a time: each distinct row
-    head (``user_id,platform,session_id``), key and action spelling once, and
+    Input is read a block of ``_BLOCK_SIZE`` at a time, and rows are checked
+    in bulk, a block at a time: each distinct row head
+    (``user_id,platform,session_id``), key and action spelling once, and
     every timestamp in one pass. Only a row that fails a check is looked at
-    alone, to name its first failing check in the order above.
+    alone, to name its first failing check in the order above. Memory is the
+    parsed columns plus one block.
     """
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
     if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            row = data.count(b"\n", 0, exc.start) + 1
-            raise MalformedRowError(row, f"invalid UTF-8 at byte {exc.start}", source) from None
-    else:
-        text = data
-    if text.startswith("\ufeff"):
-        text = text[1:]
-    blocks = _line_blocks(text)
-    lines = next(blocks, [])
+        data = io.BytesIO(data)
+    start = data.tell()
+    for _ in _text_blocks(data, source):  # a decode pass that keeps no text: UTF-8 is checked first
+        pass
+    data.seek(start)
+    blocks = _text_blocks(data, source)
+    text = next(blocks, "")
+    lines = (text[1:] if text.startswith("\ufeff") else text).splitlines()
     if not lines:
         raise EmptyInputError("empty input" + (f": {source}" if source else ""))
     if lines[0].strip() != CSV_HEADER:
@@ -279,10 +317,10 @@ def parse_log(data: bytes | str, *, strict: bool = True, source: str | None = No
     names: dict[str, int] = {}  # canonical key -> code
     codes: dict[str, int] = {}  # raw key field -> code, -1 if blank
     actions: dict[str, int] = {}  # raw action field -> press flag, -1 if unknown
-    parsed = []  # per block, the session index, key code, press flag and time of each good row
+    parsed = ([], [], [], [])  # per block, the session index, key code, press flag and time of each good row
 
     row = 1  # the number of the line before the block; the header is row 1
-    for block in itertools.chain([lines[1:]], blocks):
+    for block in itertools.chain([lines[1:]], map(str.splitlines, blocks)):
         first, row = row + 1, row + len(block)
         commas = np.fromiter(map(str.count, block, itertools.repeat(",")), np.intp, len(block))
         whole = np.flatnonzero(commas == 5)
@@ -319,26 +357,31 @@ def parse_log(data: bytes | str, *, strict: bool = True, source: str | None = No
             result.rows_rejected += 1
             result.warnings.append(f"row {first + i}: {_row_reason(line)} (skipped)")
         result.rows_total += len(block) - blank
-        parsed.append((session[good], key[good], press[good] == 1, times[good]))
+        for parts, column in zip(parsed, (session, key, press == 1, times)):
+            parts.append(column[good])
 
     if result.rows_total == 0:
         raise EmptyInputError("no data rows" + (f": {source}" if source else ""))
-    del text, lines, block  # free the text before the columns are sorted
+    del text, lines, block
 
-    session, key, press, times = (np.concatenate(column) for column in zip(*parsed))
+    session, key, press, times = map(_join, parsed)
     session_keys = sorted(sessions)
     rank = np.empty(len(sessions), np.intp)
     rank[[sessions[k] for k in session_keys]] = np.arange(len(sessions))
     session = rank[session]  # now ascending with the session keys
-    # group the rows by session; a session keeps file order unless its times fall somewhere
-    order = np.argsort(session, kind="stable")
-    grouped, grouped_times = session[order], times[order]
+    # group the rows by session; a session keeps file order unless its times fall somewhere.
+    # Rows written by serialize_corpus arrive grouped and in time order, and are not moved
+    order = None if np.all(session[1:] >= session[:-1]) else np.argsort(session, kind="stable")
+    grouped, grouped_times = (session, times) if order is None else (session[order], times[order])
     late = (grouped_times[1:] < grouped_times[:-1]) & (grouped[1:] == grouped[:-1])
     resorted = np.unique(grouped[1:][late]).tolist()
+    del grouped_times, late
     if resorted:
         order = np.lexsort((times, session))  # each session by time; ties keep file order
+    if order is not None:
+        key, press, times = key[order], press[order], times[order]
+    session = grouped
     key_names = tuple(names)
-    session, key, press, times = grouped, key[order], press[order], times[order]
     starts = np.flatnonzero(np.diff(session, prepend=-1))
     ends = np.append(starts[1:], session.size)
     for index, a, b in zip(session[starts].tolist(), starts.tolist(), ends.tolist()):
@@ -384,7 +427,8 @@ def read_corpus(
         else:
             files = [path]
         for file in files:
-            res = parse_log(file.read_bytes(), strict=strict, source=str(file))
+            with file.open("rb") as stream:
+                res = parse_log(stream, strict=strict, source=str(file))
             combined.sessions.extend(res.sessions)
             combined.warnings.extend(res.warnings)
             combined.rows_total += res.rows_total

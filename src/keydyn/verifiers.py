@@ -88,7 +88,9 @@ class SessionRun(NamedTuple):
     values: np.ndarray  # float64
 
 
-def session_runs(maps: Iterable[ProfileLike]) -> tuple[list[SessionRun], list[FeatureKey]]:
+def session_runs(
+    maps: Iterable[ProfileLike], sources: Iterable[str] | None = None
+) -> tuple[list[SessionRun], list[FeatureKey]]:
     """The run of each of ``maps``, over one vocabulary ``keys``: id ``i`` names ``keys[i]``.
 
     The maps are read one at a time and none is kept, so a generator of
@@ -97,18 +99,21 @@ def session_runs(maps: Iterable[ProfileLike]) -> tuple[list[SessionRun], list[Fe
     features in id order walk them in sorted-key order, so a score does not
     depend on which other maps shared the vocabulary. A feature with an empty
     value list raises EmptyListError, and a value that is not finite or whose
-    magnitude exceeds :data:`MAX_MAGNITUDE` raises ValueOutOfRangeError.
+    magnitude exceeds :data:`MAX_MAGNITUDE` raises ValueOutOfRangeError; the
+    message names the feature and, when ``sources`` names each map, its map.
     """
     ids: dict[FeatureKey, int] = {}
     # every key read draws a number and a new key keeps it, so first-sight
     # ids are unique and rising, with gaps, at the cost of one C-level pass
     numbers = itertools.count()
     runs = []
-    for part in maps:
+    for part, source in zip(maps, itertools.repeat("") if sources is None else sources):
+        where = f" in {source}" if source else ""
         lists = list(part.values())
         counts = np.fromiter(map(len, lists), np.int64, len(lists))
         if not counts.all():
-            raise EmptyListError(f"empty value list for feature {list(part)[counts.argmin()]}")
+            key = list(part)[counts.argmin()]
+            raise EmptyListError(f"empty value list for feature {key.to_string()}{where}")
         fids = np.repeat(np.fromiter(map(ids.setdefault, part, numbers), np.int64, len(lists)), counts)
         values = np.fromiter(itertools.chain.from_iterable(lists), np.float64, fids.size)
         out = ~(np.abs(values) <= MAX_MAGNITUDE)  # NaN is out too
@@ -116,7 +121,9 @@ def session_runs(maps: Iterable[ProfileLike]) -> tuple[list[SessionRun], list[Fe
             first = out.argmax()
             key = list(part)[np.searchsorted(np.cumsum(counts), first, side="right")]
             value = float(values[first])
-            raise ValueOutOfRangeError(f"value {value!r} of feature {key} is not within +/-{MAX_MAGNITUDE:g} ms")
+            raise ValueOutOfRangeError(
+                f"value {value!r} of feature {key.to_string()}{where} is not within +/-{MAX_MAGNITUDE:g} ms"
+            )
         runs.append(SessionRun(fids, values))
     keys = sorted(ids)
     renumber = np.empty(next(numbers), np.int64)

@@ -105,6 +105,34 @@ def test_extract_invalid_utf8_is_data_error(tmp_path, capsys):
     assert "MALFORMED_ROW" in err and ":3:" in err and "UTF-8" in err
 
 
+@pytest.mark.parametrize(
+    "rows, fault",
+    [
+        # a user id with a path in it wrote evil_F_s1.json beside --out
+        (
+            ["../evil,F,1,a,P,0", "../evil,F,1,a,R,60"],
+            "session ('../evil', 'F', 1): output name '../evil_F_s1.json' is not a plain file name",
+        ),
+        (["a\0b,F,1,a,P,0", "a\0b,F,1,a,R,60"], "output name 'a\\x00b_F_s1.json' is not a plain file name"),
+        # two sessions named one file: the second overwrote the first, and the summary counted both
+        (
+            ["u1_F,x,1,a,P,0", "u1_F,x,1,a,R,60", "u1,F_x,1,a,P,0", "u1,F_x,1,a,R,60", "u2,F,1,a,P,0", "u2,F,1,a,R,9"],
+            "session ('u1', 'F_x', 1) and session ('u1_F', 'x', 1) share the output name 'u1_F_x_s1.json'",
+        ),
+    ],
+    ids=["path", "nul", "shared"],
+)
+def test_extract_output_name_not_a_plain_unique_file_is_data_error(tmp_path, capsys, rows, fault):
+    corpus = tmp_path / "in" / "corpus.csv"
+    corpus.parent.mkdir()
+    corpus.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    out = tmp_path / "in" / "profiles"
+    assert main(["extract", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [BAD_OUTPUT_NAME]: ") and fault in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["corpus.csv", "in"]  # nothing written, no --out
+
+
 def test_extract_pairs_each_session_once(corpus_dir, tmp_path, monkeypatch, capsys):
     paired = []
 
@@ -293,6 +321,26 @@ def test_evaluate_profile_value_beyond_bound_is_data_error(corpus_dir, tmp_path,
     out = tmp_path / "x"
     assert main(["evaluate", str(corpus), "--out", str(out)]) == 2
     assert "error [VALUE_OUT_OF_RANGE]: value 1.7e+308 of feature" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_score_scenario_name_not_a_plain_file_name_is_usage_error(tmp_path, capsys):
+    # same:../P wrote P_sim.csv into the parent of --out; rejected before any input is read
+    out = tmp_path / "a" / "x"
+    assert main(["score", str(tmp_path / "missing.csv"), "--scenario", "same:../P", "--out", str(out)]) == 1
+    assert "scenario name: output name '../P' is not a plain file name" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == []
+
+
+@pytest.mark.parametrize("command", [["evaluate"], SCORE])
+def test_profile_value_beyond_bound_names_feature_and_session(corpus_dir, tmp_path, capsys, command):
+    corpus = tmp_path / "huge.csv"
+    corpus.write_text((corpus_dir / "corpus.csv").read_text() + "u1,F,1,q,P,0\nu1,F,1,q,R,1.7e308\n")
+    out = tmp_path / "x"
+    assert main([*command, str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "value 1.7e+308 of feature U:q in session ('u1', 'F', 1) is not within" in err
+    assert "FeatureKey" not in err
     assert not out.exists()
 
 

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from keydyn import ingest
-from keydyn.errors import MalformedRowError
+from keydyn.errors import EmptyInputError, MalformedRowError
 from keydyn.features import extract_digraphs, extract_unigraphs, extract_wordholds
-from keydyn.ingest import pair_events, parse_log
+from keydyn.ingest import pair_events, parse_log, read_corpus
 
 from columns import event_rows, keystroke_rows, keystrokes, session_log
 from oracles import (
@@ -117,14 +120,16 @@ def interleaved_rows(n_rows, seed=11):
 
 
 def block_edges(text):
-    """Index of the first row of each block after the first, as ``parse_log`` cuts ``text``."""
-    edges, start = [], 0
-    while True:
-        end = text.find("\n", start + ingest._BLOCK_CHARS) + 1
-        if not end or end >= len(text):
-            return edges
-        edges.append(text.count("\n", 0, end) - 1)  # rows exclude the header
-        start = end
+    """Index of the first row of each block after the first, as ``parse_log`` cuts ``text``:
+    each read of ``ingest._BLOCK_SIZE`` bytes (characters of ASCII text) ends a block after the last
+    line feed so far."""
+    edges = []
+    for end in range(ingest._BLOCK_SIZE, len(text), ingest._BLOCK_SIZE):
+        cut = text.rfind("\n", 0, end) + 1
+        edge = text.count("\n", 0, cut) - 1  # rows exclude the header
+        if cut and edge not in edges[-1:]:
+            edges.append(edge)
+    return edges
 
 
 def corpus_text(rows):
@@ -175,3 +180,102 @@ def test_parse_across_block_edges_matches_oracle():
         assert got == parse_outcome(parse_log_oracle, text, strict=True)
         assert got[1][0] == edges[1] + offset + 2
 
+
+# -- streaming files ---------------------------------------------------------------
+
+
+def read_outcome(parse, data, strict, source):
+    """``parse_outcome``, with an empty input as an outcome of its own."""
+    try:
+        return parse_outcome(lambda d, strict: parse(d, strict=strict, source=source), data, strict)
+    except EmptyInputError as exc:
+        return "empty", str(exc)
+
+
+def in_turn(outcomes):
+    """The outcome of parsing files one after another: the first error, or their results summed."""
+    total = {"sessions": [], "warnings": [], "rows_total": 0, "rows_rejected": 0, "resorted_sessions": 0}
+    for kind, got in outcomes:
+        if kind != "ok":
+            return kind, got
+        for name, value in got.items():
+            total[name] += value
+    return "ok", total
+
+
+def with_faults_at_edges(rows):
+    """``rows`` with faults on both sides of every block edge of their corpus text."""
+    faulty = list(rows)
+    for n, edge in enumerate(block_edges(corpus_text(rows))):
+        for offset in (-2, -1, 0, 1):
+            faulty[edge + offset] = FAULTS[(n + offset) % len(FAULTS)](faulty[edge + offset])
+    return faulty
+
+
+def cut_through(piece, at):
+    """A corpus with faulty rows around ``piece`` (bytes), whose byte ``at`` is the last of the first read."""
+    rows = interleaved_rows(4_000, seed=3)
+    rows[1_999], rows[2_000] = FAULTS[0](rows[1_999]), FAULTS[1](rows[2_000])
+    head = corpus_text(rows[:2_000]).encode()
+    pad = ingest._BLOCK_SIZE - 1 - len(head) - 1 - at  # a blank line, skipped
+    data = head + b" " * pad + b"\n" + piece + "\n".join(rows[2_000:]).encode() + b"\n"
+    assert pad >= 0 and data.index(piece) + at == ingest._BLOCK_SIZE - 1
+    return data
+
+
+def key_row(key):
+    return b"u00,F,1," + key.encode() + b",P,5.0\n"
+
+
+def stream_cases():
+    """Each case: the bytes of one or more files, and whether to parse strictly."""
+    rows = interleaved_rows(12_000, seed=5)
+    assert len(block_edges(corpus_text(rows))) >= 3
+    text = corpus_text(with_faults_at_edges(rows))
+    other = corpus_text([row.replace(",F,", ",I,") for row in rows[:3_000]])
+    third = corpus_text(rows[:5]).replace(",F,", ",T,")
+    crlf = "\ufeff" + text.replace("\n", "\r\n")
+    mixed = "".join(line + ("\n", "\r", "\r\n")[i % 3] for i, line in enumerate(text.splitlines()))
+    bad_utf8 = "u00,F,1,\udcff,P,1"  # \udcff is written as the byte 0xff
+    malformed_first = corpus_text(rows[:1] + [FAULTS[0](rows[1])] + rows[2:9_000] + [bad_utf8] + rows[9_000:])
+    return [
+        pytest.param([text.encode()], False, id="faults at block edges"),
+        pytest.param([text[: text.index("\n", len(text) // 2) + 1].encode()], True, id="strict, at an edge"),
+        pytest.param([crlf.encode()], False, id="BOM and CRLF"),
+        pytest.param([text.replace("\n", "\r").encode()], False, id="lone CR"),
+        pytest.param([mixed.encode()], False, id="CR, LF and CRLF mixed"),
+        pytest.param([cut_through(key_row("é"), 8)], False, id="2-byte key across a read"),
+        pytest.param([cut_through(key_row("€"), 9)], False, id="3-byte key across a read"),
+        pytest.param([cut_through(key_row("𝄞"), 10)], False, id="4-byte key across a read"),
+        pytest.param([cut_through(key_row("€")[:10] + b",P,5.0\n", 8)], False, id="truncated key across a read"),
+        pytest.param([cut_through(b"u00,F,1,a,P,5.0\r\n", 15)], False, id="CRLF across a read"),
+        pytest.param([cut_through(b"u00,F,1,a,P,5.0\r", 15)], False, id="lone CR across a read"),
+        pytest.param([malformed_first.encode(errors="surrogateescape")], True, id="bad UTF-8 after a malformed row"),
+        pytest.param([b""], True, id="empty file"),
+        pytest.param([b"\xef\xbb\xbf"], True, id="BOM only"),
+        pytest.param([crlf.encode(), other.encode(), b"\xef\xbb\xbf" + third.encode()], False, id="several files"),
+        pytest.param([other.encode(), b""], False, id="several files, the second empty"),
+    ]
+
+
+@pytest.mark.parametrize("contents, strict", stream_cases())
+def test_read_corpus_streams_each_file_as_parse_log_parses_its_bytes(tmp_path, contents, strict):
+    paths = []
+    for i, data in enumerate(contents):
+        paths.append(tmp_path / f"{i}.csv")
+        paths[-1].write_bytes(data)
+    got = read_outcome(lambda paths, strict, source: read_corpus(paths, strict=strict)[1], paths, strict, None)
+    whole = in_turn(read_outcome(parse_log, path.read_bytes(), strict, str(path)) for path in paths)
+    assert got == whole
+    assert got == in_turn(read_outcome(parse_log_oracle, path.read_bytes(), strict, str(path)) for path in paths)
+
+
+def test_invalid_utf8_outranks_an_earlier_malformed_row(tmp_path):
+    rows = interleaved_rows(9_000, seed=5)
+    path = tmp_path / "bad.csv"
+    text = corpus_text(rows[:1] + [FAULTS[0](rows[1])] + rows[2:] + ["u00,F,1,\udcff,P,1"])
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    byte = path.read_bytes().index(b"\xff")
+    assert byte > ingest._BLOCK_SIZE  # read blocks after the malformed row 3
+    with pytest.raises(MalformedRowError, match=f"^{re.escape(str(path))}:9002: invalid UTF-8 at byte {byte}$"):
+        read_corpus(path)

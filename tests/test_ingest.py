@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from keydyn import synth
 from keydyn.errors import DuplicateSessionError, EmptyInputError, KeydynError, MalformedRowError
 from keydyn.ingest import (
     Corpus,
@@ -206,6 +209,34 @@ def test_read_corpus_directory(tmp_path):
     empty.mkdir()
     with pytest.raises(EmptyInputError):
         read_corpus(empty)
+
+
+def test_text_parses_as_its_utf8_bytes():
+    text = HEADER + "u1,F,1,é,P,0\nu1,F,1,é,R,5\n"
+    assert plain(parse_log(text)) == plain(parse_log(text.encode()))
+    # a lone surrogate has no UTF-8 bytes, so text holding one fails as invalid UTF-8
+    with pytest.raises(MalformedRowError, match=r"^row 3: invalid UTF-8 at byte 67$"):
+        parse_log(HEADER + "u1,F,1,a,P,0\nu1,F,1,\udcff,R,5\n")
+
+
+def test_read_corpus_memory_is_bounded_by_its_columns(tmp_path):
+    # the file streams through in blocks: reading the whole file and its whole text peaked at 5x its size
+    path = tmp_path / "corpus.csv"
+    corpus = synth.generate_corpus(synth.SynthSpec(seed=25, n_users=26, separation=3.0))
+    path.write_text(serialize_corpus(corpus), encoding="utf-8")
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        read, summary = read_corpus(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert read == corpus and summary.rows_total == 141_784
+    assert peak <= 2.5 * path.stat().st_size, f"{peak / 1e6:.1f} MB peak for a {path.stat().st_size / 1e6:.1f} MB file"
 
 
 def test_read_corpus_sums_several_paths(tmp_path):

@@ -41,14 +41,22 @@ def test_median_conventions():
 
 
 def test_median_empty_rejected():
-    with pytest.raises(EmptyListError, match="'b'"):
+    with pytest.raises(EmptyListError, match="feature U:b$"):
         session_runs([{U("a"): [1.0], U("b"): []}])
-    with pytest.raises(EmptyListError, match="'b'"):
+    with pytest.raises(EmptyListError, match="feature U:b$"):
         session_runs([{U("a"): [1.0]}, {U("b"): []}])
     # each map is checked as it is read, so an empty list is rejected even when
     # another map holds values of its feature
-    with pytest.raises(EmptyListError, match="'a'"):
+    with pytest.raises(EmptyListError, match="feature U:a$"):
         session_runs([{U("a"): []}, {U("a"): [2.0]}])
+
+
+def test_faults_name_the_feature_and_the_map_that_holds_it():
+    sources = ["session one", "session two"]
+    with pytest.raises(EmptyListError, match="^empty value list for feature U:b in session two$"):
+        session_runs([{U("a"): [1.0]}, {U("b"): []}], sources)
+    with pytest.raises(ValueOutOfRangeError, match=r"^value inf of feature D:a\|b in session two is not within"):
+        session_runs([{U("a"): [1.0]}, {U("a"): [1.0], D("a", "b"): [math.inf]}], sources)
 
 
 def test_sample_std():
@@ -78,7 +86,7 @@ def test_prepare_profile_rejects_empty_lists():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308, -1e308, math.nextafter(MAX_MAGNITUDE, 2e15)])
 def test_values_beyond_bound_rejected(value):
     bad = {U("a"): [100.0, 110.0], D("a", "b"): [5.0, value]}
-    with pytest.raises(ValueOutOfRangeError, match=r"'a', 'b'"):
+    with pytest.raises(ValueOutOfRangeError, match=r"feature D:a\|b is"):
         session_runs([{U("a"): [1.0]}, bad])
     for score in (similarity_score, absolute_score, itad_score):
         with pytest.raises(ValueOutOfRangeError):
