@@ -71,8 +71,9 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, config: dict[str, s
     """Fill each option the command line left unset from the config file.
 
     A key must name an option of some command or a global flag, and its value
-    must pass that option's type, as on the command line. Keys of another
-    command are accepted and left unused, so one file can serve every command.
+    must pass that option's type and choices, as on the command line. Keys of
+    another command are accepted and left unused, so one file can serve every
+    command.
     """
     known = {action.dest for p in (parser, *parser.commands.values()) for action in _options(p)}
     for key in config:
@@ -83,9 +84,12 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, config: dict[str, s
         if action.dest in config and getattr(args, action.dest) is None:
             raw = config[action.dest]
             try:
-                setattr(args, action.dest, action.type(raw) if action.type else raw)
+                value = action.type(raw) if action.type else raw
             except ValueError:
                 raise UsageError(f"config key {action.dest!r}: bad value {raw!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise UsageError(f"config key {action.dest!r}: bad value {raw!r}; choose from {list(action.choices)}")
+            setattr(args, action.dest, value)
 
 
 def _csv_tuple(value: str | None) -> tuple[str, ...] | None:
@@ -192,7 +196,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="render an evaluation report")
     p.add_argument("report", help="report.json produced by evaluate")
-    p.add_argument("--format", choices=("table", "csv"), default="table")
+    p.add_argument("--format", choices=("table", "csv"), help="table | csv (default table)")
 
     return parser
 
@@ -208,16 +212,22 @@ def _print_warnings(summary: ParseResult) -> None:
         print(f"warning: {warning}", file=sys.stderr)
 
 
+_NAME_MAX = 255  # bytes in one file name on Linux file systems
+
+
 def _output_name_fault(names: Iterable[tuple[str, str]]) -> str | None:
     """Why the (file name, owner) outputs cannot share one directory, or None.
 
     Each name must be a plain file name, with no path separator or NUL and
-    not ``.`` or ``..``, and no two outputs may share one.
+    not ``.`` or ``..``, at most ``_NAME_MAX`` bytes in UTF-8, and no two
+    outputs may share one.
     """
     owners: dict[str, str] = {}
     for name, owner in names:
         if name in (".", "..") or "\0" in name or os.path.basename(name) != name:
             return f"{owner}: output name {name!r} is not a plain file name"
+        if len(name.encode("utf-8", "surrogatepass")) > _NAME_MAX:
+            return f"{owner}: output name {name!r} is longer than {_NAME_MAX} bytes"
         if name in owners:
             return f"{owners[name]} and {owner} share the output name {name!r}"
         owners[name] = owner
@@ -227,7 +237,7 @@ def _output_name_fault(names: Iterable[tuple[str, str]]) -> str | None:
 def cmd_extract(args: argparse.Namespace) -> int:
     out_dir = Path(_require(args.out, "--out"))
     kinds = _parse_kinds(args.kinds)
-    corpus, summary = read_corpus(args.inputs, strict=False)
+    corpus, summary = read_corpus(args.inputs)
     _print_warnings(summary)
     names = {(u, p, s): f"{u}_{p}_s{s}.json" for u, p, s in sorted(corpus.sessions)}
     if fault := _output_name_fault((name, f"session {key}") for key, name in names.items()):
@@ -248,7 +258,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _parse_scenario_text(text: str) -> evaluation.Scenario:
-    """The scenario ``text`` names; its name starts the name of each matrix file, so it must be a plain file name."""
+    """The scenario ``text`` names; it starts each matrix file's name, so even the longest must be a plain file name."""
     parts = text.split(":")
     try:
         if parts[0] == "same" and len(parts) == 2:
@@ -263,7 +273,8 @@ def _parse_scenario_text(text: str) -> evaluation.Scenario:
             )
     except (KeydynError, ValueError) as exc:
         raise UsageError(f"bad --scenario {text!r}: {exc}") from None
-    if fault := _output_name_fault([(scenario.name, "scenario name")]):
+    longest = f"{scenario.name}_{max(evaluation.ALL_SCORERS, key=len)}.json"
+    if fault := _output_name_fault([(scenario.name, "scenario name"), (longest, "scenario name")]):
         raise UsageError(f"bad --scenario {text!r}: {fault}")
     return scenario
 
@@ -291,7 +302,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     bench = _benchmark_config(args)
     formats = _parse_formats(args.formats, ("csv", "json"))
 
-    corpus, summary = read_corpus(args.inputs, strict=False)
+    corpus, summary = read_corpus(args.inputs)
     _print_warnings(summary)
     [data] = evaluation.build_scenario_data(corpus, [scenario], kinds=bench.kinds)
     matrices = matrix.score_matrices(
@@ -322,7 +333,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     bench = _benchmark_config(args, k_max=args.k_max, scenario_kinds=_csv_tuple(args.scenarios))
     formats = _parse_formats(args.formats, ("json", "csv"))
 
-    corpus, summary = read_corpus(args.inputs, strict=False)
+    corpus, summary = read_corpus(args.inputs)
     _print_warnings(summary)
     report = evaluation.run_benchmark(corpus, bench)
 

@@ -76,6 +76,12 @@ class OverlappingPlatformsError(KeydynError):
     code = "OVERLAPPING_PLATFORMS"
 
 
+class DuplicateScenarioError(KeydynError):
+    """Two scenarios of one platform set share a name, so their report rows would collide."""
+
+    code = "DUPLICATE_SCENARIO"
+
+
 class NoEligibleUsersError(KeydynError):
     code = "NO_ELIGIBLE_USERS"
 

@@ -19,6 +19,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    DuplicateScenarioError,
     KOutOfRangeError,
     MalformedReportError,
     NoEligibleUsersError,
@@ -162,9 +163,18 @@ def combined_cross_scenario(train_platforms: Iterable[str], test_platform: str) 
     )
 
 
+def _described(scenario: Scenario) -> str:
+    enroll, probe = ([platform for platform, _ in spec] for spec in (scenario.enroll_spec, scenario.probe_spec))
+    return f"{scenario.kind} scenario enrolling on {enroll} and probing on {probe}"
+
+
 def enumerate_scenarios(platforms: Iterable[str], scenario_kinds: tuple[str, ...] = SCENARIO_KINDS) -> list[Scenario]:
     """All scenarios the benchmark runs: per platform, per ordered pair, per
-    two-platform training set against the remaining platform."""
+    two-platform training set against the remaining platform.
+
+    A name joins platform labels with ``-``, so labels that hold ``-`` can give
+    two scenarios one name: :class:`DuplicateScenarioError`.
+    """
     platforms = sorted(set(platforms))
     scenarios: list[Scenario] = []
     if "same" in scenario_kinds:
@@ -183,6 +193,12 @@ def enumerate_scenarios(platforms: Iterable[str], scenario_kinds: tuple[str, ...
             for p3 in platforms
             if p3 not in pair
         )
+    named: dict[str, Scenario] = {}
+    for scenario in scenarios:
+        if (other := named.setdefault(scenario.name, scenario)) is not scenario:
+            raise DuplicateScenarioError(
+                f"the {_described(other)} and the {_described(scenario)} share the name {scenario.name!r}"
+            )
     return scenarios
 
 

@@ -271,22 +271,20 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def parse_log(
-    data: bytes | str | BinaryIO, *, strict: bool = True, source: str | None = None
-) -> ParseResult:
+def parse_log(data: bytes | str | BinaryIO, *, source: str | None = None) -> ParseResult:
     """Parse canonical CSV into session logs.
 
-    ``data`` is the CSV as bytes or text, or a seekable binary stream read
-    from where it stands; the stream is read twice and not closed. Text is
-    parsed as its UTF-8 bytes, so text with a lone surrogate, which UTF-8
-    cannot carry, fails as those bytes would. Rows with
-    an unknown action, malformed timestamp, negative or non-finite time, or
-    the wrong field count are rejected: in strict mode the first one raises
-    :class:`MalformedRowError`, otherwise each is recorded as a warning and
-    skipped. Duplicate rows are kept. Events are sorted by time (stable), and
-    sessions whose rows arrived out of order are counted in
-    ``resorted_sessions``. Bytes that are not valid UTF-8 raise
-    :class:`MalformedRowError` in either mode, before any row is judged.
+    ``data`` is the CSV as bytes or text, or a readable binary stream, which
+    is read once from where it stands and not closed. Text is parsed as its
+    UTF-8 bytes, so text with a lone surrogate, which UTF-8 cannot carry,
+    fails as those bytes would. Rows with an unknown action, malformed
+    timestamp, negative or non-finite time, or the wrong field count are
+    skipped, each recorded as the warning ``row N: <reason> (skipped)``.
+    Duplicate rows are kept. Events are sorted by time (stable), and sessions
+    whose rows arrived out of order are counted in ``resorted_sessions``.
+    Only bytes that are not valid UTF-8 and a bad header raise
+    :class:`MalformedRowError`; invalid UTF-8 anywhere in the input outranks
+    a bad header.
 
     Input is read a block of ``_BLOCK_SIZE`` at a time, and rows are checked
     in bulk, a block at a time: each distinct row head
@@ -299,16 +297,14 @@ def parse_log(
         data = data.encode("utf-8", "surrogatepass")
     if isinstance(data, bytes):
         data = io.BytesIO(data)
-    start = data.tell()
-    for _ in _text_blocks(data, source):  # a decode pass that keeps no text: UTF-8 is checked first
-        pass
-    data.seek(start)
     blocks = _text_blocks(data, source)
     text = next(blocks, "")
     lines = (text[1:] if text.startswith("\ufeff") else text).splitlines()
     if not lines:
         raise EmptyInputError("empty input" + (f": {source}" if source else ""))
     if lines[0].strip() != CSV_HEADER:
+        for _ in blocks:  # invalid UTF-8 further on outranks the header
+            pass
         raise MalformedRowError(1, f"bad header (expected {CSV_HEADER!r})", source)
 
     result = ParseResult(sessions=[])
@@ -352,8 +348,6 @@ def parse_log(
             if not line or line.isspace():
                 blank += 1
                 continue
-            if strict:
-                raise MalformedRowError(first + i, _row_reason(line), source)
             result.rows_rejected += 1
             result.warnings.append(f"row {first + i}: {_row_reason(line)} (skipped)")
         result.rows_total += len(block) - blank
@@ -406,15 +400,14 @@ def serialize_corpus(corpus: Corpus) -> str:
     return out.getvalue()
 
 
-def read_corpus(
-    paths: str | os.PathLike | Iterable[str | os.PathLike], *, strict: bool = True
-) -> tuple[Corpus, ParseResult]:
+def read_corpus(paths: str | os.PathLike | Iterable[str | os.PathLike]) -> tuple[Corpus, ParseResult]:
     """Load CSV input into one corpus.
 
     ``paths`` is one path or several; each names a CSV file or a directory
-    whose ``*.csv`` files are read in name order. The returned
-    :class:`ParseResult` holds every file's sessions in read order and sums
-    their warnings and row counts.
+    whose ``*.csv`` files are read in name order. Each file is streamed once
+    through :func:`parse_log`, so bad rows are skipped with a warning. The
+    returned :class:`ParseResult` holds every file's sessions in read order
+    and sums their warnings and row counts.
     """
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]
@@ -428,7 +421,7 @@ def read_corpus(
             files = [path]
         for file in files:
             with file.open("rb") as stream:
-                res = parse_log(stream, strict=strict, source=str(file))
+                res = parse_log(stream, source=str(file))
             combined.sessions.extend(res.sessions)
             combined.warnings.extend(res.warnings)
             combined.rows_total += res.rows_total

@@ -87,7 +87,7 @@ def oracle_k_rank(rows: list[list[float]], k: int) -> float:
     return correct / len(rows)
 
 
-def parse_log_oracle(data, strict: bool = True, source=None) -> dict:
+def parse_log_oracle(data, source=None) -> dict:
     """Row-by-row transcription of ``parse_log``, on plain tuples.
 
     Reuses only the key canonicalization, the header constant and the error
@@ -146,8 +146,6 @@ def parse_log_oracle(data, strict: bool = True, source=None) -> dict:
                     if time_ms != time_ms or time_ms in (float("inf"), float("-inf")) or time_ms < 0:
                         reason = f"negative or non-finite timestamp {time_raw!r}"
         if reason is not None:
-            if strict:
-                raise MalformedRowError(row_no, reason, source)
             out["rows_rejected"] += 1
             out["warnings"].append(f"row {row_no}: {reason} (skipped)")
             continue

@@ -119,8 +119,14 @@ def test_extract_invalid_utf8_is_data_error(tmp_path, capsys):
             ["u1_F,x,1,a,P,0", "u1_F,x,1,a,R,60", "u1,F_x,1,a,P,0", "u1,F_x,1,a,R,60", "u2,F,1,a,P,0", "u2,F,1,a,R,9"],
             "session ('u1', 'F_x', 1) and session ('u1_F', 'x', 1) share the output name 'u1_F_x_s1.json'",
         ),
+        # the profile of session ('a', 'F', 1) was written, then the long name failed with errno 36
+        (
+            ["a,F,1,a,P,0", "a,F,1,a,R,9", "u" * 300 + ",F,1,a,P,0", "u" * 300 + ",F,1,a,R,60"],
+            f"output name '{'u' * 300}_F_s1.json' is longer than 255 bytes",
+        ),
+        (["é" * 125 + ",F,1,a,P,0", "é" * 125 + ",F,1,a,R,60"], "_F_s1.json' is longer than 255 bytes"),
     ],
-    ids=["path", "nul", "shared"],
+    ids=["path", "nul", "shared", "long", "long in UTF-8"],
 )
 def test_extract_output_name_not_a_plain_unique_file_is_data_error(tmp_path, capsys, rows, fault):
     corpus = tmp_path / "in" / "corpus.csv"
@@ -332,6 +338,22 @@ def test_score_scenario_name_not_a_plain_file_name_is_usage_error(tmp_path, caps
     assert list(tmp_path.rglob("*")) == []
 
 
+def test_score_scenario_name_too_long_for_a_matrix_file_is_usage_error(tmp_path, capsys):
+    # 250 bytes fit a file name, but same:P..._fmedian.json, the longest file written, does not
+    out = tmp_path / "a" / "x"
+    assert main(["score", str(tmp_path / "missing.csv"), "--scenario", "same:" + "P" * 250, "--out", str(out)]) == 1
+    assert f"scenario name: output name '{'P' * 250}_fmedian.json' is longer than 255 bytes" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_evaluate_scenarios_sharing_a_name_is_data_error(tmp_path, capsys):
+    assert main(["synth", "--out-dir", str(tmp_path / "in"), "--users", "2", "--platforms", "A-B,C,A,B-C"]) == 0
+    out = tmp_path / "x"
+    assert main(["evaluate", str(tmp_path / "in"), "--out", str(out)]) == 2
+    assert "error [DUPLICATE_SCENARIO]: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["evaluate"], SCORE])
 def test_profile_value_beyond_bound_names_feature_and_session(corpus_dir, tmp_path, capsys, command):
     corpus = tmp_path / "huge.csv"
@@ -435,6 +457,32 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     # command line wins over the config file
     assert main(["--config", str(cfg), "synth", "--out-dir", str(tmp_path / "cli-wins"), "--users", "3"]) == 0
     assert "users: 3" in capsys.readouterr().out
+
+
+def test_config_reaches_an_option_with_a_default(report_doc, tmp_path, capsys):
+    # format = csv was ignored: --format defaulted to table, and only unset options took config values
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(report_doc))
+    cfg = tmp_path / "keydyn.cfg"
+    cfg.write_text("format = csv\n")
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "report", str(report)]) == 0
+    assert capsys.readouterr().out.startswith("scenario,kind,scorer,k,accuracy\n")
+    # command line wins over the config file
+    assert main(["--config", str(cfg), "report", str(report), "--format", "table"]) == 0
+    assert capsys.readouterr().out.startswith("scenario  ")
+
+
+def test_config_value_outside_choices_is_usage_error(report_doc, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(report_doc))
+    cfg = tmp_path / "keydyn.cfg"
+    cfg.write_text("format = xml\n")
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "report", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert "usage error: config key 'format': bad value 'xml'; choose from ['table', 'csv']" in captured.err
+    assert captured.out == ""
 
 
 def test_config_parser_types(tmp_path):

@@ -136,9 +136,9 @@ def corpus_text(rows):
     return "\n".join([ingest.CSV_HEADER] + rows) + "\n"
 
 
-def parse_outcome(parse, text, strict):
+def parse_outcome(parse, text):
     try:
-        result = parse(text, strict=strict)
+        result = parse(text)
     except MalformedRowError as exc:
         return "malformed", (exc.row, str(exc))
     if isinstance(result, dict):
@@ -165,29 +165,23 @@ def test_parse_across_block_edges_matches_oracle():
             faulty[edge + offset] = FAULTS[(n + offset) % len(FAULTS)](faulty[edge + offset])
     text = corpus_text(faulty)
     assert block_edges(text) == edges
-    got = parse_outcome(parse_log, text, strict=False)
-    assert got == parse_outcome(parse_log_oracle, text, strict=False)
+    got = parse_outcome(parse_log, text)
+    assert got == parse_outcome(parse_log_oracle, text)
     blank = sum(not row.strip() for row in faulty)
     assert (got[1]["rows_total"], got[1]["rows_rejected"]) == (len(rows) - blank, 4 * len(edges) - blank)
     assert got[1]["resorted_sessions"] > 0
-
-    # strict mode stops at the first fault, on either side of an edge
-    for offset in (-1, 0):
-        one = list(rows)
-        one[edges[1] + offset] = FAULTS[0](one[edges[1] + offset])
-        text = corpus_text(one)
-        got = parse_outcome(parse_log, text, strict=True)
-        assert got == parse_outcome(parse_log_oracle, text, strict=True)
-        assert got[1][0] == edges[1] + offset + 2
+    # each skipped row is named by its number, on either side of an edge (the header is row 1)
+    skipped = [int(re.match(r"row (\d+): ", w)[1]) for w in got[1]["warnings"] if w.startswith("row ")]
+    assert skipped == [i + 2 for i, row in enumerate(faulty) if row != rows[i] and row.strip()]
 
 
 # -- streaming files ---------------------------------------------------------------
 
 
-def read_outcome(parse, data, strict, source):
+def read_outcome(parse, data, source):
     """``parse_outcome``, with an empty input as an outcome of its own."""
     try:
-        return parse_outcome(lambda d, strict: parse(d, strict=strict, source=source), data, strict)
+        return parse_outcome(lambda d: parse(d, source=source), data)
     except EmptyInputError as exc:
         return "empty", str(exc)
 
@@ -228,7 +222,7 @@ def key_row(key):
 
 
 def stream_cases():
-    """Each case: the bytes of one or more files, and whether to parse strictly."""
+    """Each case: the bytes of one or more files."""
     rows = interleaved_rows(12_000, seed=5)
     assert len(block_edges(corpus_text(rows))) >= 3
     text = corpus_text(with_faults_at_edges(rows))
@@ -239,35 +233,34 @@ def stream_cases():
     bad_utf8 = "u00,F,1,\udcff,P,1"  # \udcff is written as the byte 0xff
     malformed_first = corpus_text(rows[:1] + [FAULTS[0](rows[1])] + rows[2:9_000] + [bad_utf8] + rows[9_000:])
     return [
-        pytest.param([text.encode()], False, id="faults at block edges"),
-        pytest.param([text[: text.index("\n", len(text) // 2) + 1].encode()], True, id="strict, at an edge"),
-        pytest.param([crlf.encode()], False, id="BOM and CRLF"),
-        pytest.param([text.replace("\n", "\r").encode()], False, id="lone CR"),
-        pytest.param([mixed.encode()], False, id="CR, LF and CRLF mixed"),
-        pytest.param([cut_through(key_row("é"), 8)], False, id="2-byte key across a read"),
-        pytest.param([cut_through(key_row("€"), 9)], False, id="3-byte key across a read"),
-        pytest.param([cut_through(key_row("𝄞"), 10)], False, id="4-byte key across a read"),
-        pytest.param([cut_through(key_row("€")[:10] + b",P,5.0\n", 8)], False, id="truncated key across a read"),
-        pytest.param([cut_through(b"u00,F,1,a,P,5.0\r\n", 15)], False, id="CRLF across a read"),
-        pytest.param([cut_through(b"u00,F,1,a,P,5.0\r", 15)], False, id="lone CR across a read"),
-        pytest.param([malformed_first.encode(errors="surrogateescape")], True, id="bad UTF-8 after a malformed row"),
-        pytest.param([b""], True, id="empty file"),
-        pytest.param([b"\xef\xbb\xbf"], True, id="BOM only"),
-        pytest.param([crlf.encode(), other.encode(), b"\xef\xbb\xbf" + third.encode()], False, id="several files"),
-        pytest.param([other.encode(), b""], False, id="several files, the second empty"),
+        pytest.param([text.encode()], id="faults at block edges"),
+        pytest.param([crlf.encode()], id="BOM and CRLF"),
+        pytest.param([text.replace("\n", "\r").encode()], id="lone CR"),
+        pytest.param([mixed.encode()], id="CR, LF and CRLF mixed"),
+        pytest.param([cut_through(key_row("é"), 8)], id="2-byte key across a read"),
+        pytest.param([cut_through(key_row("€"), 9)], id="3-byte key across a read"),
+        pytest.param([cut_through(key_row("𝄞"), 10)], id="4-byte key across a read"),
+        pytest.param([cut_through(key_row("€")[:10] + b",P,5.0\n", 8)], id="truncated key across a read"),
+        pytest.param([cut_through(b"u00,F,1,a,P,5.0\r\n", 15)], id="CRLF across a read"),
+        pytest.param([cut_through(b"u00,F,1,a,P,5.0\r", 15)], id="lone CR across a read"),
+        pytest.param([malformed_first.encode(errors="surrogateescape")], id="bad UTF-8 after a malformed row"),
+        pytest.param([b""], id="empty file"),
+        pytest.param([b"\xef\xbb\xbf"], id="BOM only"),
+        pytest.param([crlf.encode(), other.encode(), b"\xef\xbb\xbf" + third.encode()], id="several files"),
+        pytest.param([other.encode(), b""], id="several files, the second empty"),
     ]
 
 
-@pytest.mark.parametrize("contents, strict", stream_cases())
-def test_read_corpus_streams_each_file_as_parse_log_parses_its_bytes(tmp_path, contents, strict):
+@pytest.mark.parametrize("contents", stream_cases())
+def test_read_corpus_streams_each_file_as_parse_log_parses_its_bytes(tmp_path, contents):
     paths = []
     for i, data in enumerate(contents):
         paths.append(tmp_path / f"{i}.csv")
         paths[-1].write_bytes(data)
-    got = read_outcome(lambda paths, strict, source: read_corpus(paths, strict=strict)[1], paths, strict, None)
-    whole = in_turn(read_outcome(parse_log, path.read_bytes(), strict, str(path)) for path in paths)
+    got = read_outcome(lambda paths, source: read_corpus(paths)[1], paths, None)
+    whole = in_turn(read_outcome(parse_log, path.read_bytes(), str(path)) for path in paths)
     assert got == whole
-    assert got == in_turn(read_outcome(parse_log_oracle, path.read_bytes(), strict, str(path)) for path in paths)
+    assert got == in_turn(read_outcome(parse_log_oracle, path.read_bytes(), str(path)) for path in paths)
 
 
 def test_invalid_utf8_outranks_an_earlier_malformed_row(tmp_path):

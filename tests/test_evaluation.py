@@ -5,6 +5,7 @@ import pytest
 
 from keydyn import evaluation
 from keydyn.errors import (
+    DuplicateScenarioError,
     KOutOfRangeError,
     NoEligibleUsersError,
     OverlappingPlatformsError,
@@ -137,6 +138,28 @@ def test_enumerate_scenarios_counts():
     assert sorted(by_kind["cross"]) == ["F-I", "F-T", "I-F", "I-T", "T-F", "T-I"]
     assert sorted(by_kind["combined"]) == ["FI-T", "FT-I", "IT-F"]
     assert len(scenarios) == 12
+
+
+@pytest.mark.parametrize(
+    "platforms, message",
+    [
+        (
+            ["A-B", "C", "A", "B-C"],
+            "the cross scenario enrolling on ['A'] and probing on ['B-C'] and "
+            "the cross scenario enrolling on ['A-B'] and probing on ['C'] share the name 'A-B-C'",
+        ),
+        (
+            ["A", "AB", "BC", "C", "D"],
+            "the combined scenario enrolling on ['A', 'BC'] and probing on ['D'] and "
+            "the combined scenario enrolling on ['AB', 'C'] and probing on ['D'] share the name 'ABC-D'",
+        ),
+    ],
+)
+def test_scenarios_sharing_a_name_are_rejected(platforms, message):
+    # their report rows collided on the scenario name, and keydyn report merged their cells
+    with pytest.raises(DuplicateScenarioError) as exc:
+        enumerate_scenarios(platforms)
+    assert str(exc.value) == message
 
 
 # -- k-rank accuracy -------------------------------------------------------------

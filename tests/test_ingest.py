@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import io
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from keydyn import synth
+from keydyn import ingest, synth
 from keydyn.errors import DuplicateSessionError, EmptyInputError, KeydynError, MalformedRowError
 from keydyn.ingest import (
     Corpus,
@@ -105,15 +107,11 @@ def test_parse_out_of_order_rows_resorted():
 )
 def test_parse_malformed_rows(row, reason_part):
     text = HEADER + "u1,F,1,a,P,0\n" + row + "\n"
-    with pytest.raises(MalformedRowError) as exc:
-        parse_log(text)
-    assert exc.value.row == 3
-    assert reason_part in str(exc.value)
-
-    lenient = parse_log(text, strict=False)
-    assert lenient.rows_rejected == 1
-    assert any("row 3" in w for w in lenient.warnings)
-    assert len(event_rows(lenient.sessions[0])) == 1
+    result = parse_log(text)
+    assert result.rows_rejected == 1
+    [warning] = result.warnings
+    assert re.fullmatch(rf"row 3: .*{reason_part}.* \(skipped\)", warning)
+    assert len(event_rows(result.sessions[0])) == 1
 
 
 def test_parse_duplicate_rows_kept():
@@ -219,6 +217,36 @@ def test_text_parses_as_its_utf8_bytes():
         parse_log(HEADER + "u1,F,1,a,P,0\nu1,F,1,\udcff,R,5\n")
 
 
+class ReadOnly:
+    """A binary stream that can only be read: no ``seek`` or ``tell``."""
+
+    def __init__(self, data):
+        self._stream = io.BytesIO(data)
+
+    def read(self, size=-1):
+        return self._stream.read(size)
+
+
+def test_parse_reads_a_stream_once_without_seeking():
+    corpus = synth.generate_corpus(synth.SynthSpec(seed=3, n_users=2, separation=1.0))
+    data = serialize_corpus(corpus).encode()
+    assert len(data) > 3 * ingest._BLOCK_SIZE
+    stream = ReadOnly(data)
+    assert plain(parse_log(stream)) == plain(parse_log(data))
+    assert stream.read() == b""  # read to its end
+
+
+def test_invalid_utf8_past_a_block_outranks_a_bad_header():
+    rows = "".join(f"u1,F,1,a,{'PR'[i % 2]},{i}\n" for i in range(5_000))
+    data = b"user_id,platform\n" + rows.encode() + b"u1,F,1,\xff,P,9\n"
+    byte = data.index(b"\xff")
+    assert byte > ingest._BLOCK_SIZE
+    with pytest.raises(MalformedRowError, match=rf"^row 5002: invalid UTF-8 at byte {byte}$"):
+        parse_log(data)
+    with pytest.raises(MalformedRowError, match=r"^row 1: bad header"):
+        parse_log(data.replace(b"\xff", b"b"))
+
+
 def test_read_corpus_memory_is_bounded_by_its_columns(tmp_path):
     # the file streams through in blocks: reading the whole file and its whole text peaked at 5x its size
     path = tmp_path / "corpus.csv"
@@ -243,7 +271,7 @@ def test_read_corpus_sums_several_paths(tmp_path):
     (tmp_path / "dir").mkdir()
     (tmp_path / "dir" / "one.csv").write_text(HEADER + "u1,F,1,a,P,0\nu1,F,1,a,P,x\n")
     (tmp_path / "two.csv").write_text(HEADER + "u2,F,1,a,P,5\nu2,F,1,a,P,1\n")
-    corpus, summary = read_corpus([tmp_path / "dir", str(tmp_path / "two.csv")], strict=False)
+    corpus, summary = read_corpus([tmp_path / "dir", str(tmp_path / "two.csv")])
     assert corpus.roster == ["u1", "u2"]
     assert [log.session_key for log in summary.sessions] == [("u1", "F", 1), ("u2", "F", 1)]
     assert (summary.rows_total, summary.rows_rejected, summary.resorted_sessions) == (4, 1, 1)
@@ -372,9 +400,9 @@ def plain(result):
     }
 
 
-def outcome(parse, text, strict, source):
+def outcome(parse, text, source):
     try:
-        return "ok", parse(text, strict=strict, source=source)
+        return "ok", parse(text, source=source)
     except MalformedRowError as exc:
         return "malformed", (exc.row, str(exc))
     except EmptyInputError as exc:
@@ -382,12 +410,12 @@ def outcome(parse, text, strict, source):
 
 
 @settings(max_examples=200, deadline=None)
-@example(HEADER + "u1,F,1,a,P,5\nu1,F,1,b,P,3\nu1,F,1,c,P,7\n", True, None, False)  # 5 > 3 but not 5 > 7
-@given(faulty_csv(), st.booleans(), st.sampled_from((None, "log.csv")), st.booleans())
-def test_parse_log_matches_oracle(text, strict, source, as_bytes):
+@example(HEADER + "u1,F,1,a,P,5\nu1,F,1,b,P,3\nu1,F,1,c,P,7\n", None, False)  # 5 > 3 but not 5 > 7
+@given(faulty_csv(), st.sampled_from((None, "log.csv")), st.booleans())
+def test_parse_log_matches_oracle(text, source, as_bytes):
     data = text.encode("utf-8") if as_bytes else text
-    got_kind, got = outcome(parse_log, data, strict, source)
-    want_kind, want = outcome(parse_log_oracle, data, strict, source)
+    got_kind, got = outcome(parse_log, data, source)
+    want_kind, want = outcome(parse_log_oracle, data, source)
     assert got_kind == want_kind
     if got_kind == "ok":
         assert plain(got) == want
@@ -396,11 +424,11 @@ def test_parse_log_matches_oracle(text, strict, source, as_bytes):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.binary(max_size=200), st.booleans())
-def test_parse_log_arbitrary_bytes_parse_or_raise_keydyn_error(data, strict):
+@given(st.binary(max_size=200))
+def test_parse_log_arbitrary_bytes_parse_or_raise_keydyn_error(data):
     for candidate in (data, HEADER.encode() + data):
         try:
-            parse_log(candidate, strict=strict)
+            parse_log(candidate)
         except KeydynError:
             pass
 

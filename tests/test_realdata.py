@@ -27,7 +27,7 @@ COMBINED_RANGE = (0.75, 0.958)
 
 @pytest.mark.skipif(not DATASET, reason="KEYDYN_DATASET not set; real dataset unavailable")
 def test_criterion_6_real_data_reproduction():
-    corpus, _ = read_corpus(DATASET, strict=False)
+    corpus, _ = read_corpus(DATASET)
     report = run_benchmark(
         corpus,
         BenchmarkConfig(scorers=("fmean",), similarity_mode=SimilarityMode.CORRECTED, k_max=5),
