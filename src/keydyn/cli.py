@@ -35,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse a key = value config file into text values; each option's own type reads them."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # one leading byte-order mark is ignored
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: config file is not UTF-8 text: {exc}") from None
     values: dict[str, str] = {}

@@ -3,8 +3,9 @@
 :func:`build_scenario_data` serves every scenario of a run at once: it
 extracts each needed session once and turns it into its run of (feature id,
 value) with :func:`keydyn.verifiers.session_runs`, over one vocabulary of
-those sessions' keys, and pools each distinct (user, side) profile from
-those runs once, so scenarios that share a side share its prepared profile.
+those sessions' feature names, and pools each distinct (user, side) profile
+from those runs once, so scenarios that share a side share its prepared
+profile.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def build_scenario_data(
     needed session is extracted into its run once, and each distinct (user,
     side) profile is pooled from those runs once, over one
     :func:`~keydyn.verifiers.session_runs` vocabulary of the needed sessions'
-    keys.
+    feature names.
     """
     rosters = [_eligible_users(corpus, scenario) for scenario in scenarios]
     sides = {
@@ -342,6 +343,13 @@ def _typed(value: Any, kind: type | tuple[type, ...], name: str) -> Any:
     return value
 
 
+def _field(value: Any, name: str) -> str:
+    """``value`` if it is text that one CSV field carries unchanged: no comma or line break."""
+    if "," in _typed(value, str, name) or value.splitlines() not in ([], [value]):
+        raise ValueError(f"{name} holds a comma or a line break: {value!r}")
+    return value
+
+
 def report_from_json(text: str) -> EvaluationReport:
     """Read back a :func:`report_to_json` document; MalformedReportError if it is not one."""
     try:
@@ -349,18 +357,18 @@ def report_from_json(text: str) -> EvaluationReport:
         report = EvaluationReport(config=doc["config"], dataset=doc["dataset"])
         report.scenarios = [
             ScenarioSummary(
-                _typed(s["name"], str, "name"),
-                _typed(s["kind"], str, "kind"),
+                _field(s["name"], "name"),
+                _field(s["kind"], "kind"),
                 _typed(s["n_users"], int, "n_users"),
-                tuple(_typed(user, str, "an excluded user") for user in _typed(s["excluded"], list, "excluded")),
+                tuple(_field(user, "an excluded user") for user in _typed(s["excluded"], list, "excluded")),
             )
             for s in doc["scenarios"]
         ]
         report.rows = [
             ResultRow(
-                _typed(r["scenario"], str, "scenario"),
-                _typed(r["kind"], str, "kind"),
-                _typed(r["scorer"], str, "scorer"),
+                _field(r["scenario"], "scenario"),
+                _field(r["kind"], "kind"),
+                _field(r["scorer"], "scorer"),
                 _typed(r["k"], int, "k"),
                 _typed(r["accuracy"], (int, float), "accuracy"),
             )

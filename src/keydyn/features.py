@@ -1,21 +1,23 @@
 """Timing-feature extraction: unigraphs, digraphs and word holds per session.
 
+A feature is its name: ``U:<key>`` (hold times), ``D:<first>|<second>``
+(intervals between consecutive keystrokes) or ``W:<word>`` (word holds).
 Each extractor maps paired keystrokes of ONE session to a plain dict from
-feature key to the list of observed durations (ms) in occurrence order. The
-three kinds live in one dict with kind-disjoint keys, so verifiers see a
-single common-feature set. A user's enrollment or probe profile pools the
-dicts of several sessions; :func:`keydyn.verifiers.session_runs` and
-:func:`~keydyn.verifiers.prepare_profile` do the pooling, so no digraph or
-word ever spans two sessions.
+feature name to the observed durations (ms) in occurrence order; the
+prefixes keep the kinds apart in one dict, and a profile JSON is keyed by
+the same names. Two digraphs with one name (keys ``1``, ``2|3`` and ``1|2``,
+``3`` both give ``D:1|2|3``) are one feature. A user's enrollment or probe
+profile pools the dicts of several sessions; :func:`keydyn.verifiers.session_runs`
+and :func:`~keydyn.verifiers.prepare_profile` do the pooling, so no digraph
+or word ever spans two sessions.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from enum import Enum
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,58 +33,37 @@ class Kind(str, Enum):
 ALL_KINDS = (Kind.UNIGRAPH, Kind.DIGRAPH, Kind.WORDHOLD)
 
 
-class FeatureKey(NamedTuple):
-    kind: Kind
-    label: str | tuple[str, str]
-
-    def to_string(self) -> str:
-        if self.kind is Kind.DIGRAPH:
-            return f"D:{self.label[0]}|{self.label[1]}"
-        return f"{self.kind.value}:{self.label}"
-
-
-def unigraph_key(key: str) -> FeatureKey:
-    return FeatureKey(Kind.UNIGRAPH, key)
-
-
-def digraph_key(first: str, second: str) -> FeatureKey:
-    return FeatureKey(Kind.DIGRAPH, (first, second))
-
-
-def wordhold_key(word: str) -> FeatureKey:
-    return FeatureKey(Kind.WORDHOLD, word)
-
-
-def _keyed(kind: Kind, labels: Iterable, values: Iterable[float]) -> dict[FeatureKey, list[float]]:
-    """Each label's values in occurrence order, keyed by its feature key; labels in order of first occurrence."""
-    grouped: defaultdict[object, list[float]] = defaultdict(list)
+def _keyed(kind: Kind, labels: Iterable[str], values: Iterable[float]) -> dict[str, list[float]]:
+    """Each label's values in occurrence order, keyed by its feature name; labels in order of first occurrence."""
+    grouped: defaultdict[str, list[float]] = defaultdict(list)
     for label, value in zip(labels, values):
         grouped[label].append(value)
-    # tuple.__new__ builds each key as FeatureKey(kind, label) would, without a Python-level call
-    return dict(zip(map(tuple.__new__, repeat(FeatureKey), zip(repeat(kind), grouped)), grouped.values()))
+    prefix = kind.value + ":"
+    return {prefix + label: values for label, values in grouped.items()}
 
 
-def extract_unigraphs(pairs: Keystrokes) -> dict[FeatureKey, list[float]]:
+def extract_unigraphs(pairs: Keystrokes) -> dict[str, list[float]]:
     """Key hold times: release minus press per occurrence of each key."""
     keys = map(pairs.key_names.__getitem__, pairs.keys.tolist())
     return _keyed(Kind.UNIGRAPH, keys, (pairs.release_ms - pairs.press_ms).tolist())
 
 
-def extract_digraphs(pairs: Keystrokes) -> dict[FeatureKey, list[float]]:
+def extract_digraphs(pairs: Keystrokes) -> dict[str, list[float]]:
     """Key interval times between consecutive keystrokes of one session.
 
     The latency is press(next) - release(previous); rollover typing makes
     negative values legitimate and they are retained. No pause filtering.
     """
     keys = list(map(pairs.key_names.__getitem__, pairs.keys.tolist()))
-    return _keyed(Kind.DIGRAPH, zip(keys, keys[1:]), (pairs.press_ms[1:] - pairs.release_ms[:-1]).tolist())
+    labels = map("|".join, zip(keys, keys[1:]))
+    return _keyed(Kind.DIGRAPH, labels, (pairs.press_ms[1:] - pairs.release_ms[:-1]).tolist())
 
 
 def _is_word_char(key: str) -> bool:
     return len(key) == 1 and not key.isspace()
 
 
-def extract_wordholds(pairs: Keystrokes) -> dict[FeatureKey, list[float]]:
+def extract_wordholds(pairs: Keystrokes) -> dict[str, list[float]]:
     """Word hold times: release of a word's last key minus press of its first.
 
     A word is a maximal run of character keystrokes; any non-character key
@@ -107,9 +88,9 @@ _EXTRACTORS = {
 }
 
 
-def extract_features(pairs: Keystrokes, kinds: Sequence[Kind] = ALL_KINDS) -> dict[FeatureKey, list[float]]:
+def extract_features(pairs: Keystrokes, kinds: Sequence[Kind] = ALL_KINDS) -> dict[str, list[float]]:
     """Run the requested extractors over one session's pairs, merged."""
-    merged: dict[FeatureKey, list[float]] = {}
+    merged: dict[str, list[float]] = {}
     for kind in kinds:
         merged.update(_EXTRACTORS[kind](pairs))
     return merged
@@ -119,7 +100,7 @@ def session_features(
     log: SessionLog,
     kinds: Sequence[Kind] = ALL_KINDS,
     pairs: Keystrokes | None = None,
-) -> dict[FeatureKey, list[float]]:
+) -> dict[str, list[float]]:
     """Extract one session's features from its paired keystrokes.
 
     ``pairs`` is the session's pairing when the caller already holds it;
@@ -135,7 +116,7 @@ def _json_values(values: Sequence[float]) -> str:
     return "[\n      " + text + "\n    ]" if text else "[]"
 
 
-def profile_to_json(log: SessionLog, features: Mapping[FeatureKey, Sequence[float]]) -> str:
+def profile_to_json(log: SessionLog, features: Mapping[str, Sequence[float]]) -> str:
     """One session's profile document: its provenance from ``log``, then ``features``.
 
     The text is that of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a
@@ -143,8 +124,7 @@ def profile_to_json(log: SessionLog, features: Mapping[FeatureKey, Sequence[floa
     encoder. Names are quoted as JSON quotes them and values, which are
     floats, are written as ``float.__repr__`` writes them.
     """
-    named = {key.to_string(): values for key, values in features.items()}
-    entries = ",\n".join(f"    {_quote(name)}: {_json_values(values)}" for name, values in sorted(named.items()))
+    entries = ",\n".join(f"    {_quote(name)}: {_json_values(features[name])}" for name in sorted(features))
     body = "{\n" + entries + "\n  }" if entries else "{}"
     return (
         "{\n"

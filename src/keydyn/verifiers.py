@@ -2,11 +2,12 @@
 
 All three compare an enrollment pattern A against a probe pattern B over
 their common feature set and return a match score in [0, 1]. Profiles are
-any Mapping from feature key to a non-empty sequence of durations; the
-per-session dicts of :mod:`keydyn.features` qualify.
+any Mapping from feature name (``U:a``, ``D:a|b``, ``W:ab``) to a non-empty
+sequence of durations; the per-session dicts of :mod:`keydyn.features`
+qualify.
 
 Scoring runs on a columnar form: :func:`session_runs` turns session maps
-into runs of (feature id, value) over one vocabulary of their keys,
+into runs of (feature id, value) over one vocabulary of their names,
 :func:`prepare_profile` pools the runs of one side into sorted per-feature
 value runs with their medians, and a :class:`Roster` lays out a scenario's
 two sides once for all three verifiers. Similarity and ITAD compare
@@ -29,7 +30,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyListError, ValueOutOfRangeError
-from .features import FeatureKey
 
 
 class Verifier(str, Enum):
@@ -66,7 +66,7 @@ def check_threshold(threshold: float) -> float:
 MAX_MAGNITUDE = 1e15
 
 
-ProfileLike = Mapping[FeatureKey, Sequence[float]]
+ProfileLike = Mapping[str, Sequence[float]]
 
 
 class PreparedProfile(NamedTuple):
@@ -90,20 +90,21 @@ class SessionRun(NamedTuple):
 
 def session_runs(
     maps: Iterable[ProfileLike], sources: Iterable[str] | None = None
-) -> tuple[list[SessionRun], list[FeatureKey]]:
-    """The run of each of ``maps``, over one vocabulary ``keys``: id ``i`` names ``keys[i]``.
+) -> tuple[list[SessionRun], list[str]]:
+    """The run of each of ``maps``, over one vocabulary ``names``: id ``i`` is feature ``names[i]``.
 
     The maps are read one at a time and none is kept, so a generator of
     session maps holds at most two alive. Ids go out in order of first sight,
-    then are renumbered to ascend with the sorted keys: kernels that walk
-    features in id order walk them in sorted-key order, so a score does not
-    depend on which other maps shared the vocabulary. A feature with an empty
-    value list raises EmptyListError, and a value that is not finite or whose
-    magnitude exceeds :data:`MAX_MAGNITUDE` raises ValueOutOfRangeError; the
-    message names the feature and, when ``sources`` names each map, its map.
+    then are renumbered to ascend with the sorted names, the key order of a
+    profile JSON: kernels that walk features in id order walk them in name
+    order, so a score does not depend on which other maps shared the
+    vocabulary. A feature with an empty value list raises EmptyListError, and
+    a value that is not finite or whose magnitude exceeds
+    :data:`MAX_MAGNITUDE` raises ValueOutOfRangeError; the message names the
+    feature and, when ``sources`` names each map, its map.
     """
-    ids: dict[FeatureKey, int] = {}
-    # every key read draws a number and a new key keeps it, so first-sight
+    ids: dict[str, int] = {}
+    # every name read draws a number and a new name keeps it, so first-sight
     # ids are unique and rising, with gaps, at the cost of one C-level pass
     numbers = itertools.count()
     runs = []
@@ -112,23 +113,21 @@ def session_runs(
         lists = list(part.values())
         counts = np.fromiter(map(len, lists), np.int64, len(lists))
         if not counts.all():
-            key = list(part)[counts.argmin()]
-            raise EmptyListError(f"empty value list for feature {key.to_string()}{where}")
+            name = list(part)[counts.argmin()]
+            raise EmptyListError(f"empty value list for feature {name}{where}")
         fids = np.repeat(np.fromiter(map(ids.setdefault, part, numbers), np.int64, len(lists)), counts)
         values = np.fromiter(itertools.chain.from_iterable(lists), np.float64, fids.size)
         out = ~(np.abs(values) <= MAX_MAGNITUDE)  # NaN is out too
         if out.any():
             first = out.argmax()
-            key = list(part)[np.searchsorted(np.cumsum(counts), first, side="right")]
+            name = list(part)[np.searchsorted(np.cumsum(counts), first, side="right")]
             value = float(values[first])
-            raise ValueOutOfRangeError(
-                f"value {value!r} of feature {key.to_string()}{where} is not within +/-{MAX_MAGNITUDE:g} ms"
-            )
+            raise ValueOutOfRangeError(f"value {value!r} of feature {name}{where} is not within +/-{MAX_MAGNITUDE:g} ms")
         runs.append(SessionRun(fids, values))
-    keys = sorted(ids)
+    names = sorted(ids)
     renumber = np.empty(next(numbers), np.int64)
-    renumber[[ids[key] for key in keys]] = np.arange(len(keys))
-    return [SessionRun(renumber[run.fids], run.values) for run in runs], keys
+    renumber[[ids[name] for name in names]] = np.arange(len(names))
+    return [SessionRun(renumber[run.fids], run.values) for run in runs], names
 
 
 def prepare_profile(runs: Sequence[SessionRun]) -> PreparedProfile:

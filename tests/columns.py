@@ -1,9 +1,10 @@
-"""Sessions and keystrokes built from plain rows, and read back as rows.
+"""Sessions and keystrokes built from plain rows, and read back as rows; feature names.
 
 keydyn holds a session's events (``SessionLog``) and its paired keystrokes
 (``Keystrokes``) only as columns. Tests state their inputs and expectations
 as rows: an event is ``(key, "P" | "R", time_ms)`` and a keystroke is
-``(key, press_ms, release_ms)``.
+``(key, press_ms, release_ms)``. A feature is named by its kind's letter and
+its label, as :mod:`keydyn.features` names it: ``U:a``, ``D:a|b``, ``W:ab``.
 """
 
 from __future__ import annotations
@@ -53,3 +54,15 @@ def keystroke_rows(pairs: Keystrokes) -> list[tuple[str, float, float]]:
     """Keystrokes as ``(key, press_ms, release_ms)`` rows."""
     keys = map(pairs.key_names.__getitem__, pairs.keys.tolist())
     return list(zip(keys, pairs.press_ms.tolist(), pairs.release_ms.tolist()))
+
+
+def unigraph_key(key: str) -> str:
+    return f"U:{key}"
+
+
+def digraph_key(first: str, second: str) -> str:
+    return f"D:{first}|{second}"
+
+
+def wordhold_key(word: str) -> str:
+    return f"W:{word}"

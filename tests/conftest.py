@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from keydyn.features import Kind, digraph_key, unigraph_key, wordhold_key
+from columns import digraph_key, unigraph_key, wordhold_key
 
 
 FEATURE_POOL = (
@@ -27,7 +27,7 @@ def random_profile(rng: np.random.Generator, max_features: int = 5, max_values: 
     for index in chosen:
         key = FEATURE_POOL[index]
         n_values = int(rng.integers(1, max_values + 1))
-        if key.kind is Kind.DIGRAPH:
+        if key.startswith("D:"):
             values = rng.uniform(-250.0, 400.0, n_values)
         else:
             values = rng.uniform(0.0, 400.0, n_values)

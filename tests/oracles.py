@@ -6,7 +6,8 @@ Written against the algorithm definitions only, with plain loops and the
 statistics module; the verifier oracles deliberately share no code with the
 package so they can serve as the reference side of the equivalence checks.
 The pairing and extractor oracles are the package's earlier loops over
-named-tuple rows, kept as they were, that its columnar versions replace.
+named-tuple rows, which its columnar versions replace; the extractor oracles
+spell each feature name (``U:a``, ``D:a|b``, ``W:ab``) themselves.
 """
 
 from __future__ import annotations
@@ -194,28 +195,23 @@ def pair_events_oracle(events) -> tuple[list, int, int, int]:
     return pairs, repeats, orphans, len(pending)
 
 
-def _keyed(kind, grouped: dict) -> dict:
-    from keydyn.features import FeatureKey
-
-    return {FeatureKey(kind, label): values for label, values in grouped.items()}
+def _named(kind: str, grouped: dict) -> dict:
+    """``grouped`` keyed by feature name: the kind's letter, a colon, then the label."""
+    return {f"{kind}:{label}": values for label, values in grouped.items()}
 
 
 def extract_unigraphs_oracle(pairs) -> dict:
-    from keydyn.features import Kind
-
     grouped: defaultdict[str, list[float]] = defaultdict(list)
     for key, press_ms, release_ms in pairs:
         grouped[key].append(release_ms - press_ms)
-    return _keyed(Kind.UNIGRAPH, grouped)
+    return _named("U", grouped)
 
 
 def extract_digraphs_oracle(pairs) -> dict:
-    from keydyn.features import Kind
-
-    grouped: defaultdict[tuple[str, str], list[float]] = defaultdict(list)
+    grouped: defaultdict[str, list[float]] = defaultdict(list)
     for (first, _, release_ms), (second, press_ms, _) in zip(pairs, pairs[1:]):
-        grouped[first, second].append(press_ms - release_ms)
-    return _keyed(Kind.DIGRAPH, grouped)
+        grouped[f"{first}|{second}"].append(press_ms - release_ms)
+    return _named("D", grouped)
 
 
 def _is_word_char(key: str) -> bool:
@@ -223,8 +219,6 @@ def _is_word_char(key: str) -> bool:
 
 
 def extract_wordholds_oracle(pairs) -> dict:
-    from keydyn.features import Kind
-
     grouped: defaultdict[str, list[float]] = defaultdict(list)
     word: list[str] = []
     first_press = last_release = 0.0
@@ -239,4 +233,4 @@ def extract_wordholds_oracle(pairs) -> dict:
             word = []
     if word:
         grouped["".join(word)].append(last_release - first_press)
-    return _keyed(Kind.WORDHOLD, grouped)
+    return _named("W", grouped)

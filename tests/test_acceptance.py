@@ -14,7 +14,6 @@ from scipy.stats import binom
 
 from keydyn.cli import main
 from keydyn.evaluation import BenchmarkConfig, k_rank_accuracy, run_benchmark
-from keydyn.features import digraph_key, unigraph_key
 from keydyn.matrix import FusionMethod, ScoreMatrix, build_score_matrix, fuse
 from keydyn.synth import SynthSpec, generate_corpus
 from keydyn.verifiers import (
@@ -25,6 +24,7 @@ from keydyn.verifiers import (
     similarity_score,
 )
 
+from columns import digraph_key, unigraph_key
 from conftest import random_profile
 from oracles import oracle_absolute, oracle_itad, oracle_similarity
 

@@ -7,6 +7,7 @@ import pytest
 from keydyn import cli, features
 from keydyn.cli import load_config_file, main
 from keydyn.ingest import CSV_HEADER, pair_events, read_corpus
+from keydyn.verifiers import session_runs
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,23 @@ def test_extract_writes_profiles_and_summary(corpus_dir, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "users: 4" in printed
     assert "keystrokes:" in printed
+
+
+def test_extract_keeps_both_digraphs_that_share_a_name(tmp_path, capsys):
+    # keys 1, 2|3, 1|2, 3: the digraphs (1, 2|3) and (1|2, 3) are both named D:1|2|3
+    corpus = tmp_path / "bars.csv"
+    strokes = [("1", 0, 50), ("2|3", 60, 100), ("1|2", 130, 170), ("3", 185, 220)]
+    corpus.write_text(CSV_HEADER + "".join(f"\nu1,F,1,{k},P,{p}\nu1,F,1,{k},R,{r}" for k, p, r in strokes) + "\n")
+    out = tmp_path / "profiles"
+    assert main(["extract", str(corpus), "--out", str(out)]) == 0
+    doc = json.loads((out / "u1_F_s1.json").read_text())
+    assert doc["features"]["D:1|2|3"] == [10.0, 15.0]
+    assert doc["features"]["D:2|3|1|2"] == [30.0]
+    # scoring sees the one feature, with both values
+    [log], _ = read_corpus([corpus])
+    [run], names = session_runs([features.session_features(log)])
+    assert names.count("D:1|2|3") == 1
+    assert run.values[run.fids == names.index("D:1|2|3")].tolist() == [10.0, 15.0]
 
 
 def test_extract_missing_input_is_io_error(tmp_path, capsys):
@@ -433,6 +451,15 @@ def report_doc(corpus_dir, tmp_path_factory):
         ("scenarios", "n_users", False),
         ("scenarios", "excluded", "u1"),
         ("scenarios", "excluded", [1]),
+        # text that one CSV field cannot carry: "F,x\ny" rendered as two lines, the first with an extra field
+        ("results", "scenario", "F,x\ny"),
+        ("results", "scenario", "F,x"),
+        ("results", "kind", "same\r"),
+        ("results", "scorer", "it\nad"),
+        ("scenarios", "name", "F\u2028x"),
+        ("scenarios", "kind", "same,cross"),
+        ("scenarios", "excluded", ["u1,u2"]),
+        ("scenarios", "excluded", ["u1\n"]),
     ],
 )
 @pytest.mark.parametrize("fmt", ["table", "csv"])
@@ -525,6 +552,17 @@ def test_config_not_utf8_is_usage_error(tmp_path, capsys):
     assert main(["--config", str(cfg), "synth"]) == 1
     assert f"usage error: {cfg}: config file is not UTF-8 text" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["keydyn.cfg"]
+
+
+def test_config_leading_byte_order_mark_is_ignored(tmp_path, capsys):
+    cfg = tmp_path / "keydyn.cfg"
+    cfg.write_bytes('\ufeffjobs = 1\nusers = 2\nout_dir = "{}"\n'.format(tmp_path / "out").encode("utf-8"))
+    assert main(["--config", str(cfg), "synth"]) == 0
+    assert "users: 2" in capsys.readouterr().out
+    # only one, and only at the start of the file
+    cfg.write_bytes('jobs = 1\n\ufeffusers = 2\n'.encode("utf-8"))
+    assert main(["--config", str(cfg), "synth"]) == 1
+    assert r"unknown config key '\ufeffusers'" in capsys.readouterr().err
 
 
 def test_config_unknown_key_is_usage_error(tmp_path, capsys):

@@ -8,26 +8,29 @@ from hypothesis import given, strategies as st
 
 from keydyn.features import (
     Kind,
-    digraph_key,
     extract_digraphs,
     extract_features,
     extract_unigraphs,
     extract_wordholds,
     profile_to_json,
     session_features,
-    unigraph_key,
-    wordhold_key,
 )
-from keydyn.verifiers import prepare_profile, session_runs
+from keydyn.verifiers import itad_score, prepare_profile, session_runs
 
-from columns import keystrokes
+from columns import digraph_key, keystrokes, unigraph_key, wordhold_key
 from columns import session_log as make_session
+from oracles import oracle_itad
 
 U, D, W = unigraph_key, digraph_key, wordhold_key
 
 
 def pairs_of(*triples):
     return keystrokes(triples)
+
+
+def typed(*strokes):
+    """A session of one press and one release per ``(key, press_ms, release_ms)`` stroke."""
+    return make_session([event for k, p, r in strokes for event in ((k, "P", p), (k, "R", r))])
 
 
 def value_count(features):
@@ -131,7 +134,7 @@ def test_session_features_provenance_and_kinds():
     fd = session_features(log)
     doc = json.loads(profile_to_json(log, fd))
     assert (doc["user"], doc["platforms"], doc["sessions"]) == ("u1", ["F"], [1])
-    assert Counter(key.kind for key in fd) == {Kind.UNIGRAPH: 2, Kind.DIGRAPH: 1, Kind.WORDHOLD: 1}
+    assert Counter(name[:2] for name in fd) == {"U:": 2, "D:": 1, "W:": 1}
 
 
 def test_no_cross_session_digraphs_or_words():
@@ -150,7 +153,22 @@ def test_no_cross_session_digraphs_or_words():
 def test_extract_features_kinds_subset():
     pairs = pairs_of(("a", 0, 50), ("b", 60, 100))
     fd = extract_features(pairs, (Kind.UNIGRAPH,))
-    assert set(k.kind for k in fd) == {Kind.UNIGRAPH}
+    assert list(fd) == ["U:a", "U:b"]
+
+
+def test_feature_ids_ascend_in_the_name_order_profiles_are_written_in():
+    # F1 prefixes F10: as (first, second) tuples ("F1", "F10") < ("F1", "a") < ("F10", "F1"),
+    # but as names D:F10|F1 < D:F1|F10 < D:F1|a, since "0" sorts before "|"
+    enroll_log = typed(("F1", 0, 40), ("F10", 60, 90), ("F1", 100, 150), ("a", 170, 200), ("F10", 230, 260))
+    probe_log = typed(("F10", 0, 35), ("F1", 55, 95), ("F10", 110, 170), ("F1", 180, 230), ("a", 240, 260))
+    enroll, probe = session_features(enroll_log), session_features(probe_log)
+    _, names = session_runs([enroll, probe])
+    assert names == sorted({*enroll, *probe})
+    assert names.index(D("F10", "F1")) < names.index(D("F1", "F10")) < names.index(D("F1", "a"))
+    for log, fd in ((enroll_log, enroll), (probe_log, probe)):
+        written = list(json.loads(profile_to_json(log, fd))["features"])
+        assert written == session_runs([fd])[1] == [name for name in names if name in fd]
+    assert abs(itad_score(enroll, probe) - oracle_itad(enroll, probe)) <= 1e-12
 
 
 # -- serialization -----------------------------------------------------------
@@ -196,7 +214,7 @@ def test_profile_json_bytes_are_those_of_json_dumps(user, platform, session, fea
         "user": user,
         "platforms": [platform],
         "sessions": [session],
-        "features": {key.to_string(): list(values) for key, values in features.items()},
+        "features": {name: list(values) for name, values in features.items()},
     }
     assert profile_to_json(log, features) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -11,7 +11,6 @@ import pytest
 from keydyn import verifiers
 from keydyn.errors import KeydynError, RosterMismatchError, ShapeMismatchError
 from keydyn.evaluation import ALL_SCORERS, k_rank_accuracy
-from keydyn.features import unigraph_key, wordhold_key
 from keydyn.matrix import (
     FusionMethod,
     ScoreMatrix,
@@ -23,6 +22,7 @@ from keydyn.matrix import (
 )
 from keydyn.verifiers import SimilarityMode, Verifier, prepare_profile, session_runs
 
+from columns import unigraph_key, wordhold_key
 from conftest import FEATURE_POOL, random_profile
 from oracles import oracle_absolute, oracle_itad, oracle_similarity
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from keydyn.errors import EmptyListError, ValueOutOfRangeError
-from keydyn.features import digraph_key, unigraph_key
 from keydyn.verifiers import (
     MAX_MAGNITUDE,
     SimilarityMode,
@@ -19,6 +18,7 @@ from keydyn.verifiers import (
     similarity_score,
 )
 
+from columns import digraph_key, unigraph_key
 from conftest import random_profile
 from oracles import oracle_absolute, oracle_itad, oracle_similarity
 
