@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from . import evaluation, matrix, synth
-from .errors import KeydynError, MalformedReportError, OutputNameError
+from .errors import KeydynError, OutputNameError
 from .features import ALL_KINDS, Kind, profile_to_json, session_features
 from .ingest import ParseResult, pair_events, read_corpus, serialize_corpus
 from .verifiers import DEFAULT_ABSOLUTE_THRESHOLD, SimilarityMode
@@ -339,14 +339,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    if "json" in formats:
-        path = out_dir / "report.json"
-        path.write_text(evaluation.report_to_json(report), encoding="utf-8")
-        written.append(path)
-    if "csv" in formats:
-        path = out_dir / "report.csv"
-        path.write_text(evaluation.report_to_csv(report), encoding="utf-8")
-        written.append(path)
+    for fmt, render in (("json", evaluation.report_to_json), ("csv", evaluation.report_to_csv)):
+        if fmt in formats:
+            written.append(out_dir / f"report.{fmt}")
+            written[-1].write_text(render(report), encoding="utf-8")
     print(f"scenarios: {len(report.scenarios)}  result rows: {len(report.rows)}")
     for path in written:
         print(f"report written: {path}")
@@ -382,11 +378,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.report).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedReportError(f"not an evaluation report: {exc.__class__.__name__}: {exc}") from None
-    report = evaluation.report_from_json(text)
+    report = evaluation.report_from_json(Path(args.report).read_bytes())
     if args.format == "csv":
         sys.stdout.write(evaluation.report_to_csv(report))
         return 0

@@ -29,12 +29,11 @@ from .errors import (
 )
 from .features import ALL_KINDS, Kind, session_features
 from .ingest import Corpus, check_platform_label
-from .matrix import FusionMethod, ScoreMatrix, score_matrices
+from .matrix import ALL_SCORERS, ScoreMatrix, check_scorers, score_matrices
 from .verifiers import (
     DEFAULT_ABSOLUTE_THRESHOLD,
     PreparedProfile,
     SimilarityMode,
-    Verifier,
     check_threshold,
     prepare_profile,
     session_runs,
@@ -49,7 +48,6 @@ ENROLL_SESSIONS = (1, 2, 3)
 PROBE_SESSIONS = (4, 5, 6)
 ALL_SESSIONS = ENROLL_SESSIONS + PROBE_SESSIONS
 
-ALL_SCORERS = tuple(v.value for v in Verifier) + tuple(m.value for m in FusionMethod)
 SCENARIO_KINDS = ("same", "cross", "combined")
 
 
@@ -229,24 +227,16 @@ class BenchmarkConfig:
     scenario_kinds: tuple[str, ...] = SCENARIO_KINDS
 
     def __post_init__(self) -> None:
-        unknown = [s for s in self.scorers if s not in ALL_SCORERS]
-        if unknown:
-            raise ValueError(f"unknown scorers {unknown}; choose from {list(ALL_SCORERS)}")
-        if not self.scorers:
-            raise ValueError("at least one scorer must be selected")
-        if len(set(self.scorers)) != len(self.scorers):
-            raise ValueError(f"repeated scorers in {list(self.scorers)}")
+        check_scorers(self.scorers)
         if not self.kinds:
             raise ValueError("at least one feature kind must be selected")
-        unknown = [kind for kind in self.kinds if not isinstance(kind, Kind)]
-        if unknown:
+        if unknown := [kind for kind in self.kinds if not isinstance(kind, Kind)]:
             raise ValueError(f"unknown feature kinds {unknown}; choose from {[k.value for k in Kind]}")
         if len(set(self.kinds)) != len(self.kinds):
             raise ValueError(f"repeated feature kinds in {[k.value for k in self.kinds]}")
         if not self.scenario_kinds:
             raise ValueError("at least one scenario kind must be selected")
-        unknown = [kind for kind in self.scenario_kinds if kind not in SCENARIO_KINDS]
-        if unknown:
+        if unknown := [kind for kind in self.scenario_kinds if kind not in SCENARIO_KINDS]:
             raise ValueError(f"unknown scenario kinds {unknown}; choose from {list(SCENARIO_KINDS)}")
         if len(set(self.scenario_kinds)) != len(self.scenario_kinds):
             raise ValueError(f"repeated scenario kinds in {list(self.scenario_kinds)}")
@@ -350,16 +340,23 @@ def _field(value: Any, name: str) -> str:
     return value
 
 
-def report_from_json(text: str) -> EvaluationReport:
-    """Read back a :func:`report_to_json` document; MalformedReportError if it is not one."""
+def _within(value: Any, kind: type | tuple[type, ...], name: str, low: float, high: float = math.inf) -> Any:
+    """``value`` if it is a ``kind`` within [``low``, ``high``]; NaN is not."""
+    if not low <= _typed(value, kind, name) <= high:
+        raise ValueError(f"{name} must be within [{low}, {high}], got {value!r}")
+    return value
+
+
+def report_from_json(text: str | bytes) -> EvaluationReport:
+    """Read back a :func:`report_to_json` document, as text or UTF-8 bytes; MalformedReportError if it is not one."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
         report = EvaluationReport(config=doc["config"], dataset=doc["dataset"])
         report.scenarios = [
             ScenarioSummary(
                 _field(s["name"], "name"),
                 _field(s["kind"], "kind"),
-                _typed(s["n_users"], int, "n_users"),
+                _within(s["n_users"], int, "n_users", 1),
                 tuple(_field(user, "an excluded user") for user in _typed(s["excluded"], list, "excluded")),
             )
             for s in doc["scenarios"]
@@ -369,16 +366,17 @@ def report_from_json(text: str) -> EvaluationReport:
                 _field(r["scenario"], "scenario"),
                 _field(r["kind"], "kind"),
                 _field(r["scorer"], "scorer"),
-                _typed(r["k"], int, "k"),
-                _typed(r["accuracy"], (int, float), "accuracy"),
+                _within(r["k"], int, "k", 1),
+                _within(r["accuracy"], (int, float), "accuracy", 0, 1),
             )
             for r in doc["results"]
         ]
-        for row in report.rows:
-            if not math.isfinite(row.accuracy):
-                raise ValueError(f"accuracy must be finite, got {row.accuracy!r}")
-    # JSONDecodeError is a ValueError; OverflowError comes from an integer too large for a float
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        if unlisted := {r.scenario for r in report.rows} - {s.name for s in report.scenarios}:
+            raise ValueError(f"results for scenarios the report does not list: {sorted(unlisted)}")
+        if len({(r.scenario, r.scorer, r.k) for r in report.rows}) < len(report.rows):
+            raise ValueError("a (scenario, scorer, k) result is repeated")
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (ValueError, KeyError, TypeError) as exc:
         raise MalformedReportError(f"not an evaluation report: {exc.__class__.__name__}: {exc}") from None
     return report
 

@@ -35,6 +35,20 @@ class FusionMethod(str, Enum):
     MAX = "fmax"
 
 
+ALL_SCORERS = tuple(v.value for v in Verifier) + tuple(m.value for m in FusionMethod)
+
+
+def check_scorers(labels: Sequence[str]) -> Sequence[str]:
+    """Return the scorer ``labels``; ValueError unless there is at least one, each known and none repeated."""
+    if unknown := [s for s in labels if s not in ALL_SCORERS]:
+        raise ValueError(f"unknown scorers {unknown}; choose from {list(ALL_SCORERS)}")
+    if not labels:
+        raise ValueError("at least one scorer must be selected")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"repeated scorers in {list(labels)}")
+    return labels
+
+
 @dataclass
 class ScoreMatrix:
     """n x n match scores; rows index probe users, columns enrollment users."""
@@ -75,8 +89,9 @@ def score_matrices(
     ``sim``, ``abs`` and ``itad``; a fusion label (``fmean``...) fuses all
     three, which are then built even when not requested. ``mode`` applies to
     Similarity and ``threshold`` to Absolute, but every scorer requires a
-    valid threshold.
+    valid threshold; :func:`check_scorers` checks the labels.
     """
+    check_scorers(scorers)
     check_threshold(threshold)
     if set(enroll) != set(probe):
         raise RosterMismatchError(f"enroll/probe user sets differ: {sorted(set(enroll) ^ set(probe))}")

@@ -6,13 +6,13 @@ any Mapping from feature name (``U:a``, ``D:a|b``, ``W:ab``) to a non-empty
 sequence of durations; the per-session dicts of :mod:`keydyn.features`
 qualify.
 
-Scoring runs on a columnar form: :func:`session_runs` turns session maps
-into runs of (feature id, value) over one vocabulary of their names,
-:func:`prepare_profile` pools the runs of one side into sorted per-feature
-value runs with their medians, and a :class:`Roster` lays out a scenario's
-two sides once for all three verifiers. Similarity and ITAD compare
-(feature id, value) pairs exactly, as complex numbers that numpy orders by
-id, then value: each probe user's pairs are placed among the enrollment
+Scoring runs on a columnar form. Similarity and ITAD compare (feature id,
+value) pairs exactly, as complex numbers that numpy orders by id, then
+value. :func:`session_runs` turns each session map into its run: its pairs,
+over one vocabulary of the maps' names, sorted once. :func:`prepare_profile`
+merges the runs of one side into sorted per-feature values with their
+medians, and a :class:`Roster` lays out a scenario's two sides once for all
+three verifiers: each probe user's pairs are placed among the enrollment
 side's sorted values, medians and band edges. Each ``*_from_prepared``
 kernel scores a whole probe x enrollment matrix from the roster, looping
 over probe users only.
@@ -81,25 +81,18 @@ class PreparedProfile(NamedTuple):
     count: np.ndarray  # int64 per feature
 
 
-class SessionRun(NamedTuple):
-    """One session map in columnar form: its values, in map order, and the feature id of each."""
-
-    fids: np.ndarray  # int64
-    values: np.ndarray  # float64
-
-
 def session_runs(
     maps: Iterable[ProfileLike], sources: Iterable[str] | None = None
-) -> tuple[list[SessionRun], list[str]]:
+) -> tuple[list[np.ndarray], list[str]]:
     """The run of each of ``maps``, over one vocabulary ``names``: id ``i`` is feature ``names[i]``.
 
-    The maps are read one at a time and none is kept, so a generator of
-    session maps holds at most two alive. Ids go out in order of first sight,
-    then are renumbered to ascend with the sorted names, the key order of a
-    profile JSON: kernels that walk features in id order walk them in name
-    order, so a score does not depend on which other maps shared the
-    vocabulary. A feature with an empty value list raises EmptyListError, and
-    a value that is not finite or whose magnitude exceeds
+    A run is a map's :func:`_pairs`, ascending, tied pairs in map order. The
+    maps are read one at a time and none is kept, so a generator of session
+    maps holds at most two alive. Ids go out in order of first sight, then
+    are renumbered to ascend with the sorted names, the key order of a
+    profile JSON, so a score does not depend on which other maps shared the
+    vocabulary. A feature with an empty value list raises EmptyListError,
+    and a value that is not finite or whose magnitude exceeds
     :data:`MAX_MAGNITUDE` raises ValueOutOfRangeError; the message names the
     feature and, when ``sources`` names each map, its map.
     """
@@ -123,29 +116,29 @@ def session_runs(
             name = list(part)[np.searchsorted(np.cumsum(counts), first, side="right")]
             value = float(values[first])
             raise ValueOutOfRangeError(f"value {value!r} of feature {name}{where} is not within +/-{MAX_MAGNITUDE:g} ms")
-        runs.append(SessionRun(fids, values))
+        runs.append(_pairs(fids, values))
     names = sorted(ids)
     renumber = np.empty(next(numbers), np.int64)
     renumber[[ids[name] for name in names]] = np.arange(len(names))
-    return [SessionRun(renumber[run.fids], run.values) for run in runs], names
+    for run in runs:  # in place, so no second copy of the runs is ever made
+        run.real = renumber[run.real.astype(np.int64)]
+        run.sort(kind="stable")
+    return runs, names
 
 
-def prepare_profile(runs: Sequence[SessionRun]) -> PreparedProfile:
-    """Pool the values of ``runs`` per feature, sort them, and precompute the medians.
+def prepare_profile(runs: Sequence[np.ndarray]) -> PreparedProfile:
+    """Merge ``runs`` into one profile: each feature's pooled values, ascending, and their median.
 
     ``runs`` are the session runs of one side of one user, from one
     :func:`session_runs` vocabulary shared by every profile it is scored
-    against. Values are sorted per feature, so the order of the runs changes
-    no score.
+    against. The order of the runs changes no score.
     """
-    value_fids = np.concatenate([run.fids for run in runs] or [np.empty(0, np.int64)])
-    values = np.concatenate([run.values for run in runs] or [np.empty(0)])
-    # one sort puts features in id order and values ascending within each
-    order = np.lexsort((values, value_fids))
-    values, value_fids = values[order], value_fids[order]
-    starts = np.flatnonzero(np.diff(value_fids, prepend=-1))
-    fids = value_fids[starts]
-    count = np.diff(np.append(starts, value_fids.size))
+    pairs = np.concatenate(runs or [np.empty(0, np.complex128)])
+    pairs.sort(kind="stable")  # merges the ascending runs; tied pairs keep run order, then map order
+    starts = np.flatnonzero(np.diff(pairs.real, prepend=-1))
+    fids = pairs.real[starts].astype(np.int64)
+    count = np.diff(np.append(starts, pairs.size))
+    values = pairs.imag.copy()
 
     mid = starts + count // 2
     median = values[mid]

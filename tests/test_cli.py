@@ -94,7 +94,7 @@ def test_extract_keeps_both_digraphs_that_share_a_name(tmp_path, capsys):
     [log], _ = read_corpus([corpus])
     [run], names = session_runs([features.session_features(log)])
     assert names.count("D:1|2|3") == 1
-    assert run.values[run.fids == names.index("D:1|2|3")].tolist() == [10.0, 15.0]
+    assert run.imag[run.real == names.index("D:1|2|3")].tolist() == [10.0, 15.0]
 
 
 def test_extract_missing_input_is_io_error(tmp_path, capsys):
@@ -460,6 +460,16 @@ def report_doc(corpus_dir, tmp_path_factory):
         ("scenarios", "kind", "same,cross"),
         ("scenarios", "excluded", ["u1,u2"]),
         ("scenarios", "excluded", ["u1\n"]),
+        # values out of range: "F,same,abs,1,2.5" and "F,same,abs,-3,1.0" were rendered
+        ("results", "accuracy", 2.5),
+        ("results", "accuracy", -0.5),
+        ("results", "k", 0),
+        ("results", "k", -3),
+        ("scenarios", "n_users", 0),
+        ("scenarios", "n_users", -1),
+        # results[1] is the first scenario's itad at k=2: a repeated (scenario, scorer, k) row
+        ("results", "k", 2),
+        ("results", "scenario", "nowhere"),
     ],
 )
 @pytest.mark.parametrize("fmt", ["table", "csv"])

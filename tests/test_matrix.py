@@ -154,6 +154,22 @@ def test_pair_layouts_built_once_per_scenario(monkeypatch, scorers, builds):
     assert [calls[name] for name in ("probe_pairs", "thresholds", "values")] == [builds] * 3
 
 
+@pytest.mark.parametrize(
+    "scorers, message",
+    [
+        pytest.param(["bogus"], r"unknown scorers \['bogus'\]", id="unknown"),
+        pytest.param([], "at least one scorer", id="none"),
+        pytest.param(["itad", "itad"], "repeated scorers", id="repeated"),
+    ],
+)
+def test_scorer_labels_are_checked(scorers, message):
+    # not a bare KeyError, {} or one matrix for two labels; checked before any matrix, for no users too
+    runs, _ = session_runs([*profiles(u1=100.0).values(), *profiles(u1=110.0).values()])
+    for sides in (({"u1": prepare_profile(runs[:1])}, {"u1": prepare_profile(runs[1:])}), ({}, {})):
+        with pytest.raises(ValueError, match=message):
+            score_matrices(*sides, scorers)
+
+
 def test_empty_roster_gives_empty_matrices():
     matrices = score_matrices({}, {}, ALL_SCORERS, scenario="s")
     assert list(matrices) == list(ALL_SCORERS)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,6 +133,48 @@ def test_pooled_profile_equals_concatenated_parts(rng):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(prepare_profile(runs[::-1]), pooled))
 
 
+def _lexsorted(parts, names):
+    """The (feature id, value) columns of ``parts``, read in map order, ordered by ``np.lexsort``."""
+    fids = np.array([names.index(key) for part in parts for key, values in part.items() for _ in values], np.int64)
+    values = np.array([v for part in parts for values in part.values() for v in values], np.float64)
+    order = np.lexsort((values, fids))
+    return fids[order], values[order]
+
+
+def test_runs_ascend_as_pairs_and_profiles_merge_them_as_lexsort_does(rng):
+    # tie-heavy sessions: equal values within and across sessions, -0.0 next to 0.0, one-value
+    # features, and lists longer than the 16 values below which numpy sorts stably anyway
+    pool = [U("a"), U("b"), D("a", "b"), D("b", "a")]
+    for _ in range(100):
+        parts = []
+        for _ in range(int(rng.integers(1, 5))):
+            keys = rng.choice(len(pool), size=int(rng.integers(1, len(pool) + 1)), replace=False)
+            lengths = rng.choice([1, 1, 3, 20], size=keys.size)
+            part = {pool[i]: rng.choice([-1.0, -0.0, 0.0, 1.0], size=n).tolist() for i, n in zip(keys, lengths)}
+            if rng.random() < 0.5:  # names and values in reversed order
+                part = {key: values[::-1] for key, values in sorted(part.items(), reverse=True)}
+            parts.append(part)
+        runs, names = session_runs(parts)
+        for part, run in zip(parts, runs):
+            # each run ascends as pairs; tied pairs (-0.0 and 0.0 among them) keep map order
+            fids, values = _lexsorted([part], names)
+            assert run.dtype == np.complex128
+            assert run.real.tobytes() == fids.astype(np.float64).tobytes()
+            assert run.imag.tobytes() == values.tobytes()
+        for side, side_runs in ((parts, runs), (parts[::-1], runs[::-1])):
+            # the reference profile: one lexsort of the side's columns, concatenated in map order
+            fids, values = _lexsorted(side, names)
+            starts = np.flatnonzero(np.diff(fids, prepend=-1))
+            count = np.diff(np.append(starts, fids.size))
+            mid = starts + count // 2
+            median = values[mid]
+            even = count % 2 == 0
+            median[even] = (values[mid[even] - 1] + values[mid[even]]) / 2
+            for got, want in zip(prepare_profile(side_runs), (fids[starts], values, median, count)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
 def test_session_runs_keeps_maps_short_lived():
     # build_scenario_data's peak memory rests on each session map dying once it is a run
     class Map(dict):
@@ -150,8 +193,8 @@ def test_session_runs_keeps_maps_short_lived():
     runs, keys = session_runs(maps())
     assert len(refs) == len(runs) == 6
     assert keys == sorted([U("a"), D("a", "b")])
-    assert [run.values.tolist() for run in runs[:2]] == [[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]
-    assert runs[0].fids.tolist() == [keys.index(U("a"))] + [keys.index(D("a", "b"))] * 2
+    assert [run.imag.tolist() for run in runs[:2]] == [[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]
+    assert runs[0].real.tolist() == [keys.index(D("a", "b"))] * 2 + [keys.index(U("a"))]
 
 
 
