@@ -12,13 +12,13 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import evaluation, matrix, synth
 from .errors import KeydynError, OutputNameError
-from .features import ALL_KINDS, Kind, profile_to_json, session_features
+from .features import ALL_KINDS, profile_to_json, session_features
 from .ingest import ParseResult, pair_events, read_corpus, serialize_corpus
-from .verifiers import DEFAULT_ABSOLUTE_THRESHOLD, SimilarityMode
+from .verifiers import DEFAULT_ABSOLUTE_THRESHOLD, SimilarityMode, check_choices
 
 
 class UsageError(Exception):
@@ -71,9 +71,9 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, config: dict[str, s
     """Fill each option the command line left unset from the config file.
 
     A key must name an option of some command or a global flag, and its value
-    must pass that option's type and choices, as on the command line. Keys of
-    another command are accepted and left unused, so one file can serve every
-    command.
+    must pass that option's type and choices, as on the command line; a value
+    the type rejects is reported with the type's reason. Keys of another
+    command are accepted and left unused, so one file can serve every command.
     """
     known = {action.dest for p in (parser, *parser.commands.values()) for action in _options(p)}
     for key in config:
@@ -85,62 +85,61 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, config: dict[str, s
             raw = config[action.dest]
             try:
                 value = action.type(raw) if action.type else raw
-            except ValueError:
-                raise UsageError(f"config key {action.dest!r}: bad value {raw!r}") from None
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError(f"config key {action.dest!r}: bad value {raw!r}: {exc}") from None
             if action.choices is not None and value not in action.choices:
                 raise UsageError(f"config key {action.dest!r}: bad value {raw!r}; choose from {list(action.choices)}")
             setattr(args, action.dest, value)
 
 
-def _csv_tuple(value: str | None) -> tuple[str, ...] | None:
-    if value is None:
-        return None
+def _csv_tuple(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
-def _parse_kinds(value: str | None) -> tuple[Kind, ...]:
-    """Feature kinds from a comma list; all kinds when the option is not given."""
-    if value is None:
-        return ALL_KINDS
-    try:
-        kinds = tuple(Kind(v) for v in _csv_tuple(value))
-    except ValueError as exc:
-        raise UsageError(f"bad feature kind: {exc}") from None
-    if not kinds:
-        raise UsageError(f"bad --kinds {value!r}: at least one feature kind must be selected")
-    if len(set(kinds)) != len(kinds):
-        raise UsageError(f"bad --kinds {value!r}: repeated feature kinds")
-    return kinds
+def _choice_list(allowed: Sequence[Any], what: str) -> Callable[[str], tuple[Any, ...]]:
+    """An argparse type: a comma list of ``allowed`` values, each written as its text (an enum member as its value)."""
+    by_text = {getattr(a, "value", a): a for a in allowed}
+
+    def parse(text: str) -> tuple[Any, ...]:
+        try:
+            return tuple(by_text[name] for name in check_choices(_csv_tuple(text), tuple(by_text), what))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
-def _parse_formats(value: str | None, allowed: tuple[str, ...]) -> tuple[str, ...]:
-    """Output formats from a comma list; all of ``allowed`` when not given."""
-    if value is None:
-        return allowed
-    formats = _csv_tuple(value)
-    unknown = [f for f in formats if f not in allowed]
-    if unknown or not formats:
-        raise UsageError(f"bad --formats {list(formats)}; choose from {list(allowed)}")
-    if len(set(formats)) != len(formats):
-        raise UsageError(f"bad --formats {list(formats)}: repeated formats")
+def _formats(*allowed: str) -> Callable[[str], tuple[str, ...]]:
+    """An argparse type: output formats from a comma list; each message starts ``bad --formats [...]``."""
+
+    def formats(text: str) -> tuple[str, ...]:
+        listed = _csv_tuple(text)
+        try:
+            return check_choices(listed, allowed, "format")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad --formats {list(listed)}: {exc}") from None
+
     return formats
-
-
-def _parse_mode(value: str | None) -> SimilarityMode | None:
-    if value is None:
-        return None
-    try:
-        return SimilarityMode(value)
-    except ValueError:
-        raise UsageError(
-            f"bad similarity mode {value!r}; choose from "
-            f"{[m.value for m in SimilarityMode]}"
-        ) from None
 
 
 def _given(**options: Any) -> dict[str, Any]:
     """The options that are set, so the class they are passed to owns every default."""
     return {name: value for name, value in options.items() if value is not None}
+
+
+_KINDS = _choice_list(ALL_KINDS, "feature kind")
+
+
+def _add_scoring_options(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    """The options ``score`` and ``evaluate`` share; ``formats`` are the command's outputs, all written by default."""
+    scorers = matrix.ALL_SCORERS
+    p.add_argument("--scorers", type=_choice_list(scorers, "scorer"), help=f"comma list from {','.join(scorers)}")
+    p.add_argument("--similarity-mode", dest="similarity_mode", type=SimilarityMode, help="published | corrected")
+    p.add_argument(
+        "--threshold", type=float, help=f"absolute-verifier ratio threshold (default {DEFAULT_ABSOLUTE_THRESHOLD})"
+    )
+    p.add_argument("--kinds", type=_KINDS, help="feature kinds to score, e.g. U,D,W (default all)")
+    p.add_argument("--formats", type=_formats(*formats), help=f"comma list from {','.join(formats)} (default both)")
 
 
 def build_parser() -> _Parser:
@@ -156,31 +155,22 @@ def build_parser() -> _Parser:
     p = sub.add_parser("extract", help="parse logs and write per-session profile JSON documents")
     p.add_argument("inputs", nargs="+", help="CSV log file(s) or directories")
     p.add_argument("--out", help="output directory for profile documents")
-    p.add_argument("--kinds", help="feature kinds to extract, e.g. U,D,W (default all)")
+    p.add_argument("--kinds", type=_KINDS, help="feature kinds to extract, e.g. U,D,W (default all)")
 
     p = sub.add_parser("score", help="build score matrices for one scenario")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--scenario", help="same:<P> | cross:<P1>:<P2> | combined:<P1>,<P2>:<P3>")
     p.add_argument("--out", help="output directory for matrix files")
-    p.add_argument("--scorers", help="comma list from sim,abs,itad,fmean,fmedian,fmin,fmax")
-    p.add_argument("--similarity-mode", dest="similarity_mode", help="published | corrected")
-    p.add_argument(
-        "--threshold", type=float, help=f"absolute-verifier ratio threshold (default {DEFAULT_ABSOLUTE_THRESHOLD})"
-    )
-    p.add_argument("--kinds")
-    p.add_argument("--formats", help="comma list from csv,json (default both)")
+    _add_scoring_options(p, ("csv", "json"))
 
     p = sub.add_parser("evaluate", help="run the full scenario benchmark and write reports")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out", help="output directory for report files")
-    p.add_argument("--scorers")
     k_max = evaluation.BenchmarkConfig.k_max
     p.add_argument("--k-max", dest="k_max", type=int, help=f"report ranks 1..k (default {k_max})")
-    p.add_argument("--similarity-mode", dest="similarity_mode")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--scenarios", help="comma list from same,cross,combined (default all)")
-    p.add_argument("--kinds")
-    p.add_argument("--formats")
+    scenario_kinds = _choice_list(evaluation.SCENARIO_KINDS, "scenario kind")
+    p.add_argument("--scenarios", type=scenario_kinds, help="comma list from same,cross,combined (default all)")
+    _add_scoring_options(p, ("json", "csv"))
 
     p = sub.add_parser("synth", help="generate a synthetic corpus in canonical CSV")
     p.add_argument("--out-dir", dest="out_dir", help="directory for corpus.csv")
@@ -191,7 +181,9 @@ def build_parser() -> _Parser:
         type=float,
         help=f"inter-user spread multiplier, 0 to {synth.MAX_SEPARATION} (default {spec.separation})",
     )
-    p.add_argument("--platforms", help=f"comma list of platform labels (default {','.join(spec.platforms)})")
+    p.add_argument(
+        "--platforms", type=_csv_tuple, help=f"comma list of platform labels (default {','.join(spec.platforms)})"
+    )
     p.add_argument("--sessions", type=int, help=f"sessions per platform (default {spec.sessions_per_platform})")
 
     p = sub.add_parser("report", help="render an evaluation report")
@@ -236,7 +228,7 @@ def _output_name_fault(names: Iterable[tuple[str, str]]) -> str | None:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     out_dir = Path(_require(args.out, "--out"))
-    kinds = _parse_kinds(args.kinds)
+    kinds = args.kinds or ALL_KINDS
     corpus, summary = read_corpus(args.inputs)
     _print_warnings(summary)
     names = {(u, p, s): f"{u}_{p}_s{s}.json" for u, p, s in sorted(corpus.sessions)}
@@ -283,13 +275,13 @@ def _benchmark_config(args: argparse.Namespace, **options: Any) -> evaluation.Be
     """The scoring options of ``score`` and ``evaluate``; the config class owns the defaults."""
     try:
         return evaluation.BenchmarkConfig(
-            kinds=_parse_kinds(args.kinds),
             **_given(
-                scorers=_csv_tuple(args.scorers),
-                similarity_mode=_parse_mode(args.similarity_mode),
+                scorers=args.scorers,
+                similarity_mode=args.similarity_mode,
                 threshold=args.threshold,
+                kinds=args.kinds,
                 **options,
-            ),
+            )
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -298,9 +290,9 @@ def _benchmark_config(args: argparse.Namespace, **options: Any) -> evaluation.Be
 def cmd_score(args: argparse.Namespace) -> int:
     out_dir = Path(_require(args.out, "--out"))
     scenario = _parse_scenario_text(_require(args.scenario, "--scenario"))
-    # validates the scorer labels and the threshold before any input is read
+    # checks the threshold before any input is read
     bench = _benchmark_config(args)
-    formats = _parse_formats(args.formats, ("csv", "json"))
+    formats = args.formats or ("csv", "json")
 
     corpus, summary = read_corpus(args.inputs)
     _print_warnings(summary)
@@ -315,13 +307,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    render = {"csv": matrix.matrix_to_csv, "json": matrix.matrix_to_json}
     for label in bench.scorers:
-        m = matrices[label]
-        stem = f"{scenario.name}_{label}"
-        if "csv" in formats:
-            (out_dir / f"{stem}.csv").write_text(matrix.matrix_to_csv(m), encoding="utf-8")
-        if "json" in formats:
-            (out_dir / f"{stem}.json").write_text(matrix.matrix_to_json(m), encoding="utf-8")
+        for fmt in formats:
+            (out_dir / f"{scenario.name}_{label}.{fmt}").write_text(render[fmt](matrices[label]), encoding="utf-8")
     if data.excluded:
         print(f"excluded users (missing sessions): {', '.join(data.excluded)}", file=sys.stderr)
     print(f"matrices written: {len(bench.scorers)} x {len(data.enroll)} users -> {out_dir}")
@@ -330,8 +319,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(_require(args.out, "--out"))
-    bench = _benchmark_config(args, k_max=args.k_max, scenario_kinds=_csv_tuple(args.scenarios))
-    formats = _parse_formats(args.formats, ("json", "csv"))
+    bench = _benchmark_config(args, k_max=args.k_max, scenario_kinds=args.scenarios)
+    formats = args.formats or ("json", "csv")
 
     corpus, summary = read_corpus(args.inputs)
     _print_warnings(summary)
@@ -356,7 +345,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             **_given(
                 seed=args.seed,
                 n_users=args.users,
-                platforms=_csv_tuple(args.platforms),
+                platforms=args.platforms,
                 sessions_per_platform=args.sessions,
                 separation=args.separation,
             )
@@ -384,10 +373,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 0
     ks = sorted({row.k for row in report.rows})
     cells: dict[tuple[str, str], dict[int, float]] = {}
-    kinds: dict[str, str] = {}
     for row in report.rows:
         cells.setdefault((row.scenario, row.scorer), {})[row.k] = row.accuracy
-        kinds[row.scenario] = row.kind
+    kinds = {s.name: s.kind for s in report.scenarios}
     name_w = max([len("scenario")] + [len(s) for s, _ in cells])
     scorer_w = max([len("scorer")] + [len(sc) for _, sc in cells])
     header = f"{'scenario':<{name_w}}  {'kind':<8}  {'scorer':<{scorer_w}}  " + "  ".join(

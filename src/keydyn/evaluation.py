@@ -34,6 +34,7 @@ from .verifiers import (
     DEFAULT_ABSOLUTE_THRESHOLD,
     PreparedProfile,
     SimilarityMode,
+    check_choices,
     check_threshold,
     prepare_profile,
     session_runs,
@@ -228,18 +229,8 @@ class BenchmarkConfig:
 
     def __post_init__(self) -> None:
         check_scorers(self.scorers)
-        if not self.kinds:
-            raise ValueError("at least one feature kind must be selected")
-        if unknown := [kind for kind in self.kinds if not isinstance(kind, Kind)]:
-            raise ValueError(f"unknown feature kinds {unknown}; choose from {[k.value for k in Kind]}")
-        if len(set(self.kinds)) != len(self.kinds):
-            raise ValueError(f"repeated feature kinds in {[k.value for k in self.kinds]}")
-        if not self.scenario_kinds:
-            raise ValueError("at least one scenario kind must be selected")
-        if unknown := [kind for kind in self.scenario_kinds if kind not in SCENARIO_KINDS]:
-            raise ValueError(f"unknown scenario kinds {unknown}; choose from {list(SCENARIO_KINDS)}")
-        if len(set(self.scenario_kinds)) != len(self.scenario_kinds):
-            raise ValueError(f"repeated scenario kinds in {list(self.scenario_kinds)}")
+        check_choices(self.kinds, ALL_KINDS, "feature kind")
+        check_choices(self.scenario_kinds, SCENARIO_KINDS, "scenario kind")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         check_threshold(self.threshold)
@@ -347,6 +338,20 @@ def _within(value: Any, kind: type | tuple[type, ...], name: str, low: float, hi
     return value
 
 
+def _result(doc: dict, listed: dict[str, ScenarioSummary]) -> ResultRow:
+    """A result of a ``listed`` scenario, with that scenario's kind and a k within its users."""
+    scenario = listed[check_choices([doc["scenario"]], tuple(listed), "listed scenario")[0]]
+    if doc["kind"] != scenario.kind:
+        raise ValueError(f"a result of the {scenario.kind} scenario {scenario.name!r} has kind {doc['kind']!r}")
+    return ResultRow(
+        scenario.name,
+        scenario.kind,
+        check_choices([doc["scorer"]], ALL_SCORERS, "scorer")[0],
+        _within(doc["k"], int, "k", 1, scenario.n_users),
+        _within(doc["accuracy"], (int, float), "accuracy", 0, 1),
+    )
+
+
 def report_from_json(text: str | bytes) -> EvaluationReport:
     """Read back a :func:`report_to_json` document, as text or UTF-8 bytes; MalformedReportError if it is not one."""
     try:
@@ -355,24 +360,16 @@ def report_from_json(text: str | bytes) -> EvaluationReport:
         report.scenarios = [
             ScenarioSummary(
                 _field(s["name"], "name"),
-                _field(s["kind"], "kind"),
+                check_choices([s["kind"]], SCENARIO_KINDS, "scenario kind")[0],
                 _within(s["n_users"], int, "n_users", 1),
                 tuple(_field(user, "an excluded user") for user in _typed(s["excluded"], list, "excluded")),
             )
             for s in doc["scenarios"]
         ]
-        report.rows = [
-            ResultRow(
-                _field(r["scenario"], "scenario"),
-                _field(r["kind"], "kind"),
-                _field(r["scorer"], "scorer"),
-                _within(r["k"], int, "k", 1),
-                _within(r["accuracy"], (int, float), "accuracy", 0, 1),
-            )
-            for r in doc["results"]
-        ]
-        if unlisted := {r.scenario for r in report.rows} - {s.name for s in report.scenarios}:
-            raise ValueError(f"results for scenarios the report does not list: {sorted(unlisted)}")
+        listed = {s.name: s for s in report.scenarios}
+        if len(listed) < len(report.scenarios):
+            raise ValueError("a scenario is listed twice")
+        report.rows = [_result(r, listed) for r in doc["results"]]
         if len({(r.scenario, r.scorer, r.k) for r in report.rows}) < len(report.rows):
             raise ValueError("a (scenario, scorer, k) result is repeated")
     # JSONDecodeError and UnicodeDecodeError are ValueErrors

@@ -20,6 +20,7 @@ from .verifiers import (
     SimilarityMode,
     Verifier,
     absolute_from_prepared,
+    check_choices,
     check_threshold,
     itad_from_prepared,
     prepare_profile,
@@ -39,14 +40,8 @@ ALL_SCORERS = tuple(v.value for v in Verifier) + tuple(m.value for m in FusionMe
 
 
 def check_scorers(labels: Sequence[str]) -> Sequence[str]:
-    """Return the scorer ``labels``; ValueError unless there is at least one, each known and none repeated."""
-    if unknown := [s for s in labels if s not in ALL_SCORERS]:
-        raise ValueError(f"unknown scorers {unknown}; choose from {list(ALL_SCORERS)}")
-    if not labels:
-        raise ValueError("at least one scorer must be selected")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"repeated scorers in {list(labels)}")
-    return labels
+    """Return the scorer ``labels``; ValueError unless there is at least one, each in ALL_SCORERS and none repeated."""
+    return check_choices(labels, ALL_SCORERS, "scorer")
 
 
 @dataclass

@@ -25,7 +25,7 @@ import itertools
 import math
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +59,21 @@ def check_threshold(threshold: float) -> float:
     if not 1 < threshold < math.inf:
         raise ValueError(f"threshold must be > 1 and finite, got {threshold}")
     return threshold
+
+
+def check_choices(values: Sequence[Any], allowed: Sequence[Any], what: str) -> Sequence[Any]:
+    """Return ``values``; ValueError unless there is at least one, each in ``allowed`` and none repeated.
+
+    A value must match one of ``allowed`` in type too: the letter ``"U"`` is no
+    :class:`~keydyn.features.Kind`. ``what`` names one value, e.g. ``"scorer"``.
+    """
+    if unknown := [v for v in values if not any(type(v) is type(a) and v == a for a in allowed)]:
+        raise ValueError(f"unknown {what}s {unknown}; choose from {[getattr(a, 'value', a) for a in allowed]}")
+    if not values:
+        raise ValueError(f"at least one {what} must be selected")
+    if len(set(values)) != len(values):
+        raise ValueError(f"repeated {what}s in {[getattr(v, 'value', v) for v in values]}")
+    return values
 
 
 # The largest magnitude of a profile value, in ms (about 31,700 years). Within

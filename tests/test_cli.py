@@ -9,6 +9,8 @@ from keydyn.cli import load_config_file, main
 from keydyn.ingest import CSV_HEADER, pair_events, read_corpus
 from keydyn.verifiers import session_runs
 
+from test_cli_fuzz import INVALID, PARSER, VALID
+
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
@@ -484,6 +486,28 @@ def test_report_wrong_field_type_is_data_error(report_doc, tmp_path, capsys, sec
     assert "error [MALFORMED_REPORT]" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # each rendered with exit 0 before: "F,cross,itad,1,1.0", "F,same,itad,99,1.0", "F,same,bogus,1,1.0"
+        pytest.param(lambda doc: doc["results"][0].update(kind="cross"), id="result-kind-not-its-scenario-kind"),
+        pytest.param(lambda doc: doc["results"][0].update(k=99), id="k-above-its-scenario-users"),
+        pytest.param(lambda doc: doc["scenarios"].append({**doc["scenarios"][0], "n_users": 3}), id="scenario-twice"),
+        pytest.param(lambda doc: doc["scenarios"][0].update(kind="bogus"), id="unknown-scenario-kind"),
+        pytest.param(lambda doc: doc["results"][0].update(scorer="bogus"), id="unknown-scorer"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_report_rows_must_agree_with_their_scenario(report_doc, tmp_path, capsys, edit, fmt):
+    doc = json.loads(json.dumps(report_doc))
+    edit(doc)
+    bad = tmp_path / "report.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["report", str(bad), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert "error [MALFORMED_REPORT]" in captured.err and captured.out == ""
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "keydyn.cfg"
     cfg.write_text('users = 2\nseparation = 0.5\nout_dir = "{}"\nseed = 5\n'.format(tmp_path / "from-config"))
@@ -601,6 +625,52 @@ def test_config_value_rejected_by_option_type_is_usage_error(tmp_path, capsys, l
     assert "usage error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
+
+def _option(dest):
+    """The first command with the option ``dest`` (None for a global flag), and that option."""
+    for command, parser in [(None, PARSER), *PARSER.commands.items()]:
+        for action in cli._options(parser):
+            if action.dest == dest:
+                return command, action
+    raise LookupError(dest)
+
+
+def _argv(dest, *options):
+    """An argv that runs the first command with ``dest``, with ``options`` in the place of that option."""
+    command, _ = _option(dest)
+    if command is None:
+        return [*options, "synth"]
+    return [command, *(["x"] if command in ("extract", "score", "evaluate") else []), *options]
+
+
+@pytest.mark.parametrize(
+    "dest, text", [(dest, text) for dest, texts in VALID.items() if _option(dest)[1].type for text in texts]
+)
+def test_config_value_is_read_as_the_command_line_reads_it(tmp_path, dest, text):
+    _, action = _option(dest)
+    parser = cli.build_parser()
+    from_flag = getattr(parser.parse_args(_argv(dest, f"{action.option_strings[0]}={text}")), dest)
+    cfg = tmp_path / "keydyn.cfg"
+    cfg.write_text(f'{dest} = "{text}"\n', encoding="utf-8")
+    args = parser.parse_args(["--config", str(cfg), *_argv(dest)])
+    cli._apply_config(parser, args, load_config_file(cfg))
+    # repr tells a Kind from its letter and 2 from 2.0
+    assert repr(getattr(args, dest)) == repr(from_flag)
+
+
+# the platform list's type only splits it: SynthSpec checks the labels after parsing, on either path
+@pytest.mark.parametrize("dest, text", [(dest, text) for dest in ("kinds", "scorers", "formats", "scenarios")
+                                        for text in INVALID[dest]])
+def test_config_error_gives_the_reason_the_command_line_gives(tmp_path, capsys, dest, text):
+    flag = _option(dest)[1].option_strings[0]
+    out = tmp_path / "out"
+    assert main(_argv(dest, "--out", str(out), f"{flag}={text}")) == 1
+    reason = capsys.readouterr().err.removeprefix(f"usage error: argument {flag}: ")
+    cfg = tmp_path / "keydyn.cfg"
+    cfg.write_text(f"{dest} = {text}\n", encoding="utf-8")
+    assert main(["--config", str(cfg), *_argv(dest, "--out", str(out))]) == 1
+    assert capsys.readouterr().err == f"usage error: config key {dest!r}: bad value {text!r}: {reason}"
+    assert reason.strip() and not out.exists()
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 1
