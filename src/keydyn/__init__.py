@@ -10,6 +10,7 @@ from .evaluation import (
     k_rank_accuracy,
     run_benchmark,
     same_platform_scenario,
+    score_scenarios,
 )
 from .matrix import score_matrices
 from .synth import SynthSpec, generate_corpus

@@ -93,7 +93,8 @@ def _apply_config(parser: _Parser, args: argparse.Namespace, config: dict[str, s
 
 
 def _csv_tuple(value: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in value.split(",") if part.strip())
+    """The items of a comma list as typed, space included; a blank item is skipped."""
+    return tuple(part for part in value.split(",") if part.strip())
 
 
 def _choice_list(allowed: Sequence[Any], what: str) -> Callable[[str], tuple[Any, ...]]:
@@ -296,15 +297,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     corpus, summary = read_corpus(args.inputs)
     _print_warnings(summary)
-    [data] = evaluation.build_scenario_data(corpus, [scenario], kinds=bench.kinds)
-    matrices = matrix.score_matrices(
-        data.enroll,
-        data.probe,
-        bench.scorers,
-        mode=bench.similarity_mode,
-        threshold=bench.threshold,
-        scenario=scenario.name,
-    )
+    [(data, matrices)] = evaluation.score_scenarios(corpus, [scenario], bench)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     render = {"csv": matrix.matrix_to_csv, "json": matrix.matrix_to_json}

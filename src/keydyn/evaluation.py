@@ -1,11 +1,14 @@
 """Platform scenarios, k-rank accuracy, and the benchmark driver.
 
+A :class:`Scenario` is its kind, training platforms and test platform; its
+name and the (platform, session) cells each side needs follow from those.
 :func:`build_scenario_data` serves every scenario of a run at once: it
 extracts each needed session once and turns it into its run of (feature id,
 value) with :func:`keydyn.verifiers.session_runs`, over one vocabulary of
 those sessions' feature names, and pools each distinct (user, side) profile
 from those runs once, so scenarios that share a side share its prepared
-profile.
+profile. :func:`score_scenarios` yields each scenario's data with its
+matrices, the per-scenario result that every command and metric reads.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,9 +43,6 @@ from .verifiers import (
     session_runs,
 )
 
-# (platform, session ids) cells required from each user for one side
-SideSpec = tuple[tuple[str, tuple[int, ...]], ...]
-
 # the paper's split: same-platform scenarios enroll on sessions 1-3 and probe
 # on 4-6; cross and combined scenarios use all six on both sides
 ENROLL_SESSIONS = (1, 2, 3)
@@ -54,10 +54,20 @@ SCENARIO_KINDS = ("same", "cross", "combined")
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
     kind: str  # "same" | "cross" | "combined"
-    enroll_spec: SideSpec
-    probe_spec: SideSpec
+    train: tuple[str, ...]  # the enrollment platforms, sorted
+    test: str  # the probe platform
+
+    @property
+    def name(self) -> str:
+        """``F`` for a same-platform scenario, else the training platforms joined, ``-`` and the test one."""
+        return self.test if self.kind == "same" else f"{''.join(self.train)}-{self.test}"
+
+    @property
+    def cells(self) -> tuple[tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]]:
+        """The (platform, session) cells each user needs, for enrollment and for probing."""
+        enroll, probe = (ENROLL_SESSIONS, PROBE_SESSIONS) if self.kind == "same" else (ALL_SESSIONS, ALL_SESSIONS)
+        return tuple((p, s) for p in self.train for s in enroll), tuple((self.test, s) for s in probe)
 
 
 @dataclass
@@ -68,15 +78,11 @@ class ScenarioData:
     excluded: tuple[str, ...]
 
 
-def _required_cells(spec: SideSpec) -> list[tuple[str, int]]:
-    return [(platform, session) for platform, sessions in spec for session in sessions]
-
-
 def _eligible_users(corpus: Corpus, scenario: Scenario) -> tuple[list[str], list[str]]:
-    cells = _required_cells(scenario.enroll_spec) + _required_cells(scenario.probe_spec)
+    enroll, probe = scenario.cells
     eligible, excluded = [], []
     for user in corpus.roster:
-        if all((user, platform, session) in corpus.sessions for platform, session in cells):
+        if all((user, platform, session) in corpus.sessions for platform, session in enroll + probe):
             eligible.append(user)
         else:
             excluded.append(user)
@@ -102,9 +108,9 @@ def build_scenario_data(
     """
     rosters = [_eligible_users(corpus, scenario) for scenario in scenarios]
     sides = {
-        (user, spec): [(user, platform, session) for platform, session in _required_cells(spec)]
+        (user, cells): [(user, platform, session) for platform, session in cells]
         for scenario, (eligible, _) in zip(scenarios, rosters)
-        for spec in (scenario.enroll_spec, scenario.probe_spec)
+        for cells in scenario.cells
         for user in eligible
     }
     needed = dict.fromkeys(cell for cells in sides.values() for cell in cells)
@@ -116,23 +122,14 @@ def build_scenario_data(
     prepared = {side: prepare_profile([by_cell[cell] for cell in cells]) for side, cells in sides.items()}
     return [
         ScenarioData(
-            scenario,
-            {user: prepared[user, scenario.enroll_spec] for user in eligible},
-            {user: prepared[user, scenario.probe_spec] for user in eligible},
-            tuple(excluded),
+            scenario, *({user: prepared[user, cells] for user in eligible} for cells in scenario.cells), tuple(excluded)
         )
         for scenario, (eligible, excluded) in zip(scenarios, rosters)
     ]
 
 
 def same_platform_scenario(platform: str) -> Scenario:
-    check_platform_label(platform)
-    return Scenario(
-        platform,
-        "same",
-        ((platform, ENROLL_SESSIONS),),
-        ((platform, PROBE_SESSIONS),),
-    )
+    return Scenario("same", (check_platform_label(platform),), platform)
 
 
 def cross_platform_scenario(train_platform: str, test_platform: str) -> Scenario:
@@ -140,12 +137,7 @@ def cross_platform_scenario(train_platform: str, test_platform: str) -> Scenario
     check_platform_label(test_platform)
     if train_platform == test_platform:
         raise SamePlatformError(f"cross-platform scenario needs two distinct platforms, got {train_platform!r} twice")
-    return Scenario(
-        f"{train_platform}-{test_platform}",
-        "cross",
-        ((train_platform, ALL_SESSIONS),),
-        ((test_platform, ALL_SESSIONS),),
-    )
+    return Scenario("cross", (train_platform,), test_platform)
 
 
 def combined_cross_scenario(train_platforms: Iterable[str], test_platform: str) -> Scenario:
@@ -155,17 +147,11 @@ def combined_cross_scenario(train_platforms: Iterable[str], test_platform: str) 
         raise ValueError(f"combined-cross training set must hold two distinct platforms, got {train}")
     if test_platform in train:
         raise OverlappingPlatformsError(f"test platform {test_platform!r} overlaps training platforms {train}")
-    return Scenario(
-        f"{''.join(train)}-{test_platform}",
-        "combined",
-        tuple((p, ALL_SESSIONS) for p in train),
-        ((test_platform, ALL_SESSIONS),),
-    )
+    return Scenario("combined", tuple(train), test_platform)
 
 
 def _described(scenario: Scenario) -> str:
-    enroll, probe = ([platform for platform, _ in spec] for spec in (scenario.enroll_spec, scenario.probe_spec))
-    return f"{scenario.kind} scenario enrolling on {enroll} and probing on {probe}"
+    return f"{scenario.kind} scenario enrolling on {list(scenario.train)} and probing on {[scenario.test]}"
 
 
 def enumerate_scenarios(platforms: Iterable[str], scenario_kinds: tuple[str, ...] = SCENARIO_KINDS) -> list[Scenario]:
@@ -276,6 +262,26 @@ class EvaluationReport:
         raise KeyError((scenario, scorer, k))
 
 
+def score_scenarios(
+    corpus: Corpus, scenarios: Sequence[Scenario], config: BenchmarkConfig
+) -> Iterator[tuple[ScenarioData, dict[str, ScoreMatrix]]]:
+    """Each scenario's :class:`ScenarioData` with its matrices, keyed by scorer label, scored as ``config`` says.
+
+    The scenarios' profiles are built at once by :func:`build_scenario_data`;
+    each scenario is scored only when it is reached, so its matrices can die
+    before the next one is scored.
+    """
+    for data in build_scenario_data(corpus, scenarios, kinds=config.kinds):
+        yield data, score_matrices(
+            data.enroll,
+            data.probe,
+            config.scorers,
+            mode=config.similarity_mode,
+            threshold=config.threshold,
+            scenario=data.scenario.name,
+        )
+
+
 def run_benchmark(corpus: Corpus, config: BenchmarkConfig = BenchmarkConfig()) -> EvaluationReport:
     """Run every configured scenario x scorer and collect k-rank accuracies.
 
@@ -286,18 +292,10 @@ def run_benchmark(corpus: Corpus, config: BenchmarkConfig = BenchmarkConfig()) -
     scenarios = enumerate_scenarios(corpus.platforms, config.scenario_kinds)
     report = EvaluationReport(config=config.describe(), dataset=corpus.summary())
 
-    for data in build_scenario_data(corpus, scenarios, kinds=config.kinds):
+    for data, matrices in score_scenarios(corpus, scenarios, config):
         scenario = data.scenario
         n = len(data.enroll)
         report.scenarios.append(ScenarioSummary(scenario.name, scenario.kind, n, data.excluded))
-        matrices = score_matrices(
-            data.enroll,
-            data.probe,
-            config.scorers,
-            mode=config.similarity_mode,
-            threshold=config.threshold,
-            scenario=scenario.name,
-        )
         for scorer in config.scorers:
             for k in range(1, min(config.k_max, n) + 1):
                 accuracy = k_rank_accuracy(matrices[scorer], k)

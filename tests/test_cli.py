@@ -7,6 +7,7 @@ import pytest
 from keydyn import cli, features
 from keydyn.cli import load_config_file, main
 from keydyn.ingest import CSV_HEADER, pair_events, read_corpus
+from keydyn.matrix import ALL_SCORERS
 from keydyn.verifiers import session_runs
 
 from test_cli_fuzz import INVALID, PARSER, VALID
@@ -56,6 +57,24 @@ def test_synth_platform_label_the_csv_cannot_carry_is_usage_error(tmp_path, caps
     out = tmp_path / "x"
     assert main(["synth", "--out-dir", str(out), "--users", "2", "--platforms", platforms]) == 1
     assert "platform labels" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["synth", "--users", "2", "--platforms", " F , I", "--out-dir"], "platform labels must be non-empty"),
+        (["score", "--scenario", "combined: F , I:T", "--out"], "platform labels must be non-empty"),
+        (["score", "--scenario", "same:F", "--kinds", "U, D", "--out"], "unknown feature kinds [' D']"),
+    ],
+    ids=["synth-platforms", "score-scenario", "score-kinds"],
+)
+def test_comma_list_items_are_taken_as_typed(corpus_dir, tmp_path, capsys, command, message):
+    # the space around an item is kept, so " F " is no label and " D" no kind; the input exists, so only that fails
+    out = tmp_path / "x"
+    inputs = [str(corpus_dir)] if command[0] == "score" else []
+    assert main([*command, str(out), *inputs]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -244,6 +263,19 @@ def test_score_cross_and_combined_specs(corpus_dir, tmp_path):
                  "--scorers", "abs"]) == 0
     assert (tmp_path / "a" / "F-T_abs.csv").exists()
     assert (tmp_path / "b" / "FI-T_abs.csv").exists()
+
+
+def test_score_names_the_users_it_excludes_and_leaves_them_out(corpus_dir, tmp_path, capsys):
+    corpus = tmp_path / "gap.csv"
+    rows = (corpus_dir / "corpus.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus.write_text("".join(row for row in rows if not row.startswith("u2,F,5,")), encoding="utf-8")
+    out = tmp_path / "mats"
+    assert main(["score", str(corpus), "--scenario", "same:F", "--out", str(out), "--formats", "json"]) == 0
+    captured = capsys.readouterr()
+    assert "excluded users (missing sessions): u2\n" in captured.err
+    assert "x 3 users" in captured.out
+    rosters = [json.loads(path.read_text(encoding="utf-8"))["roster"] for path in sorted(out.iterdir())]
+    assert len(rosters) == len(ALL_SCORERS) and all(roster == ["u1", "u3", "u4"] for roster in rosters)
 
 
 SCORE = ["score", "--scenario", "same:F"]
@@ -577,6 +609,14 @@ def test_config_unclosed_quote_is_usage_error(corpus_dir, tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     assert main(["--config", str(cfg), "extract", str(corpus_dir / "corpus.csv")]) == 1
     assert "must close its quote" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["keydyn.cfg"]
+
+
+def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "keydyn.cfg"
+    cfg.write_text('# sizes\nusers 2\nout_dir = "{}"\n'.format(tmp_path / "out"))
+    assert main(["--config", str(cfg), "synth"]) == 1
+    assert f"usage error: {cfg}:2: expected key = value, got 'users 2'" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["keydyn.cfg"]
 
 

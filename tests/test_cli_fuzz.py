@@ -34,7 +34,7 @@ VALID = {
     "jobs": ("1", "2"),
     "seed": ("0", "7"),
     "kinds": ("U", "D,W", "U,D,W"),
-    "scenario": ("same:F", "cross:F:I", "combined:F,I:T", "combined: I , F :T"),
+    "scenario": ("same:F", "cross:F:I", "combined:F,I:T"),
     "scorers": ("sim", "itad,fmean", "abs,sim,fmax", "sim,abs,itad,fmean,fmedian,fmin,fmax"),
     "similarity_mode": ("published", "corrected"),
     "threshold": ("1.5", "2", "1e308"),
@@ -52,7 +52,9 @@ INVALID = {
     "jobs": ("0", "-1", "1e308"),
     "seed": ("-1", "1e308", "2.5"),
     "kinds": ("U,U", "W,D,W", "X"),
-    "scenario": ("same:", "same: F", "cross::F", "combined:F,I:", "same:F\n", "cross:F:I\nT", "cross:F:F", "F"),
+    "scenario": (
+        "same:", "same: F", "cross::F", "combined:F,I:", "combined: I , F :T", "same:F\n", "cross:F:I\nT", "cross:F:F", "F"
+    ),
     "scorers": ("sim,sim", "itad,abs,itad", "nope"),
     "similarity_mode": ("PUBLISHED", "corrected "),
     "threshold": ("1", "0.5", "1e309", "-1e308"),

@@ -140,6 +140,51 @@ def test_enumerate_scenarios_counts():
     assert len(scenarios) == 12
 
 
+def test_enumerate_scenarios_order():
+    names = [s.name for s in enumerate_scenarios(("T", "F", "I"))]
+    assert names == ["F", "I", "T", "F-I", "F-T", "I-F", "I-T", "T-F", "T-I", "FI-T", "FT-I", "IT-F"]
+
+
+ALL_SIX = range(1, 7)
+
+
+@pytest.mark.parametrize(
+    "scenario, kind, name, enroll, probe",
+    [
+        (same_platform_scenario("F"), "same", "F", [("F", s) for s in (1, 2, 3)], [("F", s) for s in (4, 5, 6)]),
+        (cross_platform_scenario("I", "F"), "cross", "I-F", [("I", s) for s in ALL_SIX], [("F", s) for s in ALL_SIX]),
+        (
+            combined_cross_scenario(("T", "F"), "I"),
+            "combined",
+            "FT-I",
+            [(p, s) for p in "FT" for s in ALL_SIX],
+            [("I", s) for s in ALL_SIX],
+        ),
+    ],
+)
+def test_scenario_name_and_cells_follow_from_kind_and_platforms(scenario, kind, name, enroll, probe):
+    # the paper's split: same-platform scenarios enroll on sessions 1-3 and probe on 4-6, the others use 1-6
+    assert (scenario.kind, scenario.name) == (kind, name)
+    assert scenario.cells == (tuple(enroll), tuple(probe))
+    assert (list(scenario.train), scenario.test) == (sorted({p for p, _ in enroll}), probe[0][0])
+
+
+def test_score_scenarios_scores_each_scenario_as_configured():
+    corpus = tiny_corpus(platforms=("F", "I", "T"), drop={("u2", "T", 2)})
+    scenarios = [same_platform_scenario("F"), cross_platform_scenario("F", "T")]
+    scorers, mode = ("abs", "fmin"), SimilarityMode.CORRECTED
+    scored = list(evaluation.score_scenarios(corpus, scenarios, BenchmarkConfig(scorers, mode, threshold=1.5)))
+    for (data, matrices), want in zip(scored, build_scenario_data(corpus, scenarios), strict=True):
+        assert (data.scenario, data.excluded) == (want.scenario, want.excluded)
+        name = want.scenario.name
+        expected = score_matrices(want.enroll, want.probe, scorers, mode=mode, threshold=1.5, scenario=name)
+        assert list(matrices) == list(scorers)
+        for label, m in matrices.items():
+            assert (m.roster, m.scenario) == (expected[label].roster, expected[label].scenario)
+            assert m.values.tobytes() == expected[label].values.tobytes()
+    assert [data.excluded for data, _ in scored] == [(), ("u2",)]
+
+
 @pytest.mark.parametrize(
     "platforms, message",
     [

@@ -208,6 +208,12 @@ def test_fuse_elementwise(method, expected):
     assert fuse(ms, method).values[0, 0] == pytest.approx(expected)
 
 
+def test_fuse_median_of_an_even_count_is_the_midpoint():
+    a = matrix_of([[0.25, 1.0], [0.0, 0.5]])
+    b = matrix_of([[0.75, 0.5], [0.5, 0.5]])
+    assert fuse([a, b], FusionMethod.MEDIAN).values.tolist() == [[0.5, 0.75], [0.25, 0.5]]
+
+
 def test_fuse_validation():
     a = matrix_of([[0.1]])
     with pytest.raises(ValueError):
