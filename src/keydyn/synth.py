@@ -188,7 +188,7 @@ def _session_log(model: TypistModel, platform: str, session_id: int, rng: np.ran
     # every press, then every release, in one stable sort by time
     times = np.array(presses + releases)
     order = np.argsort(times, kind="stable")
-    keys = np.array(keys + keys, np.intp)[order]
+    keys = np.array(keys + keys, np.int32)[order]
     return SessionLog(model.user_id, platform, session_id, _KEYS, keys, order < len(presses), times[order])
 
 

@@ -195,10 +195,17 @@ def _pairs(fids: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _placed(ascending: np.ndarray, own: np.ndarray, side: str) -> np.ndarray:
     """For each of the ``ascending`` pairs, how many ``own`` pairs lie below it
-    (``side="right"``) or at or below it (``side="left"``)."""
-    below = np.bincount(np.searchsorted(ascending, own, side=side), minlength=ascending.size + 1)
-    np.cumsum(below, out=below)
-    return below[:-1]
+    (``side="right"``) or at or below it (``side="left"``).
+
+    ``own`` must ascend too, as every probe's pairs in :attr:`Roster.probe_pairs`
+    do: then its positions in ``ascending`` ascend, and the counts are filled
+    run by run between them. A descending step gives a negative run and raises.
+    """
+    at = np.searchsorted(ascending, own, side=side)
+    runs = np.diff(at, prepend=0, append=ascending.size)
+    if runs.min() < 0:
+        raise ValueError("own pairs must ascend")
+    return np.repeat(np.arange(own.size + 1), runs)
 
 
 class Roster:

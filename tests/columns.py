@@ -22,7 +22,7 @@ def _codes(keys: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """The distinct ``keys`` in order of first sight, and each key's index among them."""
     names: dict[str, int] = {}
     codes = [names.setdefault(key, len(names)) for key in keys]
-    return tuple(names), np.array(codes, np.intp)
+    return tuple(names), np.array(codes, np.int32)
 
 
 def session_log(rows, user: str = "u1", platform: str = "F", session: int = 1) -> SessionLog:

@@ -264,7 +264,19 @@ def test_read_corpus_memory_is_bounded_by_its_columns(tmp_path):
         if not tracing:
             tracemalloc.stop()
     assert read == corpus and summary.rows_total == 141_784
-    assert peak <= 2.5 * path.stat().st_size, f"{peak / 1e6:.1f} MB peak for a {path.stat().st_size / 1e6:.1f} MB file"
+    # 17 bytes a row while parsing and 13 kept, plus one block, come to about 1.16x this file
+    assert peak <= 1.4 * path.stat().st_size, f"{peak / 1e6:.1f} MB peak for a {path.stat().st_size / 1e6:.1f} MB file"
+
+
+def test_key_codes_are_32_bit_from_parse_to_pairing(tmp_path):
+    # the parse, the synthesizer and pairing agree on one key-code dtype, so ingest memory cannot widen unseen
+    path = tmp_path / "corpus.csv"
+    path.write_text(HEADER + "u1,F,1,a,P,0\nu1,F,1,a,R,50\nu2,I,2,b,P,5\nu2,I,2,b,R,9\nu1,F,1,b,P,3\n")
+    corpus, _ = read_corpus(path)
+    generated = synth.generate_corpus(synth.SynthSpec(seed=1, n_users=2, separation=3.0))
+    for log in [*corpus, *generated]:
+        assert log.keys.dtype == np.int32
+        assert pair_events(log).pairs.keys.dtype == np.int32
 
 
 def test_read_corpus_sums_several_paths(tmp_path):

@@ -12,6 +12,8 @@ from keydyn.verifiers import (
     MAX_MAGNITUDE,
     SimilarityMode,
     Verifier,
+    _pairs,
+    _placed,
     absolute_score,
     itad_score,
     prepare_profile,
@@ -173,6 +175,20 @@ def test_runs_ascend_as_pairs_and_profiles_merge_them_as_lexsort_does(rng):
             for got, want in zip(prepare_profile(side_runs), (fids[starts], values, median, count)):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+def test_placed_counts_the_own_pairs_below_each_pair(rng):
+    # tie-heavy ascending pair arrays, empty ones among them, -0.0 next to 0.0
+    for _ in range(300):
+        ascending, own = (
+            np.sort(_pairs(rng.integers(0, 3, n), rng.choice([-1.0, -0.0, 0.0, 1.0], n)))
+            for n in rng.integers(0, 12, 2).tolist()
+        )
+        for side, below in (("right", np.less), ("left", np.less_equal)):
+            want = [int(np.count_nonzero(below(own, pair))) for pair in ascending]
+            assert _placed(ascending, own, side).tolist() == want
+    with pytest.raises(ValueError, match="ascend"):
+        _placed(_pairs(np.array([0, 1]), np.array([0.0, 0.0])), _pairs(np.array([1, 0]), np.array([0.0, 0.0])), "left")
 
 
 def test_session_runs_keeps_maps_short_lived():
