@@ -390,15 +390,24 @@ def parse_log(data: bytes | str | BinaryIO, *, source: str | None = None) -> Par
 
 
 def serialize_corpus(corpus: Corpus) -> str:
-    """Emit the canonical CSV for a corpus; inverse of :func:`parse_log`."""
+    """Emit the canonical CSV for a corpus; inverse of :func:`parse_log`.
+
+    A row is written as its lead, ``\\n`` then every field but the time,
+    followed by the time's ``repr``. A session's leads form one table indexed
+    by key code x 2 + press flag, so a row costs one lookup and one
+    ``float.__repr__``.
+    """
     out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
+    out.write(CSV_HEADER)
     for key in sorted(corpus.sessions):
         log = corpus.sessions[key]
-        head = f"{log.user_id},{log.platform},{log.session_id},"
-        keys = map(log.key_names.__getitem__, log.keys.tolist())
-        actions = map(_ACTION_TEXT.__getitem__, log.presses.tolist())
-        out.writelines(f"{head}{k},{a},{t!r}\n" for k, a, t in zip(keys, actions, log.times.tolist()))
+        head = f"\n{log.user_id},{log.platform},{log.session_id},"
+        leads = [f"{head}{name},{action}," for name in log.key_names for action in _ACTION_TEXT]
+        rows = [""] * (2 * log.times.size)
+        rows[0::2] = map(leads.__getitem__, (2 * log.keys + log.presses).tolist())
+        rows[1::2] = map(float.__repr__, log.times.tolist())
+        out.writelines(rows)
+    out.write("\n")
     return out.getvalue()
 
 

@@ -7,10 +7,20 @@ parameter deviation is scaled by ``separation``: zero separation yields
 identical typist models, larger values spread users apart. All randomness
 derives from the spec seed through independent per-(user, platform,
 session) streams, so generation order never changes the output.
+
+The corpus bytes depend on the order in which a session consumes its stream:
+one normal for the session length, then per word one uniform double that
+picks the word, followed by a hold normal and a flight normal for each of
+the word's strikes. A word's strikes count its trailing SPACE and, after the
+last word, the session's closing ENTER. The session's first strike has no
+flight: its hold comes from ``lognormal`` and its press from
+``uniform(20, 80)``. A hold is ``exp(loc + scale * z)`` and a flight
+``mu + std * z``, as numpy's ``lognormal`` and ``normal`` compute them.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -36,7 +46,8 @@ _KEY_INDEX = {key: i for i, key in enumerate(_KEYS)}
 # a word draw searches one double in this cdf, built as Generator.choice builds it from p
 _RANK_WEIGHTS = 1.0 / np.arange(1, len(VOCABULARY) + 1)
 _WORD_CDF = (_RANK_WEIGHTS / _RANK_WEIGHTS.sum()).cumsum()
-_WORD_CDF /= _WORD_CDF[-1]
+_WORD_CDF = (_WORD_CDF / _WORD_CDF[-1]).tolist()
+_WORD_STRIKES = tuple((*word, SPACE) for word in VOCABULARY)  # the keys one word strikes
 
 # expected keystrokes per session; Facebook posts run longest
 VERBOSITY = {"F": 190.0, "I": 130.0, "T": 85.0}
@@ -149,46 +160,49 @@ def _session_log(model: TypistModel, platform: str, session_id: int, rng: np.ran
     expected = model.verbosity[platform]
     target = max(4, int(round(rng.normal(expected, 0.12 * expected))))
 
-    keys: list[int] = []  # per strike, the key's index in _KEYS
+    strikes: list[str] = []  # the key of each strike
     presses: list[float] = []
     releases: list[float] = []
-    prev_key: str | None = None
-    prev_press = 0.0
-    prev_release = 0.0
-    released: dict[str, float] = {}  # each key's last release
-
-    def strike(key: str) -> None:
-        nonlocal prev_key, prev_press, prev_release
-        hold = rng.lognormal(model.hold_log_loc[key], model.hold_log_scale)
-        if prev_key is None:
-            press = rng.uniform(20.0, 80.0)
-        else:
-            flight = rng.normal(
-                model.flight_base + model.flight_out[prev_key] + model.flight_in[key],
-                model.flight_std,
-            )
-            # a key pressed again before its own release would read as auto-repeat
-            press = max(prev_release + flight, prev_press + 1.0, released.get(key, -math.inf) + 0.5)
-        release = press + hold
-        keys.append(_KEY_INDEX[key])
-        presses.append(press)
-        releases.append(release)
-        released[key] = release
-        prev_key, prev_press, prev_release = key, press, release
+    released = dict.fromkeys(_KEYS, -math.inf)  # each key's last release
 
     emitted = 0
     while emitted < target:
-        word = VOCABULARY[_WORD_CDF.searchsorted(rng.random(), side="right")]
-        for char in word:
-            strike(char)
-        strike(SPACE)
-        emitted += len(word) + 1
-    strike(ENTER)
+        word = _WORD_STRIKES[bisect.bisect_right(_WORD_CDF, rng.random())]
+        emitted += len(word)
+        if emitted >= target:
+            word += (ENTER,)  # the closing ENTER draws with the last word
+        if not strikes:  # the session's first strike has no flight: its press is drawn uniformly
+            key, word = word[0], word[1:]
+            hold = rng.lognormal(model.hold_log_loc[key], model.hold_log_scale)
+            prev_key, prev_press = key, rng.uniform(20.0, 80.0)
+            prev_release = released[key] = prev_press + hold
+            strikes.append(key)
+            presses.append(prev_press)
+            releases.append(prev_release)
+        z = rng.standard_normal(2 * len(word)).tolist()
+        for key, hold_z, flight_z in zip(word, z[0::2], z[1::2]):
+            # numpy's lognormal and normal, computed from the same draws
+            hold = math.exp(model.hold_log_loc[key] + model.hold_log_scale * hold_z)
+            flight = model.flight_base + model.flight_out[prev_key] + model.flight_in[key] + model.flight_std * flight_z
+            # max(after the flight, 1 ms after the last press, 0.5 ms after this key's own
+            # release: a key pressed again while held would read as auto-repeat), spelled
+            # out, as a call to max per strike is a tenth of the generator's time
+            press = prev_release + flight
+            if press < prev_press + 1.0:
+                press = prev_press + 1.0
+            if press < released[key] + 0.5:
+                press = released[key] + 0.5
+            release = press + hold
+            presses.append(press)
+            releases.append(release)
+            released[key] = release
+            prev_key, prev_press, prev_release = key, press, release
+        strikes += word
 
     # every press, then every release, in one stable sort by time
     times = np.array(presses + releases)
     order = np.argsort(times, kind="stable")
-    keys = np.array(keys + keys, np.int32)[order]
+    keys = np.array(list(map(_KEY_INDEX.__getitem__, strikes * 2)), np.int32)[order]
     return SessionLog(model.user_id, platform, session_id, _KEYS, keys, order < len(presses), times[order])
 
 

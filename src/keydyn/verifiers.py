@@ -208,13 +208,22 @@ def _placed(ascending: np.ndarray, own: np.ndarray, side: str) -> np.ndarray:
     return np.repeat(np.arange(own.size + 1), runs)
 
 
+def _ascending(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``pairs`` in ascending order, and the position of each in it."""
+    order = np.argsort(pairs)
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)
+    return pairs[order], at
+
+
 class Roster:
     """One scenario's profiles, laid out once for all three verifiers.
 
     Enrollment (user, feature) entries run user-major, ascending in feature id
     within each user. Similarity and ITAD compare (feature id, value) pairs:
-    :attr:`probe_pairs`, :attr:`thresholds` and :attr:`values` are each laid
-    out on first use, so Absolute lays out none of them.
+    :attr:`probe_pairs`, :attr:`thresholds` (the band edges, which Similarity
+    reads), :attr:`medians` and :attr:`values` (which ITAD reads) are each
+    laid out on first use, so Absolute lays out none of them.
     """
 
     def __init__(self, enroll: Sequence[PreparedProfile], probe: Sequence[PreparedProfile]) -> None:
@@ -231,15 +240,18 @@ class Roster:
 
     @cached_property
     def thresholds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every entry's median, median - std and median + std as pairs, in one
-        ascending array, and the position of each in it: rows median, low, high."""
+        """Every entry's band edges, median - std and median + std, as pairs in
+        one ascending array, and the position of each in it: rows low, high."""
         values = np.concatenate([p.values for p in self.enroll])
         sigma = _run_std(values, np.cumsum(self.count) - self.count, self.count)
-        pairs = _pairs(np.tile(self.fid, 3), np.concatenate([self.median, self.median - sigma, self.median + sigma]))
-        order = np.argsort(pairs)
-        at = np.empty_like(order)
-        at[order] = np.arange(order.size)
-        return pairs[order], at.reshape(3, -1)
+        edges = _pairs(np.tile(self.fid, 2), np.concatenate([self.median - sigma, self.median + sigma]))
+        ascending, at = _ascending(edges)
+        return ascending, at.reshape(2, -1)
+
+    @cached_property
+    def medians(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every entry's median as a pair, in one ascending array, and the position of each in it."""
+        return _ascending(_pairs(self.fid, self.median))
 
     @cached_property
     def values(self) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +285,7 @@ class Roster:
 
 def similarity_from_prepared(roster: Roster, mode: SimilarityMode) -> np.ndarray:
     """Similarity of every probe (rows) against every enrollment (columns)."""
-    ascending, (_, low, high) = roster.thresholds
+    ascending, (low, high) = roster.thresholds
     scores = np.zeros((len(roster.probe), len(roster.enroll)))
     for row, p, common, pick in roster.probes():
         own = roster.probe_pairs[row]
@@ -316,7 +328,7 @@ def itad_from_prepared(roster: Roster) -> np.ndarray:
     |#{y < x} - #{y <= m}|, an exact integer; each feature adds that sum
     over n, and a pair adds its features in ascending id order.
     """
-    ascending, (median, _, _) = roster.thresholds
+    ascending, median = roster.medians
     values, entry = roster.values
     scores = np.zeros((len(roster.probe), len(roster.enroll)))
     for row, p, common, pick in roster.probes():

@@ -1,17 +1,19 @@
 """Independent brute-force transcriptions of the three verifier algorithms,
 of rank-k accuracy and of the log parser, and row-at-a-time copies of the
-pairing and the three extractors.
+corpus writer, the pairing and the three extractors.
 
 Written against the algorithm definitions only, with plain loops and the
 statistics module; the verifier oracles deliberately share no code with the
 package so they can serve as the reference side of the equivalence checks.
-The pairing and extractor oracles are the package's earlier loops over
-named-tuple rows, which its columnar versions replace; the extractor oracles
-spell each feature name (``U:a``, ``D:a|b``, ``W:ab``) themselves.
+The writer, pairing and extractor oracles are the package's earlier loops
+over rows, which its table-driven and columnar versions replace; the
+extractor oracles spell each feature name (``U:a``, ``D:a|b``, ``W:ab``)
+themselves.
 """
 
 from __future__ import annotations
 
+import io
 import statistics
 from collections import defaultdict
 from operator import itemgetter
@@ -163,6 +165,21 @@ def parse_log_oracle(data, source=None) -> dict:
             out["warnings"].append(f"session {key}: out-of-order timestamps, re-sorted")
         out["sessions"].append((key[0], key[1], key[2], events))
     return out
+
+
+def serialize_corpus_oracle(corpus) -> str:
+    """The canonical CSV of a corpus, one f-string per row: the writer ``serialize_corpus`` replaced."""
+    from keydyn.ingest import CSV_HEADER
+
+    out = io.StringIO()
+    out.write(CSV_HEADER + "\n")
+    for key in sorted(corpus.sessions):
+        log = corpus.sessions[key]
+        head = f"{log.user_id},{log.platform},{log.session_id},"
+        keys = map(log.key_names.__getitem__, log.keys.tolist())
+        actions = map(("R", "P").__getitem__, log.presses.tolist())
+        out.writelines(f"{head}{k},{a},{t!r}\n" for k, a, t in zip(keys, actions, log.times.tolist()))
+    return out.getvalue()
 
 
 # -- row-at-a-time pairing and extraction ----------------------------------------

@@ -22,7 +22,7 @@ from keydyn.ingest import (
 
 from columns import event_rows, keystroke_rows
 from columns import session_log as make_log  # the name session_log is this module's hypothesis strategy
-from oracles import parse_log_oracle
+from oracles import parse_log_oracle, serialize_corpus_oracle
 
 HEADER = "user_id,platform,session_id,key,action,time_ms\n"
 
@@ -470,3 +470,56 @@ def test_parse_inverts_serialize_on_generated_corpora(logs):
     result = parse_log(serialize_corpus(corpus))
     assert result.warnings == [] and result.rows_rejected == 0 and result.resorted_sessions == 0
     assert Corpus.from_logs(result.sessions) == corpus
+
+
+def shared_names_log(names, user, platform, session, events) -> SessionLog:
+    """A session over the key ``names`` of a whole parse, from ``(key code, press, time_ms)`` events."""
+    keys, presses, times = zip(*events)
+    return SessionLog(user, platform, session, names, np.array(keys, np.int32), np.array(presses), np.array(times))
+
+
+@st.composite
+def shared_names_corpus(draw):
+    """Sessions of several users and platforms over one tuple of key names, as the sessions of one
+    parse share theirs: single and multi-character names, some that no event uses."""
+    name = st.sampled_from(("a", "7", ".", "SPACE", "COMMA", "F1", "BACKSPACE"))
+    names = tuple(draw(st.lists(name, min_size=1, unique=True)))
+    event = st.tuples(
+        st.integers(min_value=0, max_value=len(names) - 1),
+        st.booleans(),
+        st.one_of(st.sampled_from((-0.0, 0.0, 1e300)), st.floats(min_value=0.0, max_value=1e9)),
+    )
+    heads = st.tuples(label, label, st.integers(min_value=-5, max_value=10**6))
+    logs = []
+    for head in draw(st.lists(heads, min_size=1, max_size=6, unique=True)):
+        events = sorted(draw(st.lists(event, min_size=1, max_size=8)), key=lambda e: e[2])
+        logs.append(shared_names_log(names, *head, events))
+    return Corpus.from_logs(logs)
+
+
+def test_serialize_empty_corpus_writes_the_header():
+    assert serialize_corpus(Corpus({})) == serialize_corpus_oracle(Corpus({})) == HEADER
+
+
+NAMES = ("a", "SPACE", "F1")  # F1 is never struck
+
+
+@settings(max_examples=200, deadline=None)
+@example(
+    Corpus.from_logs(
+        [
+            shared_names_log(NAMES, "u1", "F", 1, [(1, True, -0.0)]),
+            shared_names_log(NAMES, "u1", "I", 2, [(0, True, 0.0), (0, False, 0.0), (1, True, 1e300)]),
+            shared_names_log(NAMES, "u2", "F", 1, [(1, True, 3.5), (1, False, 1e300)]),
+        ]
+    )
+)
+@given(shared_names_corpus())
+def test_serialize_corpus_matches_row_writer_and_parses_back(corpus):
+    text = serialize_corpus(corpus)
+    assert text == serialize_corpus_oracle(corpus)
+    result = parse_log(text)
+    assert result.warnings == [] and result.rows_rejected == 0 and result.resorted_sessions == 0
+    round_tripped = Corpus.from_logs(result.sessions)
+    assert round_tripped == corpus
+    assert serialize_corpus(round_tripped) == text

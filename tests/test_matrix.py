@@ -134,10 +134,13 @@ def test_separated_synthetic_users_dominate_diagonal():
         assert m.values[i, i] > max(off)
 
 
-@pytest.mark.parametrize("scorers, builds", [(ALL_SCORERS, 1), (["sim", "itad"], 1), (["abs"], 0)])
-def test_pair_layouts_built_once_per_scenario(monkeypatch, scorers, builds):
+LAYOUTS = ("probe_pairs", "thresholds", "medians", "values")
+
+
+def layout_builds(monkeypatch, scorers) -> dict[str, int]:
+    """How often each of the roster's pair layouts is laid out while two users score with ``scorers``."""
     calls = collections.Counter()
-    for name in ("probe_pairs", "thresholds", "values"):
+    for name in LAYOUTS:
         build = getattr(verifiers.Roster, name).func
 
         def counting(roster, build=build, name=name):
@@ -151,7 +154,22 @@ def test_pair_layouts_built_once_per_scenario(monkeypatch, scorers, builds):
     enroll = {"u1": prepare_profile(runs[:1]), "u2": prepare_profile(runs[1:2])}
     probe = {"u1": prepare_profile(runs[2:3]), "u2": prepare_profile(runs[3:])}
     assert set(score_matrices(enroll, probe, scorers)) == set(scorers)
-    assert [calls[name] for name in ("probe_pairs", "thresholds", "values")] == [builds] * 3
+    return {name: calls[name] for name in LAYOUTS}
+
+
+@pytest.mark.parametrize("scorers, builds", [(ALL_SCORERS, 1), (["sim", "itad"], 1), (["abs"], 0)])
+def test_pair_layouts_built_once_per_scenario(monkeypatch, scorers, builds):
+    assert layout_builds(monkeypatch, scorers) == dict.fromkeys(LAYOUTS, builds)
+
+
+@pytest.mark.parametrize(
+    "scorers, built",
+    [(["sim"], {"probe_pairs", "thresholds"}), (["itad"], {"probe_pairs", "medians", "values"})],
+    ids=["sim", "itad"],
+)
+def test_each_kernel_lays_out_only_the_pairs_it_reads(monkeypatch, scorers, built):
+    # Similarity places probe pairs among the band edges only, ITAD among the medians and values only
+    assert layout_builds(monkeypatch, scorers) == {name: int(name in built) for name in LAYOUTS}
 
 
 @pytest.mark.parametrize(

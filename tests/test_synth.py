@@ -107,6 +107,48 @@ def test_evaluate_paper_corpus_bytes_are_pinned():
     )
 
 
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        pytest.param(
+            SynthSpec(seed=13, n_users=52, separation=3.0),
+            "99382e033e7b2f3293284153fc5c515c05d54e095d07ada60443a64a2ac31ee8",
+            id="score-wide",
+        ),
+        pytest.param(
+            SynthSpec(seed=3, n_users=4, platforms=("F",), sessions_per_platform=2, separation=0.0),
+            "d327cb2266ba3f4073292142f8539b6f74cc4982d3fb8d4424f6d0cfb4e2ee80",
+            id="separation-0",
+        ),
+        pytest.param(
+            SynthSpec(seed=4, n_users=4, platforms=("F",), sessions_per_platform=2, separation=MAX_SEPARATION),
+            "5e99ceb2576d64b01a28695c1db856917e213baf91393501e0cb415c6f824ac3",
+            id="separation-max",
+        ),
+        pytest.param(
+            SynthSpec(seed=5, n_users=3, platforms=("A", "B"), sessions_per_platform=1),
+            "e3af24eeae0a7d31233b85ba284b75fd2bb5f5d08654e32e1233d7e33f113bfb",
+            id="fallback-platforms-1-session",
+        ),
+        pytest.param(
+            SynthSpec(seed=6, n_users=3, platforms=("A", "B"), sessions_per_platform=3),
+            "e0034eb186a689ab18c2f423e8565cdac59c458346acea3fa9221a0c5f2f48b4",
+            id="fallback-platforms-3-sessions",
+        ),
+        pytest.param(
+            SynthSpec(seed=7, n_users=11, platforms=("T",), sessions_per_platform=1, separation=0.5),
+            "d99d7f14901abe9650c8111c9196b269817271297297c46ec0bd6098c9d51f2b",
+            id="two-digit-users",
+        ),
+    ],
+)
+def test_corpus_bytes_are_pinned(spec, digest):
+    # the score-wide and extract-wide benchmark corpus, and small corpora on the generator's uncommon
+    # paths: no user spread, the widest one, platforms without a verbosity of their own, ids u01..u11
+    text = serialize_corpus(generate_corpus(spec))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 def test_verbosity_ordering_mirrors_platforms():
     corpus = generate_corpus(SynthSpec(seed=6, n_users=4, separation=0.0))
     totals = {p: 0 for p in ("F", "I", "T")}

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from keydyn.errors import EmptyListError, ValueOutOfRangeError
 from keydyn.verifiers import (
@@ -400,12 +400,21 @@ def test_absolute_symmetry(a, b):
     assert absolute_score(a, b) == absolute_score(b, a)
 
 
+# Below this magnitude a value, or a median, std, band edge or squared deviation made from it,
+# can be subnormal, where scaling by a power of two rounds. At or above it every one is normal
+TINY = 2.0**-400
+
+
 @settings(max_examples=200, deadline=None)
+@example(a={U("a"): [0.0]}, b={U("a"): [5e-324]}, scale=0.25)  # 0.25 * 5e-324 rounds to 0.0
+@example(a={U("a"): [5e-324]}, b={U("a"): [5e-324]}, scale=8.0)  # 5e-324 / 4, a one-value std, is 0.0
+@example(a={U("a"): [0.0, 2.490842647017263e-162]}, b={U("a"): [0.0]}, scale=2.0)  # its deviations square to 0.0
 @given(profile_st, profile_st, st.sampled_from([0.25, 0.5, 2.0, 8.0, 1024.0]))
 def test_common_timescale_invariance(a, b, scale):
-    # power-of-two scales keep every float operation exact, so equality is exact
-    sa = {k: [scale * v for v in vs] for k, vs in a.items()}
-    sb = {k: [scale * v for v in vs] for k, vs in b.items()}
+    # a power-of-two scale keeps every float operation of the scorers exact while no operand or result
+    # is subnormal, so the drawn values below TINY, the only ones that can make one so, are read as 0.0
+    a, b = ({k: [v if abs(v) >= TINY else 0.0 for v in vs] for k, vs in p.items()} for p in (a, b))
+    sa, sb = ({k: [scale * v for v in vs] for k, vs in p.items()} for p in (a, b))
     assert absolute_score(sa, sb) == absolute_score(a, b)
     assert similarity_score(sa, sb, PUB) == similarity_score(a, b, PUB)
     assert similarity_score(sa, sb, CORR) == similarity_score(a, b, CORR)
