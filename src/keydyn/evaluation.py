@@ -285,11 +285,16 @@ def score_scenarios(
 def run_benchmark(corpus: Corpus, config: BenchmarkConfig = BenchmarkConfig()) -> EvaluationReport:
     """Run every configured scenario x scorer and collect k-rank accuracies.
 
-    Deterministic for a given corpus and config.
+    Deterministic for a given corpus and config. NoEligibleUsersError when the corpus
+    holds no session or its platforms form no scenario of the configured kinds.
     """
     if not corpus.sessions:
         raise NoEligibleUsersError("corpus holds no sessions")
     scenarios = enumerate_scenarios(corpus.platforms, config.scenario_kinds)
+    if not scenarios:
+        raise NoEligibleUsersError(
+            f"scenario kinds {list(config.scenario_kinds)} form no scenario on platforms {corpus.platforms}"
+        )
     report = EvaluationReport(config=config.describe(), dataset=corpus.summary())
 
     for data, matrices in score_scenarios(corpus, scenarios, config):

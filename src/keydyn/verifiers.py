@@ -1,10 +1,9 @@
 """Statistical keystroke verifiers: Similarity, Absolute, and ITAD.
 
 All three compare an enrollment pattern A against a probe pattern B over
-their common feature set and return a match score in [0, 1]. Profiles are
-any Mapping from feature name (``U:a``, ``D:a|b``, ``W:ab``) to a non-empty
-sequence of durations; the per-session dicts of :mod:`keydyn.features`
-qualify.
+their common feature set and return a match score in [0, 1]. A session's
+features enter as a map from feature name (``U:a``, ``D:a|b``, ``W:ab``) to
+a non-empty sequence of durations, as :mod:`keydyn.features` produces them.
 
 Scoring runs on a columnar form. Similarity and ITAD compare (feature id,
 value) pairs exactly, as complex numbers that numpy orders by id, then
@@ -15,8 +14,8 @@ medians, and a :class:`Roster` lays out a scenario's two sides once for all
 three verifiers: each probe user's pairs are placed among the enrollment
 side's sorted values, medians and band edges. Each ``*_from_prepared``
 kernel scores a whole probe x enrollment matrix from the roster, looping
-over probe users only.
-The pair-level ``*_score`` functions are 1x1 calls into the same kernels.
+over probe users only. :func:`keydyn.matrix.score_matrices` builds the
+roster and calls the kernels.
 """
 
 from __future__ import annotations
@@ -284,7 +283,14 @@ class Roster:
 
 
 def similarity_from_prepared(roster: Roster, mode: SimilarityMode) -> np.ndarray:
-    """Similarity of every probe (rows) against every enrollment (columns)."""
+    """Similarity of every probe (rows) against every enrollment (columns).
+
+    Per common feature f: the band is median(A[f]) +/- std(A[f]) (value/4
+    when A[f] has a single sample), and v/u is the fraction of the probe
+    values B[f] strictly inside it. AS_PUBLISHED counts f when v/u <= 0.5,
+    CORRECTED when v/u > 0.5; a pair scores its counted features over its
+    common features.
+    """
     ascending, (low, high) = roster.thresholds
     scores = np.zeros((len(roster.probe), len(roster.enroll)))
     for row, p, common, pick in roster.probes():
@@ -298,11 +304,7 @@ def similarity_from_prepared(roster: Roster, mode: SimilarityMode) -> np.ndarray
 
 
 def _medians_match(med_a: np.ndarray, med_b: np.ndarray, threshold: float) -> np.ndarray:
-    """Element-wise Absolute agreement of two median arrays.
-
-    Same-sign medians agree when the larger magnitude over the smaller is at
-    most ``threshold``; two exact zeros agree; anything else does not.
-    """
+    """Element-wise agreement of two median arrays, by the rule of :func:`absolute_from_prepared`."""
     abs_a, abs_b = np.abs(med_a), np.abs(med_b)
     same_sign = ((med_a > 0) & (med_b > 0)) | ((med_a < 0) & (med_b < 0))
     with np.errstate(all="ignore"):  # 0/0, x/0 and overflow only reach masked-out cells
@@ -311,7 +313,13 @@ def _medians_match(med_a: np.ndarray, med_b: np.ndarray, threshold: float) -> np
 
 
 def absolute_from_prepared(roster: Roster, threshold: float) -> np.ndarray:
-    """Absolute score of every probe (rows) against every enrollment (columns)."""
+    """Absolute score of every probe (rows) against every enrollment (columns).
+
+    A pair scores the fraction of its common features whose medians agree:
+    the larger-to-smaller ratio is at most ``threshold``. Medians of
+    opposite sign never agree; a zero median agrees only with another exact
+    zero; negative medians compare by magnitude.
+    """
     scores = np.zeros((len(roster.probe), len(roster.enroll)))
     for row, p, common, pick in roster.probes():
         scores[row] = roster.by_user(common, _medians_match(roster.median[common], p.median[pick], threshold))
@@ -321,10 +329,12 @@ def absolute_from_prepared(roster: Roster, threshold: float) -> np.ndarray:
 def itad_from_prepared(roster: Roster) -> np.ndarray:
     """ITAD score of every probe (rows) against every enrollment (columns).
 
-    A probe value y of a common feature with n enrollment values, c of them
-    <= y, contributes c/n when y is at most the enrollment median m and
-    1 - c/n above it. Summed over the probe values of one feature, the
-    numerators equal the sum over enrollment values x of
+    A pair scores the mean over one flat list of its probe values across all
+    common features, so features with more values weigh more. A probe value
+    y of a common feature with n enrollment values, c of them <= y, adds the
+    enrollment ECDF's tail mass on y's side of the enrollment median m: c/n
+    when y <= m and 1 - c/n above it. Summed over the probe values of one
+    feature, the numerators equal the sum over enrollment values x of
     |#{y < x} - #{y <= m}|, an exact integer; each feature adds that sum
     over n, and a pair adds its features in ascending id order.
     """
@@ -340,49 +350,3 @@ def itad_from_prepared(roster: Roster) -> np.ndarray:
         # bincount adds in entry order: per pair, ascending feature id
         scores[row] = roster.by_user(common, tail[common] / roster.count[common], p.count[pick])
     return scores
-
-
-def _prepare_pair(enroll: ProfileLike, probe: ProfileLike) -> Roster:
-    """A one-user roster on each side, for scoring one pair as a 1x1 matrix."""
-    (enroll_run, probe_run), _ = session_runs((enroll, probe))
-    return Roster([prepare_profile([enroll_run])], [prepare_profile([probe_run])])
-
-
-def similarity_score(
-    enroll: ProfileLike,
-    probe: ProfileLike,
-    mode: SimilarityMode = SimilarityMode.AS_PUBLISHED,
-) -> float:
-    """Weighted similarity score of probe B against enrollment A.
-
-    Per common feature: band = median(A[f]) +/- std(A[f]) (value/4 when A[f]
-    has a single sample); v/u = fraction of B[f] strictly inside the band.
-    AS_PUBLISHED counts the feature when v/u <= 0.5, CORRECTED when > 0.5;
-    the score is counted features over total common features.
-    """
-    return float(similarity_from_prepared(_prepare_pair(enroll, probe), mode)[0, 0])
-
-
-def absolute_score(
-    enroll: ProfileLike,
-    probe: ProfileLike,
-    threshold: float = DEFAULT_ABSOLUTE_THRESHOLD,
-) -> float:
-    """Absolute match score: fraction of common features whose medians agree.
-
-    Two medians agree when the larger-to-smaller ratio is at most
-    ``threshold``. Medians of opposite sign never agree; a zero median agrees
-    only with another exact zero; negative pairs compare by magnitude.
-    """
-    return float(absolute_from_prepared(_prepare_pair(enroll, probe), check_threshold(threshold))[0, 0])
-
-
-def itad_score(enroll: ProfileLike, probe: ProfileLike) -> float:
-    """Instance-based tail area density score.
-
-    Every probe value y contributes the tail mass of the enrollment ECDF on
-    y's side of the enrollment median; the score is the mean over one flat
-    list across all common features, so values from large lists weigh more.
-    """
-    return float(itad_from_prepared(_prepare_pair(enroll, probe))[0, 0])
-

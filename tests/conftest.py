@@ -3,6 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from keydyn.matrix import build_score_matrix
+from keydyn.verifiers import DEFAULT_ABSOLUTE_THRESHOLD, SimilarityMode, Verifier
+
 from columns import digraph_key, unigraph_key, wordhold_key
 
 
@@ -37,6 +40,21 @@ def random_profile(rng: np.random.Generator, max_features: int = 5, max_values: 
             values[0] = 0.0  # exact-zero medians for single-value lists
         profile[key] = [float(v) for v in values]
     return profile
+
+
+def similarity_score(enroll: dict, probe: dict, mode: SimilarityMode = SimilarityMode.AS_PUBLISHED) -> float:
+    """One pair's Similarity score: the 1x1 matrix of one user per side."""
+    return float(build_score_matrix({"u": enroll}, {"u": probe}, Verifier.SIMILARITY, mode=mode).values[0, 0])
+
+
+def absolute_score(enroll: dict, probe: dict, threshold: float = DEFAULT_ABSOLUTE_THRESHOLD) -> float:
+    """One pair's Absolute score: the 1x1 matrix of one user per side."""
+    return float(build_score_matrix({"u": enroll}, {"u": probe}, Verifier.ABSOLUTE, threshold=threshold).values[0, 0])
+
+
+def itad_score(enroll: dict, probe: dict) -> float:
+    """One pair's ITAD score: the 1x1 matrix of one user per side."""
+    return float(build_score_matrix({"u": enroll}, {"u": probe}, Verifier.ITAD).values[0, 0])
 
 
 @pytest.fixture

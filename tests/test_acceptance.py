@@ -16,16 +16,10 @@ from keydyn.cli import main
 from keydyn.evaluation import BenchmarkConfig, k_rank_accuracy, run_benchmark
 from keydyn.matrix import FusionMethod, ScoreMatrix, build_score_matrix, fuse
 from keydyn.synth import SynthSpec, generate_corpus
-from keydyn.verifiers import (
-    SimilarityMode,
-    Verifier,
-    absolute_score,
-    itad_score,
-    similarity_score,
-)
+from keydyn.verifiers import SimilarityMode, Verifier
 
 from columns import digraph_key, unigraph_key
-from conftest import random_profile
+from conftest import absolute_score, itad_score, random_profile, similarity_score
 from oracles import oracle_absolute, oracle_itad, oracle_similarity
 
 U, D = unigraph_key, digraph_key

@@ -241,6 +241,18 @@ def test_evaluate_unknown_scenario_kind_is_usage_error(corpus_dir, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("platforms, scenarios", [("F,I", "combined"), ("F", "cross,combined")])
+def test_evaluate_scenario_kinds_the_platforms_form_none_of_is_data_error(tmp_path, capsys, platforms, scenarios):
+    assert main(["synth", "--out-dir", str(tmp_path), "--users", "2", "--platforms", platforms]) == 0
+    capsys.readouterr()
+    out = tmp_path / "x"
+    assert main(["evaluate", str(tmp_path / "corpus.csv"), "--out", str(out), "--scenarios", scenarios]) == 2
+    err = capsys.readouterr().err
+    assert "error [NO_ELIGIBLE_USERS]" in err
+    assert f"{scenarios.split(',')}" in err and f"{platforms.split(',')}" in err
+    assert not out.exists()
+
+
 def test_score_scenario_matrices(corpus_dir, tmp_path):
     out = tmp_path / "mats"
     code = main(

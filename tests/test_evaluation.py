@@ -412,3 +412,42 @@ def test_scenario_built_alone_equals_whole_run(small_synth_corpus):
             for label in ALL_SCORERS:
                 assert got[label].roster == want[label].roster
                 assert got[label].values.tobytes() == want[label].values.tobytes(), (scenario.name, mode, label)
+
+
+# -- accuracy against synth separation ---------------------------------------------
+
+SEPARATIONS = (0.0, 0.5, 0.75, 1.0, 1.5)
+# from here up, published-mode Similarity ranks the genuine user first less
+# often than corrected mode, at or below chance
+INVERTED_FROM = 0.75
+
+
+@pytest.fixture(scope="module")
+def rank1_by_separation():
+    """Mean same-platform rank-1 over synth seeds 1 and 2 at 26 users, per (mode, scorer), then separation."""
+    means: dict[tuple[SimilarityMode, str], dict[float, float]] = {}
+    for separation in SEPARATIONS:
+        corpora = [generate_corpus(SynthSpec(seed=seed, n_users=26, separation=separation)) for seed in (1, 2)]
+        runs = [(SimilarityMode.CORRECTED, ("sim", "abs", "itad"))]
+        if separation >= INVERTED_FROM:
+            runs.append((SimilarityMode.AS_PUBLISHED, ("sim",)))
+        for mode, scorers in runs:
+            config = BenchmarkConfig(scorers=scorers, similarity_mode=mode, scenario_kinds=("same",), k_max=1)
+            rows = [row for corpus in corpora for row in run_benchmark(corpus, config).rows]
+            for scorer in scorers:
+                accuracies = [row.accuracy for row in rows if row.scorer == scorer]
+                means.setdefault((mode, scorer), {})[separation] = float(np.mean(accuracies))
+    return means
+
+
+@pytest.mark.parametrize("scorer", ["sim", "abs", "itad"])
+def test_corrected_rank1_does_not_fall_as_separation_rises(rank1_by_separation, scorer):
+    rank1 = [rank1_by_separation[SimilarityMode.CORRECTED, scorer][s] for s in SEPARATIONS]
+    assert rank1 == sorted(rank1), dict(zip(SEPARATIONS, rank1))
+
+
+def test_published_similarity_ranks_below_corrected_once_users_separate(rank1_by_separation):
+    published = rank1_by_separation[SimilarityMode.AS_PUBLISHED, "sim"]
+    corrected = rank1_by_separation[SimilarityMode.CORRECTED, "sim"]
+    for separation in published:
+        assert published[separation] < corrected[separation], (separation, published[separation])

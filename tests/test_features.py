@@ -15,10 +15,11 @@ from keydyn.features import (
     profile_to_json,
     session_features,
 )
-from keydyn.verifiers import itad_score, prepare_profile, session_runs
+from keydyn.verifiers import prepare_profile, session_runs
 
 from columns import digraph_key, keystrokes, unigraph_key, wordhold_key
 from columns import session_log as make_session
+from conftest import itad_score
 from oracles import oracle_itad
 
 U, D, W = unigraph_key, digraph_key, wordhold_key

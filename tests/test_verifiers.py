@@ -14,15 +14,12 @@ from keydyn.verifiers import (
     Verifier,
     _pairs,
     _placed,
-    absolute_score,
-    itad_score,
     prepare_profile,
     session_runs,
-    similarity_score,
 )
 
 from columns import digraph_key, unigraph_key
-from conftest import random_profile
+from conftest import absolute_score, itad_score, random_profile, similarity_score
 from oracles import oracle_absolute, oracle_itad, oracle_similarity
 
 U, D = unigraph_key, digraph_key
