@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Sequence
 from . import evaluation, matrix, synth
 from .errors import KeydynError, OutputNameError
 from .features import ALL_KINDS, profile_to_json, session_features
-from .ingest import ParseResult, pair_events, read_corpus, serialize_corpus
+from .ingest import ParseResult, pair_events, read_corpus, serialize_corpus, split_lines
 from .verifiers import DEFAULT_ABSOLUTE_THRESHOLD, SimilarityMode, check_choices
 
 
@@ -39,7 +39,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: config file is not UTF-8 text: {exc}") from None
     values: dict[str, str] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(split_lines(text), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -2,8 +2,8 @@
 
 The canonical interchange format is CSV with header
 ``user_id,platform,session_id,key,action,time_ms``, action ``P`` or ``R``,
-UTF-8, LF line endings; one leading byte-order mark is ignored. Fields never
-contain commas: a literal comma key is spelled ``COMMA``.
+UTF-8, each row ended by LF, CRLF or a lone CR only; one leading byte-order
+mark is ignored. Fields never contain commas: a literal comma key is spelled ``COMMA``.
 
 A session's events and its paired keystrokes are numpy columns, each key a
 code into the session's ``key_names``, so no Python object is made per event
@@ -224,6 +224,21 @@ def _row_reason(line: str) -> str:
     return f"negative or non-finite timestamp {time_raw.strip()!r}"
 
 
+def split_lines(text: str) -> list[str]:
+    """``text`` cut at LF, CRLF and a lone CR, and at no other character, as ``bytes.splitlines`` cuts."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:  # a final line end starts no line
+        lines.pop()
+    return lines
+
+
+def _line_ends(data: bytes) -> int:
+    """How many lines :func:`split_lines` ends in ``data``."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
 def _blocks(stream: BinaryIO) -> Iterator[bytes]:
     """What ``stream`` holds from where it stands, in blocks that each end after a ``\\n`` (the last may not).
 
@@ -246,14 +261,14 @@ def _blocks(stream: BinaryIO) -> Iterator[bytes]:
 
 def _text_blocks(stream: BinaryIO, source: str | None) -> Iterator[str]:
     """The text of :func:`_blocks`, decoded as UTF-8 one block at a time."""
-    offset = row = 0  # the bytes and the line feeds before the block
+    offset = row = 0  # the bytes and the line ends before the block
     for block in _blocks(stream):
         try:
             text = block.decode("utf-8")
         except UnicodeDecodeError as exc:
-            row += block.count(b"\n", 0, exc.start) + 1
+            row += _line_ends(block[: exc.start]) + 1
             raise MalformedRowError(row, f"invalid UTF-8 at byte {offset + exc.start}", source) from None
-        offset, row = offset + len(block), row + block.count(b"\n")
+        offset, row = offset + len(block), row + _line_ends(block)
         yield text
 
 
@@ -299,8 +314,7 @@ def parse_log(data: bytes | str | BinaryIO, *, source: str | None = None) -> Par
     if isinstance(data, bytes):
         data = io.BytesIO(data)
     blocks = _text_blocks(data, source)
-    text = next(blocks, "")
-    lines = (text[1:] if text.startswith("\ufeff") else text).splitlines()
+    lines = split_lines(next(blocks, "").removeprefix("\ufeff"))
     if not lines:
         raise EmptyInputError("empty input" + (f": {source}" if source else ""))
     if lines[0].strip() != CSV_HEADER:
@@ -317,7 +331,7 @@ def parse_log(data: bytes | str | BinaryIO, *, source: str | None = None) -> Par
     parsed = ([], [], [], [])  # per block, the session index, key code, press flag and time of each good row
 
     row = 1  # the number of the line before the block; the header is row 1
-    for block in itertools.chain([lines[1:]], map(str.splitlines, blocks)):
+    for block in itertools.chain([lines[1:]], map(split_lines, blocks)):
         first, row = row + 1, row + len(block)
         commas = np.fromiter(map(str.count, block, itertools.repeat(",")), np.intp, len(block))
         whole = np.flatnonzero(commas == 5)
@@ -357,7 +371,7 @@ def parse_log(data: bytes | str | BinaryIO, *, source: str | None = None) -> Par
 
     if result.rows_total == 0:
         raise EmptyInputError("no data rows" + (f": {source}" if source else ""))
-    del text, lines, block
+    del lines, block
 
     session, key, press, times = map(_join, parsed)
     session_keys = sorted(sessions)

@@ -10,12 +10,11 @@ value) pairs exactly, as complex numbers that numpy orders by id, then
 value. :func:`session_runs` turns each session map into its run: its pairs,
 over one vocabulary of the maps' names, sorted once. :func:`prepare_profile`
 merges the runs of one side into sorted per-feature values with their
-medians, and a :class:`Roster` lays out a scenario's two sides once for all
-three verifiers: each probe user's pairs are placed among the enrollment
-side's sorted values, medians and band edges. Each ``*_from_prepared``
-kernel scores a whole probe x enrollment matrix from the roster, looping
-over probe users only. :func:`keydyn.matrix.score_matrices` builds the
-roster and calls the kernels.
+medians. A :class:`Roster` holds what the kernels share: the enrollment
+side's columns and each probe user's pairs. Each ``*_from_prepared`` kernel
+sorts the pairs only it reads, scores a whole probe x enrollment matrix
+from the roster and loops over probe users only.
+:func:`keydyn.matrix.score_matrices` builds the roster and calls the kernels.
 """
 
 from __future__ import annotations
@@ -216,13 +215,12 @@ def _ascending(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Roster:
-    """One scenario's profiles, laid out once for all three verifiers.
+    """One scenario's profiles, in the columns all three verifiers read.
 
     Enrollment (user, feature) entries run user-major, ascending in feature id
-    within each user. Similarity and ITAD compare (feature id, value) pairs:
-    :attr:`probe_pairs`, :attr:`thresholds` (the band edges, which Similarity
-    reads), :attr:`medians` and :attr:`values` (which ITAD reads) are each
-    laid out on first use, so Absolute lays out none of them.
+    within each user. :attr:`probe_pairs`, which Similarity and ITAD read, is
+    laid out on first use, so Absolute never lays it out; each kernel sorts
+    the enrollment pairs only it reads.
     """
 
     def __init__(self, enroll: Sequence[PreparedProfile], probe: Sequence[PreparedProfile]) -> None:
@@ -236,30 +234,6 @@ class Roster:
     def probe_pairs(self) -> list[np.ndarray]:
         """Per probe user, its pairs, ascending as its profile holds them."""
         return [_pairs(np.repeat(p.fids, p.count), p.values) for p in self.probe]
-
-    @cached_property
-    def thresholds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every entry's band edges, median - std and median + std, as pairs in
-        one ascending array, and the position of each in it: rows low, high."""
-        values = np.concatenate([p.values for p in self.enroll])
-        sigma = _run_std(values, np.cumsum(self.count) - self.count, self.count)
-        edges = _pairs(np.tile(self.fid, 2), np.concatenate([self.median - sigma, self.median + sigma]))
-        ascending, at = _ascending(edges)
-        return ascending, at.reshape(2, -1)
-
-    @cached_property
-    def medians(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every entry's median as a pair, in one ascending array, and the position of each in it."""
-        return _ascending(_pairs(self.fid, self.median))
-
-    @cached_property
-    def values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every enrollment value as a pair, ascending, and the entry each belongs to."""
-        entry = np.repeat(np.arange(self.fid.size), self.count)
-        pairs = _pairs(self.fid[entry], np.concatenate([p.values for p in self.enroll]))
-        # each entry's values already ascend, so a stable sort merges runs
-        order = np.argsort(pairs, kind="stable")
-        return pairs[order], entry[order]
 
     def probes(self) -> Iterator[tuple[int, PreparedProfile, np.ndarray, np.ndarray]]:
         """Per probe user: its row, its profile, the enrollment entries whose
@@ -291,7 +265,13 @@ def similarity_from_prepared(roster: Roster, mode: SimilarityMode) -> np.ndarray
     CORRECTED when v/u > 0.5; a pair scores its counted features over its
     common features.
     """
-    ascending, (low, high) = roster.thresholds
+    # every entry's band edges, median - std and median + std, as pairs in one ascending array
+    values = np.concatenate([p.values for p in roster.enroll])
+    sigma = _run_std(values, np.cumsum(roster.count) - roster.count, roster.count)
+    edges = _pairs(np.tile(roster.fid, 2), np.concatenate([roster.median - sigma, roster.median + sigma]))
+    ascending, at = _ascending(edges)
+    low, high = at.reshape(2, -1)
+    del values, edges  # freed before the probe loop, which reads only the sorted edges
     scores = np.zeros((len(roster.probe), len(roster.enroll)))
     for row, p, common, pick in roster.probes():
         own = roster.probe_pairs[row]
@@ -338,8 +318,13 @@ def itad_from_prepared(roster: Roster) -> np.ndarray:
     |#{y < x} - #{y <= m}|, an exact integer; each feature adds that sum
     over n, and a pair adds its features in ascending id order.
     """
-    ascending, median = roster.medians
-    values, entry = roster.values
+    ascending, median = _ascending(_pairs(roster.fid, roster.median))
+    entry = np.repeat(np.arange(roster.fid.size), roster.count)
+    pairs = _pairs(roster.fid[entry], np.concatenate([p.values for p in roster.enroll]))
+    # each entry's values already ascend, so a stable sort merges runs
+    order = np.argsort(pairs, kind="stable")
+    values, entry = pairs[order], entry[order]
+    del pairs, order  # freed before the probe loop, which reads only the sorted pairs
     scores = np.zeros((len(roster.probe), len(roster.enroll)))
     for row, p, common, pick in roster.probes():
         own = roster.probe_pairs[row]

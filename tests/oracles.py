@@ -14,6 +14,7 @@ themselves.
 from __future__ import annotations
 
 import io
+import re
 import statistics
 from collections import defaultdict
 from operator import itemgetter
@@ -106,13 +107,15 @@ def parse_log_oracle(data, source=None) -> dict:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            row = data.count(b"\n", 0, exc.start) + 1
+            row = len(re.findall(rb"\r\n?|\n", data[: exc.start])) + 1
             raise MalformedRowError(row, f"invalid UTF-8 at byte {exc.start}", source) from None
     else:
         text = data
     if text.startswith("\ufeff"):
         text = text[1:]
-    lines = text.splitlines()
+    lines = re.split(r"\r\n?|\n", text)  # rows end at LF, CRLF or a lone CR only
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise EmptyInputError("empty input" + (f": {source}" if source else ""))
     if lines[0].strip() != CSV_HEADER:

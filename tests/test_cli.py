@@ -624,6 +624,15 @@ def test_config_unclosed_quote_is_usage_error(corpus_dir, tmp_path, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["keydyn.cfg"]
 
 
+def test_config_quoted_value_keeps_a_line_separator(tmp_path):
+    # only LF, CRLF and a lone CR end a config line, as they end a CSV row
+    out = tmp_path / "x\u2028y"
+    cfg = tmp_path / "keydyn.cfg"
+    cfg.write_text(f'users = 2\nout_dir = "{out}"\n', encoding="utf-8")
+    assert main(["--config", str(cfg), "synth"]) == 0
+    assert (out / "corpus.csv").exists()
+
+
 def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "keydyn.cfg"
     cfg.write_text('# sizes\nusers 2\nout_dir = "{}"\n'.format(tmp_path / "out"))

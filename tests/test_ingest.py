@@ -247,6 +247,28 @@ def test_invalid_utf8_past_a_block_outranks_a_bad_header():
         parse_log(data.replace(b"\xff", b"b"))
 
 
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_rows_end_only_at_lf_crlf_or_lone_cr(char):
+    # str.splitlines would also cut the first row at char: 4 rows, two of 3 fields, and the bad one numbered 5
+    text = HEADER + f"u1,F,1,a{char}b,P,1.0\nu1,F,1,a,R,2.0\nu1,F,1,zz,Q,3.0\n"
+    for data in (text, text.encode()):
+        result = parse_log(data)
+        assert (result.rows_total, result.rows_rejected) == (3, 1)
+        assert result.warnings == ["row 4: unknown action 'Q' (skipped)"]
+        assert [key for key, _, _ in event_rows(result.sessions[0])] == [canonicalize_key(f"a{char}b"), "a"]
+        assert parse_log_oracle(data)["warnings"] == result.warnings
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_invalid_utf8_is_numbered_by_every_line_end(end):
+    data = (HEADER + "u1,F,1,a,P,0\nu1,F,1,a,R,5\nu1,F,1,\xff,P,9\nu1,F,1,b,R,12\n").replace("\n", end)
+    data = data.encode("latin-1")
+    message = rf"^row 4: invalid UTF-8 at byte {data.index(255)}$"
+    for parse in (parse_log, parse_log_oracle):
+        with pytest.raises(MalformedRowError, match=message):
+            parse(data)
+
+
 def test_read_corpus_memory_is_bounded_by_its_columns(tmp_path):
     # the file streams through in blocks: reading the whole file and its whole text peaked at 5x its size
     path = tmp_path / "corpus.csv"
