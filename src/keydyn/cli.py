@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Sequence
 from . import evaluation, matrix, synth
 from .errors import KeydynError, OutputNameError
 from .features import ALL_KINDS, profile_to_json, session_features
-from .ingest import ParseResult, pair_events, read_corpus, serialize_corpus, split_lines
+from .ingest import ParseResult, pair_events, read_corpus, split_lines, write_corpus
 from .verifiers import DEFAULT_ABSOLUTE_THRESHOLD, SimilarityMode, check_choices
 
 
@@ -348,7 +348,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     corpus = synth.generate_corpus(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "corpus.csv"
-    path.write_text(serialize_corpus(corpus), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        write_corpus(corpus, out)
     stats = corpus.summary()
     print(f"corpus written: {path}")
     # every generated keystroke is one press and one release, and they pair

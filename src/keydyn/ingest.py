@@ -16,9 +16,10 @@ import io
 import itertools
 import math
 import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -190,8 +191,20 @@ _EMPTY_FIELD = "empty user_id, platform, or key"
 _BLOCK_SIZE = 1 << 16  # bytes per read; smaller blocks cost wall time, larger ones memory
 
 
+class _Interned(dict):
+    """A lookup table that makes each missing entry from its key, once, on the key's first lookup."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, raw):
+        self[raw] = value = self._make(raw)
+        return value
+
+
 def _session_head(head: tuple[str, str, str], sessions: dict[tuple[str, str, int], int]) -> int:
-    """The index in ``sessions`` of the session a raw (user_id, platform, session_id) names; -1 if it is malformed."""
+    """The id in ``sessions`` of the session a raw (user_id, platform, session_id) names; -1 if it is malformed."""
     user_id, platform, session_raw = (f.strip() for f in head)
     if not user_id or not platform:
         return -1
@@ -200,6 +213,12 @@ def _session_head(head: tuple[str, str, str], sessions: dict[tuple[str, str, int
     except ValueError:
         return -1
     return sessions.setdefault((user_id, platform, session_id), len(sessions))
+
+
+def _key_code(raw: str, names: dict[str, int]) -> int:
+    """The code in ``names`` of the canonical key a raw key field names; -1 if it is blank."""
+    key = raw.strip()
+    return names.setdefault(canonicalize_key(key), len(names)) if key else -1
 
 
 def _row_reason(line: str) -> str:
@@ -259,8 +278,8 @@ def _blocks(stream: BinaryIO) -> Iterator[bytes]:
         yield rest
 
 
-def _text_blocks(stream: BinaryIO, source: str | None) -> Iterator[str]:
-    """The text of :func:`_blocks`, decoded as UTF-8 one block at a time."""
+def _text_blocks(stream: BinaryIO, source: str | None) -> Iterator[tuple[str, int]]:
+    """The text of :func:`_blocks`, decoded as UTF-8 one block at a time, each with the bytes read through it."""
     offset = row = 0  # the bytes and the line ends before the block
     for block in _blocks(stream):
         try:
@@ -269,14 +288,16 @@ def _text_blocks(stream: BinaryIO, source: str | None) -> Iterator[str]:
             row += _line_ends(block[: exc.start]) + 1
             raise MalformedRowError(row, f"invalid UTF-8 at byte {offset + exc.start}", source) from None
         offset, row = offset + len(block), row + _line_ends(block)
-        yield text
+        yield text, offset
 
 
-def _join(parts: list[np.ndarray]) -> np.ndarray:
-    """``parts`` as one array; the list is emptied, so each part dies once the whole exists."""
-    whole = np.concatenate(parts)
-    parts.clear()
-    return whole
+def _bytes_left(stream: BinaryIO) -> int | None:
+    """The bytes a regular file's stream holds from where it stands; None where the stream does not tell."""
+    try:
+        status = os.fstat(stream.fileno())
+        return status.st_size - stream.tell() if stat.S_ISREG(status.st_mode) else None
+    except (AttributeError, OSError, ValueError):  # no file behind it, or closed
+        return None
 
 
 def _float_or_nan(text: str) -> float:
@@ -303,18 +324,27 @@ def parse_log(data: bytes | str | BinaryIO, *, source: str | None = None) -> Par
 
     Input is read a block of ``_BLOCK_SIZE`` at a time, and rows are checked
     in bulk, a block at a time: each distinct row head
-    (``user_id,platform,session_id``), key and action spelling once, and
-    every timestamp in one pass. Only a row that fails a check is looked at
-    alone, to name its first failing check in the order above. Memory is the
-    parsed columns, 17 bytes a row while parsing and 13 kept (a 32-bit key
-    code, a press flag and a float64 time), plus one block.
+    (``user_id,platform,session_id``), key and action spelling is interned
+    on first sight, and every timestamp is read in one pass. Only a row that
+    fails a check is looked at alone, to name its first failing check in the
+    order above. Good rows go straight into columns that grow in place, each
+    time to the rows that the bytes read so far predict for the whole input
+    (a stream that does not tell its size doubles them). Memory is those
+    columns, 17 bytes a row while parsing and 13 kept (a 32-bit key code, a
+    press flag and a float64 time), plus one block. Session ids and key codes
+    follow first sight, so rows that arrive grouped by session are not moved.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
     if isinstance(data, bytes):
+        total = len(data)
         data = io.BytesIO(data)
+    else:
+        total = _bytes_left(data)
     blocks = _text_blocks(data, source)
-    lines = split_lines(next(blocks, "").removeprefix("\ufeff"))
+    text, read = next(blocks, ("", 0))
+    lines = split_lines(text.removeprefix("\ufeff"))
+    del text
     if not lines:
         raise EmptyInputError("empty input" + (f": {source}" if source else ""))
     if lines[0].strip() != CSV_HEADER:
@@ -323,15 +353,18 @@ def parse_log(data: bytes | str | BinaryIO, *, source: str | None = None) -> Par
         raise MalformedRowError(1, f"bad header (expected {CSV_HEADER!r})", source)
 
     result = ParseResult(sessions=[])
-    sessions: dict[tuple[str, str, int], int] = {}  # session key -> index, in order of first sight
-    heads: dict[tuple[str, str, str], int] = {}  # raw head fields -> session index, -1 if malformed
-    names: dict[str, int] = {}  # canonical key -> code
-    codes: dict[str, int] = {}  # raw key field -> code, -1 if blank
-    actions: dict[str, int] = {}  # raw action field -> press flag, -1 if unknown
-    parsed = ([], [], [], [])  # per block, the session index, key code, press flag and time of each good row
+    sessions: dict[tuple[str, str, int], int] = {}  # session key -> id, in order of first sight
+    names: dict[str, int] = {}  # canonical key -> code, in order of first sight
+    heads = _Interned(lambda raw: _session_head(raw, sessions))  # raw head fields -> session id, -1 if malformed
+    codes = _Interned(lambda raw: _key_code(raw, names))  # raw key field -> code, -1 if blank
+    actions = _Interned(lambda raw: _ACTIONS.get(raw.strip(), -1))  # raw action field -> press flag, -1 if unknown
+    # the session id, key code, press flag and time of each good row; rows from `size` on are spare capacity
+    columns = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0, bool), np.empty(0, np.float64))
+    size = 0
 
     row = 1  # the number of the line before the block; the header is row 1
-    for block in itertools.chain([lines[1:]], map(split_lines, blocks)):
+    rest = ((split_lines(text), end) for text, end in blocks)
+    for block, read in itertools.chain([(lines[1:], read)], rest):
         first, row = row + 1, row + len(block)
         commas = np.fromiter(map(str.count, block, itertools.repeat(",")), np.intp, len(block))
         whole = np.flatnonzero(commas == 5)
@@ -341,13 +374,6 @@ def parse_log(data: bytes | str | BinaryIO, *, source: str | None = None) -> Par
         head = fields[0::6], fields[1::6], fields[2::6]
         key_raw, action_raw, time_raw = fields[3::6], fields[4::6], fields[5::6]
         del fields
-        for raw in dict.fromkeys(zip(*head)).keys() - heads.keys():
-            heads[raw] = _session_head(raw, sessions)
-        for raw in set(key_raw) - codes.keys():
-            key = raw.strip()
-            codes[raw] = names.setdefault(canonicalize_key(key), len(names)) if key else -1
-        for raw in set(action_raw) - actions.keys():
-            actions[raw] = _ACTIONS.get(raw.strip(), -1)
         session = np.fromiter(map(heads.__getitem__, zip(*head)), np.int32, n)
         key = np.fromiter(map(codes.__getitem__, key_raw), np.int32, n)
         press = np.fromiter(map(actions.__getitem__, action_raw), np.int8, n)
@@ -366,20 +392,24 @@ def parse_log(data: bytes | str | BinaryIO, *, source: str | None = None) -> Par
             result.rows_rejected += 1
             result.warnings.append(f"row {first + i}: {_row_reason(line)} (skipped)")
         result.rows_total += len(block) - blank
-        for parts, column in zip(parsed, (session, key, press == 1, times)):
-            parts.append(column[good])
+        end = size + int(np.count_nonzero(good))
+        if end > columns[0].size:
+            # resize zero-fills the new tail, so the capacity stays close to the rows predicted
+            grown = 2 * end if total is None else int(end * max(total, read) / read * 1.02) + 1024
+            for column in columns:
+                column.resize(grown, refcheck=False)  # no view of a column exists while it grows
+        for column, values in zip(columns, (session, key, press, times)):
+            column[size:end] = values[good]
+        size = end
 
     if result.rows_total == 0:
         raise EmptyInputError("no data rows" + (f": {source}" if source else ""))
     del lines, block
-
-    session, key, press, times = map(_join, parsed)
-    session_keys = sorted(sessions)
-    rank = np.empty(len(sessions), np.int32)
-    rank[[sessions[k] for k in session_keys]] = np.arange(len(sessions))
-    session = rank[session]  # now ascending with the session keys
+    for column in columns:
+        column.resize(size, refcheck=False)
+    session, key, press, times = columns
     # group the rows by session; a session keeps file order unless its times fall somewhere.
-    # Rows written by serialize_corpus arrive grouped and in time order, and are not moved
+    # Rows that arrive grouped and in time order, as serialize_corpus writes them, are not moved
     order = None if np.all(session[1:] >= session[:-1]) else np.argsort(session, kind="stable")
     grouped, grouped_times = (session, times) if order is None else (session[order], times[order])
     late = (grouped_times[1:] < grouped_times[:-1]) & (grouped[1:] == grouped[:-1])
@@ -393,25 +423,33 @@ def parse_log(data: bytes | str | BinaryIO, *, source: str | None = None) -> Par
     # searched, not counted: np.bincount would copy the int32 column to intp
     bounds = np.searchsorted(grouped, np.arange(len(sessions) + 1, dtype=np.int32)).tolist()
     key_names = tuple(names)
-    for (user_id, platform, session_id), a, b in zip(session_keys, bounds, bounds[1:]):
+    for (user_id, platform, session_id), index in sorted(sessions.items()):
+        a, b = bounds[index], bounds[index + 1]
         if a < b:
             log = SessionLog(user_id, platform, session_id, key_names, key[a:b], press[a:b], times[a:b])
             result.sessions.append(log)
-    for index in resorted:
+    session_keys = list(sessions)
+    for session_key in sorted(session_keys[index] for index in resorted):
         result.resorted_sessions += 1
-        result.warnings.append(f"session {session_keys[index]}: out-of-order timestamps, re-sorted")
+        result.warnings.append(f"session {session_key}: out-of-order timestamps, re-sorted")
     return result
 
 
 def serialize_corpus(corpus: Corpus) -> str:
-    """Emit the canonical CSV for a corpus; inverse of :func:`parse_log`.
+    """Emit the canonical CSV for a corpus; inverse of :func:`parse_log`."""
+    out = io.StringIO()
+    write_corpus(corpus, out)
+    return out.getvalue()
+
+
+def write_corpus(corpus: Corpus, out: TextIO) -> None:
+    """Write the canonical CSV for a corpus to the text stream ``out``, a session at a time.
 
     A row is written as its lead, ``\\n`` then every field but the time,
     followed by the time's ``repr``. A session's leads form one table indexed
     by key code x 2 + press flag, so a row costs one lookup and one
     ``float.__repr__``.
     """
-    out = io.StringIO()
     out.write(CSV_HEADER)
     for key in sorted(corpus.sessions):
         log = corpus.sessions[key]
@@ -422,7 +460,6 @@ def serialize_corpus(corpus: Corpus) -> str:
         rows[1::2] = map(float.__repr__, log.times.tolist())
         out.writelines(rows)
     out.write("\n")
-    return out.getvalue()
 
 
 def read_corpus(paths: str | os.PathLike | Iterable[str | os.PathLike]) -> tuple[Corpus, ParseResult]:

@@ -321,15 +321,17 @@ def itad_from_prepared(roster: Roster) -> np.ndarray:
     ascending, median = _ascending(_pairs(roster.fid, roster.median))
     entry = np.repeat(np.arange(roster.fid.size), roster.count)
     pairs = _pairs(roster.fid[entry], np.concatenate([p.values for p in roster.enroll]))
-    # each entry's values already ascend, so a stable sort merges runs
+    # each entry's values already ascend, so a stable sort merges runs; the pairs sort in place,
+    # in the order that the same stable sort gives their entries
     order = np.argsort(pairs, kind="stable")
-    values, entry = pairs[order], entry[order]
-    del pairs, order  # freed before the probe loop, which reads only the sorted pairs
+    entry = entry[order]
+    del order  # freed before the probe loop, which reads only the sorted pairs
+    pairs.sort(kind="stable")
     scores = np.zeros((len(roster.probe), len(roster.enroll)))
     for row, p, common, pick in roster.probes():
         own = roster.probe_pairs[row]
         # per enrollment value x of entry e: #{y < x} - #{y <= median of e}
-        gap = _placed(values, own, "right")
+        gap = _placed(pairs, own, "right")
         gap -= _placed(ascending, own, "left")[median][entry]
         tail = np.bincount(entry, weights=np.abs(gap, out=gap), minlength=roster.fid.size)
         # bincount adds in entry order: per pair, ascending feature id

@@ -6,8 +6,9 @@ import pytest
 
 from keydyn import cli, features
 from keydyn.cli import load_config_file, main
-from keydyn.ingest import CSV_HEADER, pair_events, read_corpus
+from keydyn.ingest import CSV_HEADER, pair_events, read_corpus, serialize_corpus
 from keydyn.matrix import ALL_SCORERS
+from keydyn.synth import SynthSpec, generate_corpus
 from keydyn.verifiers import session_runs
 
 from test_cli_fuzz import INVALID, PARSER, VALID
@@ -25,6 +26,12 @@ def test_synth_writes_canonical_csv(corpus_dir, capsys):
     text = (corpus_dir / "corpus.csv").read_text()
     assert text.startswith(CSV_HEADER)
     assert text.endswith("\n")
+
+
+def test_synth_writes_the_bytes_serialize_corpus_makes(corpus_dir):
+    # the command writes a session at a time, through the writer serialize_corpus uses
+    corpus = generate_corpus(SynthSpec(seed=1, n_users=4, separation=2.0))
+    assert (corpus_dir / "corpus.csv").read_bytes() == serialize_corpus(corpus).encode("utf-8")
 
 
 def test_synth_keystroke_total_is_what_the_corpus_pairs_to(tmp_path, capsys):

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import io
+import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from keydyn.ingest import (
     parse_log,
     read_corpus,
     serialize_corpus,
+    write_corpus,
 )
 
 from columns import event_rows, keystroke_rows
@@ -25,6 +31,13 @@ from columns import session_log as make_log  # the name session_log is this modu
 from oracles import parse_log_oracle, serialize_corpus_oracle
 
 HEADER = "user_id,platform,session_id,key,action,time_ms\n"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment with this checkout's package first on the path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def test_parse_four_rows_one_session():
@@ -299,6 +312,128 @@ def test_key_codes_are_32_bit_from_parse_to_pairing(tmp_path):
     for log in [*corpus, *generated]:
         assert log.keys.dtype == np.int32
         assert pair_events(log).pairs.keys.dtype == np.int32
+
+
+# Linux counts the resident set a child had before exec in its peak, so each command is started
+# from a small interpreter, which reads its peak RSS through os.wait4
+PEAK_RSS_CHILD = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def peak_rss_mib(command: list[str]) -> float:
+    """The peak resident set of a child running ``command``, in MiB."""
+    done = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD, *command], env=child_env(), capture_output=True)
+    code, kib = map(int, done.stdout.split())  # ru_maxrss is in KiB on Linux
+    assert code == 0, done.stderr.decode()
+    return kib / 1024
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "wait4") or not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB through os.wait4"
+)
+def test_extract_peak_rss_is_bounded_by_the_file(tmp_path):
+    # the parse sets extract's peak: its columns grow in place, with no per-block parts joined at the end
+    path = tmp_path / "corpus.csv"
+    with open(path, "w", encoding="utf-8") as out:
+        write_corpus(synth.generate_corpus(synth.SynthSpec(seed=25, n_users=26, separation=3.0)), out)
+    extract = [sys.executable, "-m", "keydyn.cli", "extract", str(path), "--out", str(tmp_path / "out")]
+    rise = peak_rss_mib(extract) - peak_rss_mib([sys.executable, "-c", "import keydyn.cli"])
+    mib = path.stat().st_size / 2**20
+    # about 1.2x this file; per-block parts and their join took 1.9x
+    assert rise <= 1.5 * mib, f"extract peaks {rise:.1f} MiB above import for a {mib:.1f} MiB file"
+
+
+HASH_SEED_CHILD = """
+import json, sys
+from keydyn.ingest import parse_log
+result = parse_log(sys.stdin.buffer.read())
+# the sessions share the parse's columns, each at the rows of its id
+by_id = sorted(result.sessions, key=lambda log: log.times.ctypes.data)
+print(json.dumps([result.sessions[0].key_names, [log.session_key for log in by_id]]))
+"""
+
+
+def test_parse_does_not_depend_on_the_hash_seed():
+    # grouped rows of sessions that arrive out of key order, over more keys than any hash order keeps
+    letters = "qwertyuiopasdfghjklzxcvbnm"
+    heads = [("u2", "I", 3), ("u1", "F", 7), ("u3", "F", 1), ("u1", "F", 2)]
+    rows = [
+        f"{user},{platform},{session},{letters[(7 * i + j) % 26].upper()},{action},{10 * j + (action == 'R')}\n"
+        for i, (user, platform, session) in enumerate(heads)
+        for j in range(20)
+        for action in "PR"
+    ]
+    data = (HEADER + "".join(rows)).encode()
+    seen = [ingest.canonicalize_key(row.split(",")[3]) for row in rows]
+    parsed = []
+    for seed in ("1", "2"):
+        command = [sys.executable, "-c", HASH_SEED_CHILD]
+        done = subprocess.run(command, input=data, env=child_env(PYTHONHASHSEED=seed), capture_output=True, check=True)
+        parsed.append(json.loads(done.stdout))
+    assert parsed[0] == parsed[1]
+    key_names, ids = parsed[0]
+    assert key_names == list(dict.fromkeys(seen))  # first-sight order
+    assert ids == [list(head) for head in heads]
+
+
+def uneven_rows(first: str, rest: str) -> bytes:
+    """A log whose first block holds only rows shaped like ``first``, and whose other rows are shaped like ``rest``.
+
+    Rejected and blank rows follow each part, and the key ``é`` is two bytes
+    but one character.
+    """
+    faults = "u1,F,1,a,Q,1\nu1,F,1,b,P,-4\nu2,F,x,a,P,3\n\n"
+    head = HEADER + "".join(first.format(action="PR"[i % 2], time=i) for i in range(6_000)) + faults
+    assert head.index("\n", ingest._BLOCK_SIZE) < head.index(faults)
+    return (head + "".join(rest.format(action="PR"[i % 2], time=i) for i in range(6_000, 18_000)) + faults).encode()
+
+
+SHORT_ROW = "u,F,1,é,{action},{time}\n"
+LONG_ROW = "user_with_a_long_id,Facebook,12345,Key.shift_r,{action},{time}.123456789\n"
+SIZING_LOGS = {
+    "synth": lambda: serialize_corpus(synth.generate_corpus(synth.SynthSpec(seed=3, n_users=2))).encode(),
+    # the first block predicts too many rows: the columns shrink once, at the end
+    "short-first": lambda: uneven_rows(SHORT_ROW, LONG_ROW),
+    # the first block predicts too few rows: the columns grow again
+    "long-first": lambda: uneven_rows(LONG_ROW, SHORT_ROW),
+}
+
+
+@pytest.mark.parametrize(
+    "log, given",
+    [
+        ("synth", "file"),
+        ("synth", "bytes"),
+        ("synth", "str"),
+        ("synth", "file past a prefix"),
+        ("synth", "read only"),  # no size to predict from: the columns double
+        ("short-first", "file"),
+        ("short-first", "read only"),
+        ("long-first", "file"),
+        ("long-first", "str"),
+    ],
+)
+def test_parse_log_matches_oracle_on_every_sizing_path(tmp_path, log, given):
+    data = SIZING_LOGS[log]()
+    assert len(data) > 3 * ingest._BLOCK_SIZE
+    prefix = b"not,part,of,the,log\n" * 1_000
+    path = tmp_path / "log.csv"
+    path.write_bytes(prefix + data if given == "file past a prefix" else data)
+    if given in ("file", "file past a prefix"):
+        with path.open("rb") as stream:
+            if given == "file past a prefix":
+                stream.seek(len(prefix))
+            got = parse_log(stream)
+    elif given == "read only":
+        got = parse_log(ReadOnly(data))
+    else:
+        got = parse_log(data if given == "bytes" else data.decode())
+    assert plain(got) == parse_log_oracle(data)
 
 
 def test_read_corpus_sums_several_paths(tmp_path):
