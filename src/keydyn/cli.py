@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Sequence
 from . import evaluation, matrix, synth
 from .errors import KeydynError, OutputNameError
 from .features import ALL_KINDS, profile_to_json, session_features
-from .ingest import ParseResult, pair_events, read_corpus, split_lines, write_corpus
+from .ingest import Corpus, pair_events, read_corpus, split_lines, write_corpus
 from .verifiers import DEFAULT_ABSOLUTE_THRESHOLD, SimilarityMode, check_choices
 
 
@@ -200,9 +200,16 @@ def _require(value: Any, flag: str) -> Any:
     return value
 
 
-def _print_warnings(summary: ParseResult) -> None:
+def _read_corpus(inputs: Sequence[str]) -> Corpus:
+    """The corpus ``inputs`` hold, once the parse's warnings are printed.
+
+    The :class:`~keydyn.ingest.ParseResult` dies here, so its list of sessions, each a view
+    of the parse's shared columns, keeps none of them alive.
+    """
+    corpus, summary = read_corpus(inputs)
     for warning in summary.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    return corpus
 
 
 _NAME_MAX = 255  # bytes in one file name on Linux file systems
@@ -230,8 +237,7 @@ def _output_name_fault(names: Iterable[tuple[str, str]]) -> str | None:
 def cmd_extract(args: argparse.Namespace) -> int:
     out_dir = Path(_require(args.out, "--out"))
     kinds = args.kinds or ALL_KINDS
-    corpus, summary = read_corpus(args.inputs)
-    _print_warnings(summary)
+    corpus = _read_corpus(args.inputs)
     names = {(u, p, s): f"{u}_{p}_s{s}.json" for u, p, s in sorted(corpus.sessions)}
     if fault := _output_name_fault((name, f"session {key}") for key, name in names.items()):
         raise OutputNameError(fault)
@@ -295,9 +301,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     bench = _benchmark_config(args)
     formats = args.formats or ("csv", "json")
 
-    corpus, summary = read_corpus(args.inputs)
-    _print_warnings(summary)
-    [(data, matrices)] = evaluation.score_scenarios(corpus, [scenario], bench)
+    # no reference to the corpus is kept here, so scoring lets it go
+    [(data, matrices)] = evaluation.score_scenarios(_read_corpus(args.inputs), [scenario], bench)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     render = {"csv": matrix.matrix_to_csv, "json": matrix.matrix_to_json}
@@ -315,9 +320,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     bench = _benchmark_config(args, k_max=args.k_max, scenario_kinds=args.scenarios)
     formats = args.formats or ("json", "csv")
 
-    corpus, summary = read_corpus(args.inputs)
-    _print_warnings(summary)
-    report = evaluation.run_benchmark(corpus, bench)
+    # no reference to the corpus is kept here, so scoring lets it go
+    report = evaluation.run_benchmark(_read_corpus(args.inputs), bench)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

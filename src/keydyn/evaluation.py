@@ -269,9 +269,14 @@ def score_scenarios(
 
     The scenarios' profiles are built at once by :func:`build_scenario_data`;
     each scenario is scored only when it is reached, so its matrices can die
-    before the next one is scored.
+    before the next one is scored. Scoring reads only the profiles, so the
+    generator lets ``corpus`` go once they are built: a caller that keeps
+    no reference to it, nor to any of its sessions, has it freed before the
+    first scenario is scored.
     """
-    for data in build_scenario_data(corpus, scenarios, kinds=config.kinds):
+    built = build_scenario_data(corpus, scenarios, kinds=config.kinds)
+    del corpus
+    for data in built:
         yield data, score_matrices(
             data.enroll,
             data.probe,
@@ -287,6 +292,9 @@ def run_benchmark(corpus: Corpus, config: BenchmarkConfig = BenchmarkConfig()) -
 
     Deterministic for a given corpus and config. NoEligibleUsersError when the corpus
     holds no session or its platforms form no scenario of the configured kinds.
+    The report's ``dataset`` block is read first; then the corpus is let go
+    as :func:`score_scenarios` lets it go, so it is freed before scoring
+    unless the caller holds it.
     """
     if not corpus.sessions:
         raise NoEligibleUsersError("corpus holds no sessions")
@@ -296,8 +304,9 @@ def run_benchmark(corpus: Corpus, config: BenchmarkConfig = BenchmarkConfig()) -
             f"scenario kinds {list(config.scenario_kinds)} form no scenario on platforms {corpus.platforms}"
         )
     report = EvaluationReport(config=config.describe(), dataset=corpus.summary())
-
-    for data, matrices in score_scenarios(corpus, scenarios, config):
+    scored = score_scenarios(corpus, scenarios, config)
+    del corpus
+    for data, matrices in scored:
         scenario = data.scenario
         n = len(data.enroll)
         report.scenarios.append(ScenarioSummary(scenario.name, scenario.kind, n, data.excluded))

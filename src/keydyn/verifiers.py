@@ -8,7 +8,8 @@ a non-empty sequence of durations, as :mod:`keydyn.features` produces them.
 Scoring runs on a columnar form. Similarity and ITAD compare (feature id,
 value) pairs exactly, as complex numbers that numpy orders by id, then
 value. :func:`session_runs` turns each session map into its run: its pairs,
-over one vocabulary of the maps' names, sorted once. :func:`prepare_profile`
+over one vocabulary of the maps' names, sorted once, each run a slice of one
+table. :func:`prepare_profile`
 merges the runs of one side into sorted per-feature values with their
 medians. A :class:`Roster` holds what the kernels share: the enrollment
 side's columns and each probe user's pairs. Each ``*_from_prepared`` kernel
@@ -108,12 +109,18 @@ def session_runs(
     and a value that is not finite or whose magnitude exceeds
     :data:`MAX_MAGNITUDE` raises ValueOutOfRangeError; the message names the
     feature and, when ``sources`` names each map, its map.
+
+    The runs are consecutive slices of one table, which grows in place as
+    the maps are read, so the runs are one block of memory and no small
+    array is left behind when they die. A run kept alive keeps the whole
+    table alive.
     """
     ids: dict[str, int] = {}
     # every name read draws a number and a new name keeps it, so first-sight
     # ids are unique and rising, with gaps, at the cost of one C-level pass
     numbers = itertools.count()
-    runs = []
+    table = np.empty(0, np.complex128)  # the pairs of every map read; from bounds[-1] on, spare capacity
+    bounds = [0]
     for part, source in zip(maps, itertools.repeat("") if sources is None else sources):
         where = f" in {source}" if source else ""
         lists = list(part.values())
@@ -121,18 +128,25 @@ def session_runs(
         if not counts.all():
             name = list(part)[counts.argmin()]
             raise EmptyListError(f"empty value list for feature {name}{where}")
-        fids = np.repeat(np.fromiter(map(ids.setdefault, part, numbers), np.int64, len(lists)), counts)
-        values = np.fromiter(itertools.chain.from_iterable(lists), np.float64, fids.size)
+        fids = np.fromiter(map(ids.setdefault, part, numbers), np.int64, len(lists))
+        start, end = bounds[-1], bounds[-1] + int(counts.sum())
+        values = np.fromiter(itertools.chain.from_iterable(lists), np.float64, end - start)
         out = ~(np.abs(values) <= MAX_MAGNITUDE)  # NaN is out too
         if out.any():
             first = out.argmax()
             name = list(part)[np.searchsorted(np.cumsum(counts), first, side="right")]
             value = float(values[first])
             raise ValueOutOfRangeError(f"value {value!r} of feature {name}{where} is not within +/-{MAX_MAGNITUDE:g} ms")
-        runs.append(_pairs(fids, values))
+        if end > table.size:
+            # resize zero-fills the new tail, so the table grows by a quarter, not twofold
+            table.resize(end + end // 4 + 4096, refcheck=False)  # no view of the table exists while it grows
+        table.real[start:end], table.imag[start:end] = np.repeat(fids, counts), values
+        bounds.append(end)
+    table.resize(bounds[-1], refcheck=False)
     names = sorted(ids)
     renumber = np.empty(next(numbers), np.int64)
     renumber[[ids[name] for name in names]] = np.arange(len(names))
+    runs = [table[a:b] for a, b in itertools.pairwise(bounds)]
     for run in runs:  # in place, so no second copy of the runs is ever made
         run.real = renumber[run.real.astype(np.int64)]
         run.sort(kind="stable")
@@ -193,7 +207,7 @@ def _pairs(fids: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _placed(ascending: np.ndarray, own: np.ndarray, side: str) -> np.ndarray:
     """For each of the ``ascending`` pairs, how many ``own`` pairs lie below it
-    (``side="right"``) or at or below it (``side="left"``).
+    (``side="right"``) or at or below it (``side="left"``), as exact float64 counts.
 
     ``own`` must ascend too, as every probe's pairs in :attr:`Roster.probe_pairs`
     do: then its positions in ``ascending`` ascend, and the counts are filled
@@ -203,7 +217,7 @@ def _placed(ascending: np.ndarray, own: np.ndarray, side: str) -> np.ndarray:
     runs = np.diff(at, prepend=0, append=ascending.size)
     if runs.min() < 0:
         raise ValueError("own pairs must ascend")
-    return np.repeat(np.arange(own.size + 1), runs)
+    return np.repeat(np.arange(own.size + 1, dtype=np.float64), runs)
 
 
 def _ascending(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,23 +331,31 @@ def itad_from_prepared(roster: Roster) -> np.ndarray:
     feature, the numerators equal the sum over enrollment values x of
     |#{y < x} - #{y <= m}|, an exact integer; each feature adds that sum
     over n, and a pair adds its features in ascending id order.
+
+    The difference is at most 0 exactly when x <= m, so with s = -1 for x
+    at or below m and +1 above it, the sum is sum(s * #{y < x}) minus
+    #{y <= m} * sum(s). Each probe then needs one float column of counts,
+    scaled in place by the signs, and no gather over the enrollment values;
+    every term is an exact integer, so the sum is the same to the bit.
     """
     ascending, median = _ascending(_pairs(roster.fid, roster.median))
-    entry = np.repeat(np.arange(roster.fid.size), roster.count)
-    pairs = _pairs(roster.fid[entry], np.concatenate([p.values for p in roster.enroll]))
+    pairs = _pairs(np.repeat(roster.fid, roster.count), np.concatenate([p.values for p in roster.enroll]))
     # each entry's values already ascend, so a stable sort merges runs; the pairs sort in place,
     # in the order that the same stable sort gives their entries
     order = np.argsort(pairs, kind="stable")
-    entry = entry[order]
+    entry = np.searchsorted(np.cumsum(roster.count), order, side="right")
     del order  # freed before the probe loop, which reads only the sorted pairs
     pairs.sort(kind="stable")
+    sign = np.where(pairs.imag > roster.median[entry], np.int8(1), np.int8(-1))  # s of each value
+    net = np.bincount(entry, sign, roster.fid.size)  # sum(s) per entry
     scores = np.zeros((len(roster.probe), len(roster.enroll)))
     for row, p, common, pick in roster.probes():
         own = roster.probe_pairs[row]
-        # per enrollment value x of entry e: #{y < x} - #{y <= median of e}
-        gap = _placed(pairs, own, "right")
-        gap -= _placed(ascending, own, "left")[median][entry]
-        tail = np.bincount(entry, weights=np.abs(gap, out=gap), minlength=roster.fid.size)
+        # per enrollment value x of entry e: s * #{y < x}, summed per entry
+        signed = _placed(pairs, own, "right")
+        signed *= sign
         # bincount adds in entry order: per pair, ascending feature id
+        tail = np.bincount(entry, signed, roster.fid.size) - _placed(ascending, own, "left")[median] * net
+        del signed  # freed before the next probe's column is made
         scores[row] = roster.by_user(common, tail[common] / roster.count[common], p.count[pick])
     return scores

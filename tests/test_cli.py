@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +14,7 @@ from keydyn.synth import SynthSpec, generate_corpus
 from keydyn.verifiers import session_runs
 
 from test_cli_fuzz import INVALID, PARSER, VALID
+from test_ingest import child_env
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +44,23 @@ def test_synth_keystroke_total_is_what_the_corpus_pairs_to(tmp_path, capsys):
     printed = capsys.readouterr().out
     corpus, _ = read_corpus([tmp_path / "corpus.csv"])
     assert f"keystrokes: {sum(len(pair_events(log).pairs) for log in corpus)}\n" in printed
+
+
+def test_score_and_evaluate_do_not_depend_on_the_hash_seed(corpus_dir, tmp_path):
+    # feature names, sides and scenarios pass through dicts and sets on their way to the outputs
+    commands = {
+        "score": ["score", str(corpus_dir / "corpus.csv"), "--scenario", "combined:F,I:T"],
+        "evaluate": ["evaluate", str(corpus_dir / "corpus.csv")],
+    }
+    written = []
+    for seed in ("1", "2"):
+        for name, args in commands.items():
+            command = [sys.executable, "-m", "keydyn.cli", *args, "--out", str(tmp_path / seed / name)]
+            subprocess.run(command, env=child_env(PYTHONHASHSEED=seed), capture_output=True, check=True)
+        files = sorted(path for path in (tmp_path / seed).rglob("*") if path.is_file())
+        written.append({path.relative_to(tmp_path / seed): path.read_bytes() for path in files})
+    assert len(written[0]) == 2 * len(ALL_SCORERS) + 2
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("platforms", ["F,F", ",", " "])

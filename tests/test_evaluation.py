@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
@@ -27,7 +30,7 @@ from keydyn.evaluation import (
     same_platform_scenario,
 )
 from keydyn.features import Kind, session_features
-from keydyn.ingest import Corpus
+from keydyn.ingest import Corpus, parse_log, serialize_corpus
 from keydyn.matrix import ScoreMatrix, score_matrices
 from keydyn.synth import SynthSpec, generate_corpus
 from keydyn.verifiers import SimilarityMode, prepare_profile, session_runs
@@ -310,6 +313,46 @@ def test_run_benchmark_scenario_subset(small_synth_corpus):
 def test_run_benchmark_empty_corpus():
     with pytest.raises(NoEligibleUsersError):
         run_benchmark(Corpus(sessions={}))
+
+
+def parsed_corpus() -> tuple[Corpus, weakref.ref]:
+    """A synth corpus read back through the parse, and a weak reference to the columns its sessions view."""
+    result = parse_log(serialize_corpus(generate_corpus(SynthSpec(seed=3, n_users=4, separation=3.0))))
+    return Corpus.from_logs(result.sessions), weakref.ref(result.sessions[0].times.base)
+
+
+def alive_at_scoring(monkeypatch, columns: weakref.ref) -> list[bool]:
+    """Whether ``columns`` was alive at each scenario's scoring, recorded as it is scored."""
+    alive = []
+
+    def scoring(*args, **kwargs):
+        alive.append(columns() is not None)
+        return score_matrices(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "score_matrices", scoring)
+    return alive
+
+
+def test_score_scenarios_lets_the_corpus_go_before_scoring(monkeypatch):
+    corpus, columns = parsed_corpus()
+    alive = alive_at_scoring(monkeypatch, columns)
+    scored = evaluation.score_scenarios(corpus, [cross_platform_scenario("F", "I")], BenchmarkConfig())
+    del corpus
+    data, _ = next(scored)
+    assert columns() is None and alive == [False]
+    assert len(data.enroll) == 4
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 a caller holds its call's arguments to its end")
+def test_run_benchmark_lets_the_corpus_go_before_scoring(monkeypatch):
+    corpus, columns = parsed_corpus()
+    alive = alive_at_scoring(monkeypatch, columns)
+    held = [corpus]
+    del corpus
+    report = run_benchmark(held.pop(), BenchmarkConfig(scorers=("abs",), k_max=1))
+    # the dataset block is read before the corpus goes
+    assert report.dataset["users"] == 4 and len(report.scenarios) == len(alive) == 12
+    assert not any(alive)
 
 
 def test_run_benchmark_deterministic(small_synth_corpus):

@@ -348,6 +348,22 @@ def test_extract_peak_rss_is_bounded_by_the_file(tmp_path):
     assert rise <= 1.5 * mib, f"extract peaks {rise:.1f} MiB above import for a {mib:.1f} MiB file"
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "wait4") or not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB through os.wait4"
+)
+def test_score_peak_rss_is_bounded_by_the_file(tmp_path):
+    # scoring holds the prepared profiles only: the corpus is let go, the session runs share one
+    # table freed whole, and ITAD keeps one float column per probe
+    path = tmp_path / "corpus.csv"
+    with open(path, "w", encoding="utf-8") as out:
+        write_corpus(synth.generate_corpus(synth.SynthSpec(seed=25, n_users=26, separation=3.0)), out)
+    score = [sys.executable, "-m", "keydyn.cli", "score", str(path), "--scenario", "cross:F:I", "--out", str(tmp_path)]
+    rise = peak_rss_mib(score) - peak_rss_mib([sys.executable, "-c", "import keydyn.cli"])
+    mib = path.stat().st_size / 2**20
+    # about 2.2x this file; holding the corpus, scattered runs and ITAD's integer temporaries took 3.0x
+    assert rise <= 2.6 * mib, f"score peaks {rise:.1f} MiB above import for a {mib:.1f} MiB file"
+
+
 HASH_SEED_CHILD = """
 import json, sys
 from keydyn.ingest import parse_log

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,12 +9,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from keydyn.errors import EmptyListError, ValueOutOfRangeError
+from keydyn.evaluation import build_scenario_data, enumerate_scenarios
+from keydyn.synth import SynthSpec, generate_corpus
 from keydyn.verifiers import (
     MAX_MAGNITUDE,
+    Roster,
     SimilarityMode,
     Verifier,
     _pairs,
     _placed,
+    itad_from_prepared,
     prepare_profile,
     session_runs,
 )
@@ -209,6 +214,42 @@ def test_session_runs_keeps_maps_short_lived():
     assert [run.imag.tolist() for run in runs[:2]] == [[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]
     assert runs[0].real.tolist() == [keys.index(D("a", "b"))] * 2 + [keys.index(U("a"))]
 
+
+def test_session_runs_are_consecutive_slices_of_one_table():
+    # one block, so the runs go back whole when the last one dies, with no small arrays left behind
+    maps = [{U("a"): [float(i)] * (i + 1), D("a", "b"): [2.0] * 5_000} for i in range(4)]
+    runs, _ = session_runs(maps)
+    table = runs[0].base
+    assert all(run.base is table for run in runs) and table.size == sum(run.size for run in runs)
+    assert [run.ctypes.data - table.ctypes.data for run in runs] == [16 * i * 5_000 + 8 * i * (i + 1) for i in range(4)]
+    table = weakref.ref(table)
+    del runs[:-1]
+    assert table() is not None  # a run kept alive keeps the table
+    del runs
+    assert table() is None
+
+
+@pytest.mark.parametrize("users, seed, name", [(26, 25, "FI-T"), (52, 13, "F-I")])
+def test_itad_working_set_is_bounded_per_enrollment_value(users, seed, name):
+    # the sorted pairs (16 bytes a value), their entries (8) and signs (1), and one float column per probe (8)
+    corpus = generate_corpus(SynthSpec(seed=seed, n_users=users, separation=3.0))
+    [data] = build_scenario_data(corpus, [s for s in enumerate_scenarios(corpus.platforms) if s.name == name])
+    roster = Roster(list(data.enroll.values()), list(data.probe.values()))
+    roster.probe_pairs  # laid out before the trace: Similarity shares it
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        itad_from_prepared(roster)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    values = int(roster.count.sum())
+    # about 36-38 bytes a value; integer gaps and their gathers over every value took 43-45
+    assert peak <= 40 * values, f"ITAD peaks at {peak / values:.1f} bytes per enrollment value"
 
 
 # -- similarity ----------------------------------------------------------------
