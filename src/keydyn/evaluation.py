@@ -2,13 +2,15 @@
 
 A :class:`Scenario` is its kind, training platforms and test platform; its
 name and the (platform, session) cells each side needs follow from those.
-:func:`build_scenario_data` serves every scenario of a run at once: it
-extracts each needed session once and turns it into its run of (feature id,
-value) with :func:`keydyn.verifiers.session_runs`, over one vocabulary of
-those sessions' feature names, and pools each distinct (user, side) profile
-from those runs once, so scenarios that share a side share its prepared
-profile. :func:`score_scenarios` yields each scenario's data with its
-matrices, the per-scenario result that every command and metric reads.
+:func:`build_scenario_data` schedules the scenarios of a run: it extracts
+each needed session once and turns it into its run of (feature id, value)
+with :func:`keydyn.verifiers.session_runs`, over one vocabulary of those
+sessions' feature names, then yields the scenarios in order. Each distinct
+(user, side) profile is prepared once, when its first scenario is reached,
+and forgotten after its last, so scenarios that share a side share its
+prepared profile and a side lives only while a scenario needs it.
+:func:`score_scenarios` yields each scenario's data with its matrices, the
+per-scenario result that every command and metric reads.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .verifiers import (
     check_choices,
     check_threshold,
     prepare_profile,
+    profile_pairs,
     session_runs,
 )
 
@@ -91,41 +94,101 @@ def _eligible_users(corpus: Corpus, scenario: Scenario) -> tuple[list[str], list
     return eligible, excluded
 
 
+Side = tuple[str, tuple[tuple[str, int], ...]]  # a user and the (platform, session) cells it pools
+
+
+def _halves(cells: tuple[tuple[str, int], ...]) -> list[tuple[tuple[str, int], ...]]:
+    """``cells`` split by platform, in their order: one part for a one-platform side."""
+    return [tuple(cell for cell in cells if cell[0] == platform) for platform in dict.fromkeys(p for p, _ in cells)]
+
+
 def build_scenario_data(
     corpus: Corpus,
     scenarios: Sequence[Scenario],
     *,
     kinds: tuple[Kind, ...] = ALL_KINDS,
-) -> list[ScenarioData]:
-    """Prepared enrollment and probe profiles per user, for each of ``scenarios``.
+) -> Iterator[ScenarioData]:
+    """Prepared enrollment and probe profiles per user, for each of ``scenarios`` in order.
 
     Users missing any required (platform, session) cell are excluded from a
-    scenario; each scenario must leave at least one eligible user. Each
-    needed session is extracted into its run once, and each distinct (user,
-    side) profile is pooled from those runs once, over one
-    :func:`~keydyn.verifiers.session_runs` vocabulary of the needed sessions'
-    feature names.
+    scenario; each scenario must leave at least one eligible user. Both are
+    checked, and each needed session is extracted into its run over one
+    :func:`~keydyn.verifiers.session_runs` vocabulary, before this returns;
+    the iterator it returns holds the runs and not ``corpus``.
+
+    Each distinct (user, cells) side is prepared once, when its first
+    scenario is reached, and forgotten after its last, so scenarios that
+    share a side share its profile. A one-platform side pools its session
+    runs; a two-platform side merges the pairs of its two one-platform
+    sides, in training-platform order, which gives the bytes its session
+    runs would give. The runs are let go once the last side pooled from
+    them is prepared. A caller that keeps every yielded :class:`ScenarioData`
+    keeps every side.
     """
     rosters = [_eligible_users(corpus, scenario) for scenario in scenarios]
-    sides = {
-        (user, cells): [(user, platform, session) for platform, session in cells]
-        for scenario, (eligible, _) in zip(scenarios, rosters)
-        for cells in scenario.cells
-        for user in eligible
-    }
-    needed = dict.fromkeys(cell for cells in sides.values() for cell in cells)
+    # the stages that read each side: 2i while scenario i's sides are prepared, 2i + 1 while it is scored
+    stages: dict[Side, list[int]] = {}
+    for i, (scenario, (eligible, _)) in enumerate(zip(scenarios, rosters)):
+        for cells in scenario.cells:
+            for user in eligible:
+                stages.setdefault((user, cells), []).append(2 * i + 1)
+    for (user, cells), read in list(stages.items()):
+        if len(halves := _halves(cells)) > 1:
+            for half in halves:
+                stages.setdefault((user, half), []).append(min(read) - 1)
+    last: dict[int, list[Side]] = {}
+    for key, read in stages.items():
+        last.setdefault(max(read), []).append(key)
+    # the last scenario whose sides are prepared from session runs
+    runs_until = max((min(read) // 2 for (_, cells), read in stages.items() if len(_halves(cells)) == 1), default=-1)
+    needed = dict.fromkeys((user, *cell) for user, cells in stages for cell in cells)
     # a generator, so each session's feature map dies as soon as it is a run
     runs, _ = session_runs(
         (session_features(corpus.sessions[cell], kinds) for cell in needed), (f"session {cell}" for cell in needed)
     )
-    by_cell = dict(zip(needed, runs))
-    prepared = {side: prepare_profile([by_cell[cell] for cell in cells]) for side, cells in sides.items()}
-    return [
-        ScenarioData(
-            scenario, *({user: prepared[user, cells] for user in eligible} for cells in scenario.cells), tuple(excluded)
+    return _scheduled(scenarios, rosters, dict(zip(needed, runs)), last, runs_until)
+
+
+def _side(
+    key: Side, alive: dict[Side, PreparedProfile], by_cell: dict[tuple[str, str, int], np.ndarray]
+) -> PreparedProfile:
+    """The profile of side ``key`` from ``alive``, or prepared into it: from its
+    session runs ``by_cell``, or, for a two-platform side, from its halves' pairs."""
+    if (prepared := alive.get(key)) is None:
+        user, cells = key
+        if len(halves := _halves(cells)) == 1:
+            runs = [by_cell[(user, *cell)] for cell in cells]
+        else:
+            runs = [profile_pairs(_side((user, half), alive, by_cell)) for half in halves]
+        prepared = alive[key] = prepare_profile(runs)
+    return prepared
+
+
+def _scheduled(
+    scenarios: Sequence[Scenario],
+    rosters: list[tuple[list[str], list[str]]],
+    by_cell: dict[tuple[str, str, int], np.ndarray],
+    last: dict[int, list[Side]],
+    runs_until: int,
+) -> Iterator[ScenarioData]:
+    """The scenarios' data in order: each side prepared when first read and
+    forgotten after stage ``s`` if ``last[s]`` names it, and the runs
+    ``by_cell`` forgotten once scenario ``runs_until``'s sides are prepared."""
+    alive: dict[Side, PreparedProfile] = {}
+    for i, (scenario, (eligible, excluded)) in enumerate(zip(scenarios, rosters)):
+        data = ScenarioData(
+            scenario,
+            *({user: _side((user, cells), alive, by_cell) for user in eligible} for cells in scenario.cells),
+            tuple(excluded),
         )
-        for scenario, (eligible, excluded) in zip(scenarios, rosters)
-    ]
+        for key in last.pop(2 * i, ()):
+            del alive[key]
+        if i == runs_until:
+            by_cell.clear()  # the runs are slices of one table, which goes back whole
+        yield data
+        del data  # the caller's copy is the only one while the next scenario's sides are prepared
+        for key in last.pop(2 * i + 1, ()):
+            del alive[key]
 
 
 def same_platform_scenario(platform: str) -> Scenario:
@@ -267,12 +330,14 @@ def score_scenarios(
 ) -> Iterator[tuple[ScenarioData, dict[str, ScoreMatrix]]]:
     """Each scenario's :class:`ScenarioData` with its matrices, keyed by scorer label, scored as ``config`` says.
 
-    The scenarios' profiles are built at once by :func:`build_scenario_data`;
-    each scenario is scored only when it is reached, so its matrices can die
-    before the next one is scored. Scoring reads only the profiles, so the
-    generator lets ``corpus`` go once they are built: a caller that keeps
-    no reference to it, nor to any of its sessions, has it freed before the
-    first scenario is scored.
+    Each scenario's profiles are prepared by :func:`build_scenario_data` and
+    scored only when it is reached, and the generator keeps no scenario
+    past its yield: a caller that drops each pair before asking for the
+    next has the scenario's matrices, and the sides no later scenario
+    reads, freed before the next scenario's sides are prepared. Scoring
+    reads only the profiles, so the generator lets ``corpus`` go once the
+    session runs are made: a caller that keeps no reference to it, nor to
+    any of its sessions, has it freed before the first side is prepared.
     """
     built = build_scenario_data(corpus, scenarios, kinds=config.kinds)
     del corpus
@@ -285,6 +350,7 @@ def score_scenarios(
             threshold=config.threshold,
             scenario=data.scenario.name,
         )
+        del data
 
 
 def run_benchmark(corpus: Corpus, config: BenchmarkConfig = BenchmarkConfig()) -> EvaluationReport:
@@ -294,7 +360,9 @@ def run_benchmark(corpus: Corpus, config: BenchmarkConfig = BenchmarkConfig()) -
     holds no session or its platforms form no scenario of the configured kinds.
     The report's ``dataset`` block is read first; then the corpus is let go
     as :func:`score_scenarios` lets it go, so it is freed before scoring
-    unless the caller holds it.
+    unless the caller holds it. Each scenario's data and matrices are
+    dropped once its rows are read, so only the sides that later scenarios
+    read outlive it.
     """
     if not corpus.sessions:
         raise NoEligibleUsersError("corpus holds no sessions")
@@ -314,6 +382,7 @@ def run_benchmark(corpus: Corpus, config: BenchmarkConfig = BenchmarkConfig()) -
             for k in range(1, min(config.k_max, n) + 1):
                 accuracy = k_rank_accuracy(matrices[scorer], k)
                 report.rows.append(ResultRow(scenario.name, scenario.kind, scorer, k, accuracy))
+        del data, matrices  # not held while the next scenario's sides are prepared
 
     report.rows.sort(key=lambda r: (r.scenario, r.scorer, r.k))
     return report

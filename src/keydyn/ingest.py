@@ -384,7 +384,9 @@ def parse_log(data: bytes | str | BinaryIO, *, source: str | None = None) -> Par
         good = (session >= 0) & (key >= 0) & (press >= 0) & (times >= 0.0) & (times < math.inf)  # NaN fails
 
         blank = 0
-        for i in np.union1d(np.flatnonzero(commas != 5), whole[~good]).tolist():
+        rejected = commas != 5  # a mask, not np.union1d, which imports numpy.ma
+        rejected[whole[~good]] = True
+        for i in np.flatnonzero(rejected).tolist():
             line = block[i]
             if not line or line.isspace():
                 blank += 1
@@ -413,7 +415,7 @@ def parse_log(data: bytes | str | BinaryIO, *, source: str | None = None) -> Par
     order = None if np.all(session[1:] >= session[:-1]) else np.argsort(session, kind="stable")
     grouped, grouped_times = (session, times) if order is None else (session[order], times[order])
     late = (grouped_times[1:] < grouped_times[:-1]) & (grouped[1:] == grouped[:-1])
-    resorted = np.unique(grouped[1:][late]).tolist()
+    resorted = sorted(set(grouped[1:][late].tolist()))  # not np.unique, which imports numpy.ma
     del grouped_times, late
     if resorted:
         order = np.lexsort((times, session))  # each session by time; ties keep file order

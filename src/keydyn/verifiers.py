@@ -9,12 +9,13 @@ Scoring runs on a columnar form. Similarity and ITAD compare (feature id,
 value) pairs exactly, as complex numbers that numpy orders by id, then
 value. :func:`session_runs` turns each session map into its run: its pairs,
 over one vocabulary of the maps' names, sorted once, each run a slice of one
-table. :func:`prepare_profile`
-merges the runs of one side into sorted per-feature values with their
-medians. A :class:`Roster` holds what the kernels share: the enrollment
-side's columns and each probe user's pairs. Each ``*_from_prepared`` kernel
-sorts the pairs only it reads, scores a whole probe x enrollment matrix
-from the roster and loops over probe users only.
+table. :func:`prepare_profile` merges the runs of one side into sorted
+per-feature values with their medians; a profile's :func:`profile_pairs`
+are a run again, so two prepared sides merge into a third. A
+:class:`Roster` holds what the kernels share: the enrollment side's columns
+and each probe user's pairs. Each ``*_from_prepared`` kernel sorts the
+pairs only it reads, scores a whole probe x enrollment matrix from the
+roster and loops over probe users only.
 :func:`keydyn.matrix.score_matrices` builds the roster and calls the kernels.
 """
 
@@ -156,9 +157,12 @@ def session_runs(
 def prepare_profile(runs: Sequence[np.ndarray]) -> PreparedProfile:
     """Merge ``runs`` into one profile: each feature's pooled values, ascending, and their median.
 
-    ``runs`` are the session runs of one side of one user, from one
+    ``runs`` are ascending pairs of one side of one user, from one
     :func:`session_runs` vocabulary shared by every profile it is scored
-    against. The order of the runs changes no score.
+    against: session runs, or the :func:`profile_pairs` of profiles
+    prepared before. The order of the runs changes no score, and tied
+    pairs keep run order, so merging the pairs of two profiles gives the
+    bytes that merging their session runs in the same order gives.
     """
     pairs = np.concatenate(runs or [np.empty(0, np.complex128)])
     pairs.sort(kind="stable")  # merges the ascending runs; tied pairs keep run order, then map order
@@ -205,6 +209,11 @@ def _pairs(fids: np.ndarray, values: np.ndarray) -> np.ndarray:
     return pairs
 
 
+def profile_pairs(profile: PreparedProfile) -> np.ndarray:
+    """The pairs of ``profile``, ascending as it holds them: a run that :func:`prepare_profile` merges."""
+    return _pairs(np.repeat(profile.fids, profile.count), profile.values)
+
+
 def _placed(ascending: np.ndarray, own: np.ndarray, side: str) -> np.ndarray:
     """For each of the ``ascending`` pairs, how many ``own`` pairs lie below it
     (``side="right"``) or at or below it (``side="left"``), as exact float64 counts.
@@ -247,7 +256,7 @@ class Roster:
     @cached_property
     def probe_pairs(self) -> list[np.ndarray]:
         """Per probe user, its pairs, ascending as its profile holds them."""
-        return [_pairs(np.repeat(p.fids, p.count), p.values) for p in self.probe]
+        return [profile_pairs(p) for p in self.probe]
 
     def probes(self) -> Iterator[tuple[int, PreparedProfile, np.ndarray, np.ndarray]]:
         """Per probe user: its row, its profile, the enrollment entries whose

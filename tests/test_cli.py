@@ -63,6 +63,44 @@ def test_score_and_evaluate_do_not_depend_on_the_hash_seed(corpus_dir, tmp_path)
     assert written[0] == written[1]
 
 
+def test_extract_does_not_depend_on_the_hash_seed(corpus_dir, tmp_path):
+    # session keys and feature names pass through dicts and sets on their way to the profiles
+    written = []
+    for seed in ("1", "2"):
+        command = [sys.executable, "-m", "keydyn.cli", "extract", str(corpus_dir / "corpus.csv")]
+        command += ["--out", str(tmp_path / seed)]
+        subprocess.run(command, env=child_env(PYTHONHASHSEED=seed), capture_output=True, check=True)
+        written.append({path.name: path.read_bytes() for path in (tmp_path / seed).iterdir()})
+    assert len(written[0]) == 4 * 3 * 6
+    assert written[0] == written[1]
+
+
+NUMPY_MA_CHILD = """
+import json, sys
+from keydyn.cli import main
+for command in map(json.loads, sys.argv[1:]):
+    assert main(command) == 0, command
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_numpy_ma(corpus_dir, tmp_path):
+    # numpy.ma costs about 1 MB and 10 ms; np.union1d and np.unique import it on first use
+    header, first, second, *rows = (corpus_dir / "corpus.csv").read_text().splitlines(keepends=True)
+    path = tmp_path / "corpus.csv"
+    path.write_text("".join([header, second, first, "u1,F,1,a,X,5\n", *rows]))  # re-sorted, and a bad row
+    commands = [
+        ["extract", str(path), "--out", str(tmp_path / "profiles")],
+        ["score", str(path), "--scenario", "combined:F,I:T", "--out", str(tmp_path / "matrices")],
+        ["evaluate", str(path), "--out", str(tmp_path / "report")],
+    ]
+    argv = [sys.executable, "-c", NUMPY_MA_CHILD, *map(json.dumps, commands)]
+    done = subprocess.run(argv, env=child_env(), capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stderr.decode().count("(skipped)") == done.stderr.decode().count("re-sorted") == 3
+    assert done.stdout.decode().splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("platforms", ["F,F", ",", " "])
 def test_synth_empty_or_repeated_platforms_is_usage_error(tmp_path, capsys, platforms):
     out = tmp_path / "x"

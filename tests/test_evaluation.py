@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 import weakref
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -115,6 +116,22 @@ def test_combined_cross_merges_training_platforms():
     assert data.scenario.name == "FI-T"
     assert_pools(data.enroll["u1"], corpus, "u1", [(p, s) for p in "FI" for s in range(1, 7)])
     assert_pools(data.probe["u1"], corpus, "u1", [("T", s) for s in range(1, 7)])
+
+
+def test_combined_cross_keeps_tied_zeros_in_training_platform_order():
+    # a key released at -0.0 after a press at 0.0 is held -0.0, and -0.0 ties with 0.0, so only the
+    # order in which the merged side takes its platforms' pairs decides which zero comes first
+    logs = [
+        session_log([("a", "P", press), ("a", "R", release), ("b", "P", 5.0), ("b", "R", hold)], user, platform, s)
+        for hold, user in ((6.0, "u1"), (7.0, "u2"))
+        for platform, press, release in (("F", 0.0, -0.0), ("I", -0.0, 0.0), ("T", 0.0, 0.0))
+        for s in range(1, 7)
+    ]
+    corpus = Corpus.from_logs(logs)
+    [data] = build_scenario_data(corpus, [combined_cross_scenario(("I", "F"), "T")])
+    start, end = np.cumsum(data.enroll["u1"].count)[:2]  # ids follow the names: D:a|b, then U:a
+    assert data.enroll["u1"].values[start:end].tobytes() == np.array([-0.0] * 6 + [0.0] * 6).tobytes()
+    assert_pools(data.enroll["u1"], corpus, "u1", [(p, s) for p in "FI" for s in range(1, 7)])
 
 
 def test_combined_cross_rejects_overlap():
@@ -321,8 +338,8 @@ def parsed_corpus() -> tuple[Corpus, weakref.ref]:
     return Corpus.from_logs(result.sessions), weakref.ref(result.sessions[0].times.base)
 
 
-def alive_at_scoring(monkeypatch, columns: weakref.ref) -> list[bool]:
-    """Whether ``columns`` was alive at each scenario's scoring, recorded as it is scored."""
+def alive_at_scoring(monkeypatch, columns: Callable[[], object]) -> list[bool]:
+    """Whether ``columns()``, read as a weak reference is, was alive at each scenario's scoring, as it is scored."""
     alive = []
 
     def scoring(*args, **kwargs):
@@ -353,6 +370,70 @@ def test_run_benchmark_lets_the_corpus_go_before_scoring(monkeypatch):
     # the dataset block is read before the corpus goes
     assert report.dataset["users"] == 4 and len(report.scenarios) == len(alive) == 12
     assert not any(alive)
+
+
+def test_run_benchmark_forgets_a_same_platform_side_after_its_scenario(monkeypatch, small_synth_corpus):
+    side, alive = [], []
+
+    def scoring(enroll, probe, *args, **kwargs):
+        if not side:  # an enrollment side of scenario F, which no other scenario reads
+            side.append(weakref.ref(next(iter(enroll.values())).values))
+        alive.append(side[0]() is not None)
+        return score_matrices(enroll, probe, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "score_matrices", scoring)
+    run_benchmark(small_synth_corpus, BenchmarkConfig(scorers=("abs",), k_max=1))
+    assert alive == [True] + [False] * 11
+
+
+@pytest.fixture
+def run_table(monkeypatch) -> Callable[[], object]:
+    """Read as a weak reference is: the table of the session runs that ``build_scenario_data`` made last."""
+    tables = []
+
+    def runs(*args, **kwargs):
+        made = session_runs(*args, **kwargs)
+        tables.append(weakref.ref(made[0][0].base))
+        return made
+
+    monkeypatch.setattr(evaluation, "session_runs", runs)
+    return lambda: tables[-1]()
+
+
+def test_run_benchmark_lets_the_session_runs_go_after_the_last_side_pooled_from_them(
+    monkeypatch, small_synth_corpus, run_table
+):
+    alive = alive_at_scoring(monkeypatch, run_table)
+    report = run_benchmark(small_synth_corpus, BenchmarkConfig(scorers=("abs",), k_max=1))
+    assert [s.name for s in report.scenarios[3:5]] == ["F-I", "F-T"]
+    # sides are pooled from the runs when first reached, the last of them T's all-session
+    # sides in F-T; the two-platform sides are merged after, from the one-platform ones
+    assert alive == [True] * 4 + [False] * 8
+
+
+def test_score_scenarios_holds_only_a_combined_scenarios_own_sides_while_it_scores(
+    monkeypatch, small_synth_corpus, run_table
+):
+    prepared, held = [], []
+
+    def preparing(runs):
+        profile = prepare_profile(runs)
+        prepared.append((len(runs), weakref.ref(profile.values)))
+        return profile
+
+    def scoring(*args, **kwargs):
+        held.append((run_table() is not None, sum(ref() is not None for _, ref in prepared)))
+        return score_matrices(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "prepare_profile", preparing)
+    monkeypatch.setattr(evaluation, "score_matrices", scoring)
+    config = BenchmarkConfig(scorers=("itad",))
+    [(data, _)] = evaluation.score_scenarios(small_synth_corpus, [combined_cross_scenario(("F", "I"), "T")], config)
+    n = len(data.enroll)
+    # per user, F's, I's and T's all-session sides from six runs each, and FI merged from the first two
+    assert sorted(count for count, _ in prepared) == [2] * n + [6] * 3 * n
+    # while scoring: no session run, and of the sides only FI and T
+    assert held == [(False, 2 * n)]
 
 
 def test_run_benchmark_deterministic(small_synth_corpus):
@@ -432,9 +513,10 @@ def test_run_benchmark_prepares_each_side_once(small_synth_corpus, monkeypatch, 
     monkeypatch.setattr(evaluation, "prepare_profile", counting_prepare)
     run_benchmark(small_synth_corpus, BenchmarkConfig(scorers=("abs",), k_max=1))
     # per user: 3 same-platform enroll and 3 probe sides, 3 one-platform sides of
-    # all six sessions (each serves two cross scenarios) and 3 two-platform sides
+    # all six sessions (each serves two cross scenarios) and 3 two-platform sides,
+    # each merged from its two one-platform sides
     assert len(prepared) == 12 * 5
-    assert sorted(prepared) == [3] * 30 + [6] * 15 + [12] * 15
+    assert sorted(prepared) == [2] * 15 + [3] * 30 + [6] * 15
     assert len(extracted) == len(set(extracted)) == len(small_synth_corpus.sessions)
 
 

@@ -364,6 +364,23 @@ def test_score_peak_rss_is_bounded_by_the_file(tmp_path):
     assert rise <= 2.6 * mib, f"score peaks {rise:.1f} MiB above import for a {mib:.1f} MiB file"
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "wait4") or not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB through os.wait4"
+)
+def test_evaluate_peak_rss_is_bounded_by_the_file(tmp_path):
+    # each side lives only while a scenario reads it, and the session runs only until the last
+    # one-platform side is pooled; two-platform sides are merged from one-platform ones
+    path = tmp_path / "corpus.csv"
+    with open(path, "w", encoding="utf-8") as out:
+        write_corpus(synth.generate_corpus(synth.SynthSpec(seed=25, n_users=26, separation=3.0)), out)
+    evaluate = [sys.executable, "-m", "keydyn.cli", "evaluate", str(path), "--out", str(tmp_path / "out")]
+    rise = peak_rss_mib([*evaluate, "--similarity-mode", "corrected"])
+    rise -= peak_rss_mib([sys.executable, "-c", "import keydyn.cli"])
+    mib = path.stat().st_size / 2**20
+    # about 2.5x this file; every scenario's sides prepared up front, with the runs and the corpus, took 3.6x
+    assert rise <= 3.0 * mib, f"evaluate peaks {rise:.1f} MiB above import for a {mib:.1f} MiB file"
+
+
 HASH_SEED_CHILD = """
 import json, sys
 from keydyn.ingest import parse_log

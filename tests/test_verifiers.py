@@ -20,6 +20,7 @@ from keydyn.verifiers import (
     _placed,
     itad_from_prepared,
     prepare_profile,
+    profile_pairs,
     session_runs,
 )
 
@@ -177,6 +178,28 @@ def test_runs_ascend_as_pairs_and_profiles_merge_them_as_lexsort_does(rng):
             for got, want in zip(prepare_profile(side_runs), (fids[starts], values, median, count)):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+def session_maps(pool):
+    """Six tie-heavy session maps over ``pool``: zeros, -0.0 next to 0.0, repeated and one-value lists."""
+    values = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5]) | st.floats(-1e3, 1e3, allow_nan=False)
+    session = st.dictionaries(st.sampled_from(pool), st.lists(values, min_size=1, max_size=20))
+    return st.lists(session, min_size=6, max_size=6)
+
+
+# U:a and D:a|b are typed on both platforms, U:b only on the first and U:c only on the second
+@settings(max_examples=100, deadline=None)
+@given(session_maps([U("a"), U("b"), D("a", "b")]), session_maps([U("a"), U("c"), D("a", "b")]))
+@example(first=[{U("a"): [-0.0, 0.0]}] + [{}] * 5, second=[{U("a"): [0.0, -0.0], U("c"): [1.0]}] + [{}] * 5)
+def test_two_platform_side_merged_from_its_halves_equals_its_session_runs_pooled(first, second):
+    # build_scenario_data prepares a combined scenario's enrollment side from the pairs of its two
+    # one-platform sides, first platform first; tied pairs must land as its twelve runs put them
+    runs, _ = session_runs([*first, *second])
+    halves = prepare_profile(runs[:6]), prepare_profile(runs[6:])
+    merged = prepare_profile([profile_pairs(half) for half in halves])
+    for got, want in zip(merged, prepare_profile(runs)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_placed_counts_the_own_pairs_below_each_pair(rng):
