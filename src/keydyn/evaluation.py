@@ -6,9 +6,9 @@ name and the (platform, session) cells each side needs follow from those.
 each needed session once and turns it into its run of (feature id, value)
 with :func:`keydyn.verifiers.session_runs`, over one vocabulary of those
 sessions' feature names, then yields the scenarios in order. Each distinct
-(user, side) profile is prepared once, when its first scenario is reached,
-and forgotten after its last, so scenarios that share a side share its
-prepared profile and a side lives only while a scenario needs it.
+side, a user with the (platform, session) cells it pools, is prepared once,
+on its first read, and dropped once no scenario or merge owes it a read, so
+scenarios that share a side share its prepared profile.
 :func:`score_scenarios` yields each scenario's data with its matrices, the
 per-scenario result that every command and metric reads.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Any, Iterable, Iterator, Sequence
@@ -116,79 +117,74 @@ def build_scenario_data(
     :func:`~keydyn.verifiers.session_runs` vocabulary, before this returns;
     the iterator it returns holds the runs and not ``corpus``.
 
-    Each distinct (user, cells) side is prepared once, when its first
-    scenario is reached, and forgotten after its last, so scenarios that
-    share a side share its profile. A one-platform side pools its session
-    runs; a two-platform side merges the pairs of its two one-platform
-    sides, in training-platform order, which gives the bytes its session
-    runs would give. The runs are let go once the last side pooled from
-    them is prepared. A caller that keeps every yielded :class:`ScenarioData`
-    keeps every side.
+    A side, a user with the cells it pools, is owed one read by each
+    scenario that scores it and, for a one-platform side, one by each
+    two-platform side merged from it. It is prepared on its first read and
+    dropped once it is owed none, so scenarios that share a side share its
+    profile. A one-platform side pools its session runs; a two-platform
+    side merges the pairs of its two one-platform sides, in
+    training-platform order, which gives the bytes its session runs would
+    give. The runs are let go once the last one-platform side is pooled. A
+    caller that keeps every yielded :class:`ScenarioData` keeps every side.
     """
     rosters = [_eligible_users(corpus, scenario) for scenario in scenarios]
-    # the stages that read each side: 2i while scenario i's sides are prepared, 2i + 1 while it is scored
-    stages: dict[Side, list[int]] = {}
-    for i, (scenario, (eligible, _)) in enumerate(zip(scenarios, rosters)):
+    owed: Counter[Side] = Counter()
+    for scenario, (eligible, _) in zip(scenarios, rosters):
         for cells in scenario.cells:
-            for user in eligible:
-                stages.setdefault((user, cells), []).append(2 * i + 1)
-    for (user, cells), read in list(stages.items()):
+            owed.update((user, cells) for user in eligible)
+    for user, cells in list(owed):
         if len(halves := _halves(cells)) > 1:
-            for half in halves:
-                stages.setdefault((user, half), []).append(min(read) - 1)
-    last: dict[int, list[Side]] = {}
-    for key, read in stages.items():
-        last.setdefault(max(read), []).append(key)
-    # the last scenario whose sides are prepared from session runs
-    runs_until = max((min(read) // 2 for (_, cells), read in stages.items() if len(_halves(cells)) == 1), default=-1)
-    needed = dict.fromkeys((user, *cell) for user, cells in stages for cell in cells)
+            owed.update((user, half) for half in halves)
+    needed = dict.fromkeys((user, *cell) for user, cells in owed for cell in cells)
     # a generator, so each session's feature map dies as soon as it is a run
     runs, _ = session_runs(
         (session_features(corpus.sessions[cell], kinds) for cell in needed), (f"session {cell}" for cell in needed)
     )
-    return _scheduled(scenarios, rosters, dict(zip(needed, runs)), last, runs_until)
-
-
-def _side(
-    key: Side, alive: dict[Side, PreparedProfile], by_cell: dict[tuple[str, str, int], np.ndarray]
-) -> PreparedProfile:
-    """The profile of side ``key`` from ``alive``, or prepared into it: from its
-    session runs ``by_cell``, or, for a two-platform side, from its halves' pairs."""
-    if (prepared := alive.get(key)) is None:
-        user, cells = key
-        if len(halves := _halves(cells)) == 1:
-            runs = [by_cell[(user, *cell)] for cell in cells]
-        else:
-            runs = [profile_pairs(_side((user, half), alive, by_cell)) for half in halves]
-        prepared = alive[key] = prepare_profile(runs)
-    return prepared
+    return _scheduled(scenarios, rosters, dict(zip(needed, runs)), owed)
 
 
 def _scheduled(
     scenarios: Sequence[Scenario],
     rosters: list[tuple[list[str], list[str]]],
     by_cell: dict[tuple[str, str, int], np.ndarray],
-    last: dict[int, list[Side]],
-    runs_until: int,
+    owed: Counter[Side],
 ) -> Iterator[ScenarioData]:
-    """The scenarios' data in order: each side prepared when first read and
-    forgotten after stage ``s`` if ``last[s]`` names it, and the runs
-    ``by_cell`` forgotten once scenario ``runs_until``'s sides are prepared."""
+    """The scenarios' data in order. A side is prepared on its first read
+    and dropped when the reads ``owed`` to it run out: a scenario's reads
+    are paid once it is scored, a merge's once it is done. The runs
+    ``by_cell`` are let go once no one-platform side is left to pool."""
     alive: dict[Side, PreparedProfile] = {}
-    for i, (scenario, (eligible, excluded)) in enumerate(zip(scenarios, rosters)):
-        data = ScenarioData(
-            scenario,
-            *({user: _side((user, cells), alive, by_cell) for user in eligible} for cells in scenario.cells),
-            tuple(excluded),
-        )
-        for key in last.pop(2 * i, ()):
+    unpooled = sum(len(_halves(cells)) == 1 for _, cells in owed)
+
+    def paid(key: Side) -> None:
+        owed[key] -= 1
+        if not owed[key]:
             del alive[key]
-        if i == runs_until:
-            by_cell.clear()  # the runs are slices of one table, which goes back whole
+
+    def read(key: Side) -> PreparedProfile:
+        nonlocal unpooled
+        if key not in alive:
+            user, cells = key
+            if len(halves := _halves(cells)) == 1:
+                alive[key] = prepare_profile([by_cell[(user, *cell)] for cell in cells])
+                unpooled -= 1
+                if not unpooled:
+                    by_cell.clear()  # the runs are slices of one table, which goes back whole
+            else:
+                alive[key] = prepare_profile([profile_pairs(read((user, half))) for half in halves])
+                for half in halves:
+                    paid((user, half))
+        return alive[key]
+
+    for scenario, (eligible, excluded) in zip(scenarios, rosters):
+        data = ScenarioData(
+            scenario, *({user: read((user, cells)) for user in eligible} for cells in scenario.cells), tuple(excluded)
+        )
         yield data
         del data  # the caller's copy is the only one while the next scenario's sides are prepared
-        for key in last.pop(2 * i + 1, ()):
-            del alive[key]
+        for cells in scenario.cells:
+            for user in eligible:
+                paid((user, cells))
 
 
 def same_platform_scenario(platform: str) -> Scenario:
@@ -333,8 +329,8 @@ def score_scenarios(
     Each scenario's profiles are prepared by :func:`build_scenario_data` and
     scored only when it is reached, and the generator keeps no scenario
     past its yield: a caller that drops each pair before asking for the
-    next has the scenario's matrices, and the sides no later scenario
-    reads, freed before the next scenario's sides are prepared. Scoring
+    next has the scenario's matrices, and the sides it was the last to
+    read, freed before the next scenario's sides are prepared. Scoring
     reads only the profiles, so the generator lets ``corpus`` go once the
     session runs are made: a caller that keeps no reference to it, nor to
     any of its sessions, has it freed before the first side is prepared.
@@ -361,8 +357,8 @@ def run_benchmark(corpus: Corpus, config: BenchmarkConfig = BenchmarkConfig()) -
     The report's ``dataset`` block is read first; then the corpus is let go
     as :func:`score_scenarios` lets it go, so it is freed before scoring
     unless the caller holds it. Each scenario's data and matrices are
-    dropped once its rows are read, so only the sides that later scenarios
-    read outlive it.
+    dropped once its rows are read, so only the sides still owed a read
+    outlive it.
     """
     if not corpus.sessions:
         raise NoEligibleUsersError("corpus holds no sessions")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import functools
 import sys
 import weakref
 from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from keydyn import evaluation
 from keydyn.errors import (
@@ -19,6 +21,9 @@ from keydyn.evaluation import (
     ALL_SCORERS,
     BenchmarkConfig,
     EvaluationReport,
+    Scenario,
+    ScenarioData,
+    Side,
     build_scenario_data,
     combined_cross_scenario,
     cross_platform_scenario,
@@ -513,8 +518,9 @@ def test_run_benchmark_prepares_each_side_once(small_synth_corpus, monkeypatch, 
     monkeypatch.setattr(evaluation, "prepare_profile", counting_prepare)
     run_benchmark(small_synth_corpus, BenchmarkConfig(scorers=("abs",), k_max=1))
     # per user: 3 same-platform enroll and 3 probe sides, 3 one-platform sides of
-    # all six sessions (each serves two cross scenarios) and 3 two-platform sides,
-    # each merged from its two one-platform sides
+    # all six sessions (each serves four cross scenarios, two as enrollment and two
+    # as probe, and two merges) and 3 two-platform sides, each merged from its two
+    # one-platform sides
     assert len(prepared) == 12 * 5
     assert sorted(prepared) == [2] * 15 + [3] * 30 + [6] * 15
     assert len(extracted) == len(set(extracted)) == len(small_synth_corpus.sessions)
@@ -537,6 +543,110 @@ def test_scenario_built_alone_equals_whole_run(small_synth_corpus):
             for label in ALL_SCORERS:
                 assert got[label].roster == want[label].roster
                 assert got[label].values.tobytes() == want[label].values.tobytes(), (scenario.name, mode, label)
+
+
+# -- side lifetimes in any scenario order ------------------------------------------
+
+
+@functools.cache
+def gappy_corpus(platforms: str) -> Corpus:
+    """A 3-user synth corpus on ``platforms`` in which the second user lacks I's session 5."""
+    corpus = generate_corpus(SynthSpec(seed=5, n_users=3, platforms=tuple(platforms), separation=2.0))
+    sessions = dict(corpus.sessions)
+    del sessions[(corpus.roster[1], "I", 5)]
+    return Corpus(sessions)
+
+
+@functools.cache
+def paper_order_matrices(platforms: str) -> dict[str, dict[str, ScoreMatrix]]:
+    corpus = gappy_corpus(platforms)
+    scored = evaluation.score_scenarios(corpus, enumerate_scenarios(corpus.platforms), BenchmarkConfig())
+    return {data.scenario.name: matrices for data, matrices in scored}
+
+
+def owed_while_scoring(corpus: Corpus, order: list[Scenario]) -> tuple[list[set[Side]], list[bool], int]:
+    """Walking ``order``: per scenario, the sides prepared and still owed a read while it scores, and
+    whether a one-platform side is still to be pooled then; and how many distinct sides there are.
+
+    A scenario reads its sides while it scores; a two-platform side's first read reads its halves
+    before that scenario scores."""
+    scored: dict[Side, list[int]] = {}
+    for i, scenario in enumerate(order):
+        for user in corpus.roster:
+            if all((user, *cell) in corpus.sessions for cells in scenario.cells for cell in cells):
+                for cells in scenario.cells:
+                    scored.setdefault((user, cells), []).append(i)
+    merged: dict[Side, list[int]] = {}
+    for (user, cells), at in scored.items():
+        if len(platforms := sorted({platform for platform, _ in cells})) == 2:
+            for platform in platforms:
+                merged.setdefault((user, tuple(c for c in cells if c[0] == platform)), []).append(min(at))
+    sides = scored.keys() | merged.keys()
+    first = {side: min(scored.get(side, []) + merged.get(side, [])) for side in sides}
+    owed = [
+        {
+            side
+            for side in sides
+            if first[side] <= i and (i <= max(scored.get(side, [-1])) or i < max(merged.get(side, [-1])))
+        }
+        for i in range(len(order))
+    ]
+    unpooled = [any(first[side] > i for side in sides if len({p for p, _ in side[1]}) == 1) for i in range(len(order))]
+    return owed, unpooled, len(sides)
+
+
+PAPER_ORDERS = [enumerate_scenarios(platforms) for platforms in ("FIT", "FITW")]
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.one_of(*(st.permutations(order) for order in PAPER_ORDERS)))
+@example(PAPER_ORDERS[0])
+@example(PAPER_ORDERS[0][::-1])  # a combined scenario comes before its halves' own scenarios
+@example(PAPER_ORDERS[1])
+@example(PAPER_ORDERS[1][::-1])
+def test_a_side_lives_while_it_is_owed_a_read_in_any_scenario_order(order):
+    platforms = "".join(sorted({platform for scenario in order for platform in (*scenario.train, scenario.test)}))
+    corpus, paper = gappy_corpus(platforms), paper_order_matrices(platforms)
+    prepared, tables, live, side_of = [], [], [], {}
+
+    def preparing(runs):
+        profile = prepare_profile(runs)
+        prepared.append(weakref.ref(profile.values))
+        return profile
+
+    def runs(*args, **kwargs):
+        made = session_runs(*args, **kwargs)
+        tables.append(weakref.ref(made[0][0].base))
+        return made
+
+    def scoring(*args, **kwargs):
+        live.append(({i for i, ref in enumerate(prepared) if ref() is not None}, tables[-1]() is not None))
+        return score_matrices(*args, **kwargs)
+
+    def check(data: ScenarioData, matrices: dict[str, ScoreMatrix]) -> None:
+        """Names the prepared profile of each of ``data``'s sides, and checks its matrices against paper order."""
+        for cells, profiles in zip(data.scenario.cells, (data.enroll, data.probe)):
+            for user, profile in profiles.items():
+                [index] = [i for i, ref in enumerate(prepared) if ref() is profile.values]
+                assert side_of.setdefault(index, (user, cells)) == (user, cells)
+        want = paper[data.scenario.name]
+        assert matrices.keys() == want.keys()
+        for label, matrix in matrices.items():
+            assert matrix.roster == want[label].roster
+            assert matrix.values.tobytes() == want[label].values.tobytes(), (data.scenario.name, label)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "prepare_profile", preparing)
+        patch.setattr(evaluation, "session_runs", runs)
+        patch.setattr(evaluation, "score_matrices", scoring)
+        for data, matrices in evaluation.score_scenarios(corpus, order, BenchmarkConfig()):
+            check(data, matrices)
+            del data, matrices  # not held while the next scenario's sides are prepared
+    owed, unpooled, n_sides = owed_while_scoring(corpus, order)
+    # each distinct side prepared once, and each of them read by some scenario
+    assert len(prepared) == len(side_of) == n_sides
+    assert [{side_of[i] for i in indices} for indices, _ in live] == owed
+    assert [alive for _, alive in live] == unpooled
 
 
 # -- accuracy against synth separation ---------------------------------------------
