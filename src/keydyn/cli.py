@@ -16,8 +16,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import evaluation, matrix, synth
 from .errors import KeydynError, OutputNameError
-from .features import ALL_KINDS, profile_to_json, session_features
-from .ingest import Corpus, pair_events, read_corpus, split_lines, write_corpus
+from .features import ALL_KINDS, extract_batches, profile_to_json
+from .ingest import Corpus, read_corpus, split_lines, write_corpus
 from .verifiers import DEFAULT_ABSOLUTE_THRESHOLD, SimilarityMode, check_choices
 
 
@@ -243,11 +243,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
         raise OutputNameError(fault)
     out_dir.mkdir(parents=True, exist_ok=True)
     keystrokes: Counter[str] = Counter()
-    for key, name in names.items():
-        log = corpus.sessions[key]
-        pairs = pair_events(log).pairs
-        keystrokes[log.platform] += len(pairs)
-        (out_dir / name).write_text(profile_to_json(log, session_features(log, kinds, pairs)), encoding="utf-8")
+    for logs, pairing, features in extract_batches(map(corpus.sessions.__getitem__, names), kinds):
+        bounds = pairing.pairs.bounds.tolist()
+        for session, log in enumerate(logs):
+            keystrokes[log.platform] += bounds[session + 1] - bounds[session]
+            (out_dir / names[log.session_key]).write_text(profile_to_json(log, features, session), encoding="utf-8")
     stats = corpus.summary()
     print(f"profiles written: {len(corpus.sessions)} -> {out_dir}")
     print(f"users: {stats['users']}  sessions: {stats['sessions']}  events: {stats['events']}")

@@ -3,12 +3,13 @@
 A :class:`Scenario` is its kind, training platforms and test platform; its
 name and the (platform, session) cells each side needs follow from those.
 :func:`build_scenario_data` schedules the scenarios of a run: it extracts
-each needed session once and turns it into its run of (feature id, value)
-with :func:`keydyn.verifiers.session_runs`, over one vocabulary of those
-sessions' feature names, then yields the scenarios in order. Each distinct
-side, a user with the (platform, session) cells it pools, is prepared once,
-on its first read, and dropped once no scenario or merge owes it a read, so
-scenarios that share a side share its prepared profile.
+each needed session once, a batch of sessions at a time, and turns it into
+its run of (feature id, value) with :func:`keydyn.verifiers.session_runs`,
+over one vocabulary of those sessions' feature names, then yields the
+scenarios in order. Each distinct side, a user with the (platform, session)
+cells it pools, is prepared once, on its first read, and dropped once no
+scenario or merge owes it a read, so scenarios that share a side share its
+prepared profile.
 :func:`score_scenarios` yields each scenario's data with its matrices, the
 per-scenario result that every command and metric reads.
 """
@@ -33,7 +34,7 @@ from .errors import (
     OverlappingPlatformsError,
     SamePlatformError,
 )
-from .features import ALL_KINDS, Kind, session_features
+from .features import ALL_KINDS, Kind, extract_batches
 from .ingest import Corpus, check_platform_label
 from .matrix import ALL_SCORERS, ScoreMatrix, check_scorers, score_matrices
 from .verifiers import (
@@ -135,11 +136,10 @@ def build_scenario_data(
     for user, cells in list(owed):
         if len(halves := _halves(cells)) > 1:
             owed.update((user, half) for half in halves)
-    needed = dict.fromkeys((user, *cell) for user, cells in owed for cell in cells)
-    # a generator, so each session's feature map dies as soon as it is a run
-    runs, _ = session_runs(
-        (session_features(corpus.sessions[cell], kinds) for cell in needed), (f"session {cell}" for cell in needed)
-    )
+    needed = sorted({(user, *cell) for user, cells in owed for cell in cells})
+    # a generator, so each batch's features die as soon as they are runs
+    batches = extract_batches(map(corpus.sessions.__getitem__, needed), kinds)
+    runs, _ = session_runs((features for *_, features in batches), (f"session {cell}" for cell in needed))
     return _scheduled(scenarios, rosters, dict(zip(needed, runs)), owed)
 
 

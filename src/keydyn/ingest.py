@@ -7,7 +7,8 @@ mark is ignored. Fields never contain commas: a literal comma key is spelled ``C
 
 A session's events and its paired keystrokes are numpy columns, each key a
 code into the session's ``key_names``, so no Python object is made per event
-or keystroke.
+or keystroke. :func:`pair_events` pairs a batch of sessions in one pass, and
+counts what it drops per session.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import stat
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -496,53 +497,112 @@ def read_corpus(paths: str | os.PathLike | Iterable[str | os.PathLike]) -> tuple
 
 @dataclass(frozen=True, eq=False)
 class Keystrokes:
-    """One session's paired keystrokes as columns, in press order; ties keep release order.
+    """Paired keystrokes as columns: those of one session, or of a batch of sessions one after another.
 
     Keystroke ``i`` holds key ``key_names[keys[i]]`` from ``press_ms[i]`` to
-    ``release_ms[i]``.
+    ``release_ms[i]``. Session ``s`` of a batch holds keystrokes
+    ``bounds[s]:bounds[s + 1]``, in press order; ties keep release order.
+    ``bounds`` None is one session.
     """
 
     key_names: tuple[str, ...]
     keys: np.ndarray  # int32, index into key_names
     press_ms: np.ndarray  # float64
     release_ms: np.ndarray  # float64
+    bounds: np.ndarray | None = None  # intp, one more than the sessions
 
     def __len__(self) -> int:
         return self.keys.size
 
+    def session_index(self) -> np.ndarray:
+        """Each keystroke's session in the batch: ascending session indexes."""
+        if self.bounds is None:
+            return np.zeros(self.keys.size, np.intp)
+        return np.repeat(np.arange(self.bounds.size - 1), np.diff(self.bounds))
+
 
 @dataclass
 class PairingResult:
+    """The keystrokes of a batch of sessions, and what pairing dropped in each session."""
+
     pairs: Keystrokes
-    dropped_repeats: int = 0
-    dropped_orphan_releases: int = 0
-    dropped_unreleased: int = 0
+    dropped: np.ndarray  # int64, per session: repeated presses, orphan releases and unreleased presses
+
+    @property
+    def dropped_repeats(self) -> int:
+        return int(self.dropped[:, 0].sum())
+
+    @property
+    def dropped_orphan_releases(self) -> int:
+        return int(self.dropped[:, 1].sum())
+
+    @property
+    def dropped_unreleased(self) -> int:
+        return int(self.dropped[:, 2].sum())
 
     @property
     def dropped_total(self) -> int:
-        return self.dropped_repeats + self.dropped_orphan_releases + self.dropped_unreleased
+        return int(self.dropped.sum())
 
 
-def pair_events(log: SessionLog) -> PairingResult:
-    """Match each PRESS to the next RELEASE of the same key.
+def stable_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of integer keys in ``[0, bound)``.
+
+    Keys below 2**16 are sorted as uint16, which numpy radix-sorts, about
+    four times as fast as the merge sort of wider integers.
+    """
+    return np.argsort(key.astype(np.uint16) if bound <= 1 << 16 else key, kind="stable")
+
+
+def _one_vocabulary(logs: Sequence[SessionLog]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The key names of ``logs`` and their key codes, concatenated, in one vocabulary.
+
+    Sessions of one parse share its ``key_names``, and keep their codes;
+    otherwise each session's codes are mapped into the names in order of
+    first sight.
+    """
+    names = logs[0].key_names if logs else ()
+    if all(log.key_names is names or log.key_names == names for log in logs):
+        return names, np.concatenate([log.keys for log in logs] or [np.empty(0, np.int32)])
+    vocabulary: dict[str, int] = {}
+    codes = [np.array([vocabulary.setdefault(name, len(vocabulary)) for name in log.key_names], np.int32) for log in logs]
+    return tuple(vocabulary), np.concatenate([code[log.keys] for code, log in zip(codes, logs)])
+
+
+def pair_events(*logs: SessionLog) -> PairingResult:
+    """Match each PRESS to the next RELEASE of the same key in the same session, for a batch of sessions.
 
     A second PRESS of a key already held is OS auto-repeat and is dropped; a
     RELEASE with no pending PRESS is dropped; presses never released within
-    the session are dropped. Output is ordered by press time; keystrokes
-    pressed at one time keep the order of their releases.
+    the session are dropped. Each session's keystrokes are ordered by press
+    time; keystrokes pressed at one time keep the order of their releases.
+    The sessions are paired in one pass: their events are sorted stably by
+    (session, key), so no keystroke pairs events of two sessions.
     """
-    n = log.keys.size
-    by_key = np.argsort(log.keys, kind="stable")  # each key's events in time order
-    key, press, times = log.keys[by_key], log.presses[by_key], log.times[by_key]
+    key_names, keys = _one_vocabulary(logs)
+    sizes = np.fromiter((log.times.size for log in logs), np.intp, len(logs))
+    presses = np.concatenate([log.presses for log in logs] or [np.empty(0, bool)])
+    times = np.concatenate([log.times for log in logs] or [np.empty(0)])
+    session = np.repeat(np.arange(len(logs)), sizes)
+    n = times.size
+    group = session * len(key_names) + keys  # a (session, key) pair as one number
+    by_key = stable_order(group, len(logs) * len(key_names))  # each session's keys' events in time order
+    group, press, sorted_times = group[by_key], presses[by_key], times[by_key]
     # an event that follows a press of its own key: a press there repeats, a release closes
     held = np.zeros(n, bool)
-    held[1:] = press[:-1] & (key[1:] == key[:-1])
+    held[1:] = press[:-1] & (group[1:] == group[:-1])
     opens = press & ~held
     close = np.flatnonzero(~press & held)
     # the press a release closes is the last one that opened before it, which is of its key
     opener = np.maximum.accumulate(np.where(opens, np.arange(n), 0))[close]
-    press_ms, release_ms = times[opener], times[close]
-    order = np.lexsort((by_key[close], press_ms))
-    pairs = Keystrokes(log.key_names, key[close][order], press_ms[order], release_ms[order])
-    presses, opened = int(np.count_nonzero(press)), int(np.count_nonzero(opens))
-    return PairingResult(pairs, presses - opened, n - presses - close.size, opened - close.size)
+    press_ms, released = sorted_times[opener], by_key[close]
+    order = np.lexsort((released, press_ms, session[released]))
+    released = released[order]
+    owner = session[released]
+    bounds = np.searchsorted(owner, np.arange(len(logs) + 1))
+    pairs = Keystrokes(key_names, keys[released], press_ms[order], times[released], bounds)
+    pressed = np.bincount(session[presses], minlength=len(logs))
+    opened = np.bincount(session[by_key[opens]], minlength=len(logs))
+    closed = np.diff(bounds)
+    dropped = np.stack([pressed - opened, sizes - pressed - closed, opened - closed], axis=1)
+    return PairingResult(pairs, dropped)

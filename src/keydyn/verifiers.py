@@ -30,6 +30,7 @@ from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyListError, ValueOutOfRangeError
+from .features import Features
 
 
 class Verifier(str, Enum):
@@ -96,23 +97,42 @@ class PreparedProfile(NamedTuple):
     count: np.ndarray  # int64 per feature
 
 
-def session_runs(
-    maps: Iterable[ProfileLike], sources: Iterable[str] | None = None
-) -> tuple[list[np.ndarray], list[str]]:
-    """The run of each of ``maps``, over one vocabulary ``names``: id ``i`` is feature ``names[i]``.
+def _check(batch: Features, sources: list[str]) -> None:
+    """EmptyListError for a feature with no values, ValueOutOfRangeError for a value not within
+    :data:`MAX_MAGNITUDE`; the first fault of the first session at fault, in mapping order."""
+    if np.diff(batch.edges).all() and (np.abs(batch.durations) <= MAX_MAGNITUDE).all():  # NaN is out
+        return
+    for s, source in enumerate(sources):
+        where = f" in {source}" if source else ""
+        features = batch.session(s)
+        for name, values in features.items():
+            if not values:
+                raise EmptyListError(f"empty value list for feature {name}{where}")
+        for name, values in features.items():
+            for value in values:
+                if not abs(value) <= MAX_MAGNITUDE:
+                    raise ValueOutOfRangeError(f"value {value!r} of feature {name}{where} is not within +/-{MAX_MAGNITUDE:g} ms")
 
-    A run is a map's :func:`_pairs`, ascending, tied pairs in map order. The
-    maps are read one at a time and none is kept, so a generator of session
-    maps holds at most two alive. Ids go out in order of first sight, then
-    are renumbered to ascend with the sorted names, the key order of a
-    profile JSON, so a score does not depend on which other maps shared the
-    vocabulary. A feature with an empty value list raises EmptyListError,
-    and a value that is not finite or whose magnitude exceeds
-    :data:`MAX_MAGNITUDE` raises ValueOutOfRangeError; the message names the
-    feature and, when ``sources`` names each map, its map.
+
+def session_runs(
+    parts: Iterable[Features | ProfileLike], sources: Iterable[str] | None = None
+) -> tuple[list[np.ndarray], list[str]]:
+    """The run of each session of ``parts``, over one vocabulary ``names``: id ``i`` is feature ``names[i]``.
+
+    A part is a batch of sessions' :class:`~keydyn.features.Features`, or
+    one session's map from feature name to values. A run is a session's
+    :func:`_pairs`, ascending, tied pairs in occurrence order. The parts are
+    read one at a time and none is kept, so a generator of batches holds at
+    most two alive. Ids go out in order of first sight, then are renumbered
+    to ascend with the sorted names, the key order of a profile JSON, so a
+    score does not depend on which other sessions shared the vocabulary. A
+    feature with an empty value list raises EmptyListError, and a value that
+    is not finite or whose magnitude exceeds :data:`MAX_MAGNITUDE` raises
+    ValueOutOfRangeError; the message names the feature and, when
+    ``sources`` names each session, its session.
 
     The runs are consecutive slices of one table, which grows in place as
-    the maps are read, so the runs are one block of memory and no small
+    the parts are read, so the runs are one block of memory and no small
     array is left behind when they die. A run kept alive keeps the whole
     table alive.
     """
@@ -120,29 +140,24 @@ def session_runs(
     # every name read draws a number and a new name keeps it, so first-sight
     # ids are unique and rising, with gaps, at the cost of one C-level pass
     numbers = itertools.count()
-    table = np.empty(0, np.complex128)  # the pairs of every map read; from bounds[-1] on, spare capacity
+    table = np.empty(0, np.complex128)  # the pairs of every session read; from bounds[-1] on, spare capacity
     bounds = [0]
-    for part, source in zip(maps, itertools.repeat("") if sources is None else sources):
-        where = f" in {source}" if source else ""
-        lists = list(part.values())
-        counts = np.fromiter(map(len, lists), np.int64, len(lists))
-        if not counts.all():
-            name = list(part)[counts.argmin()]
-            raise EmptyListError(f"empty value list for feature {name}{where}")
-        fids = np.fromiter(map(ids.setdefault, part, numbers), np.int64, len(lists))
-        start, end = bounds[-1], bounds[-1] + int(counts.sum())
-        values = np.fromiter(itertools.chain.from_iterable(lists), np.float64, end - start)
-        out = ~(np.abs(values) <= MAX_MAGNITUDE)  # NaN is out too
-        if out.any():
-            first = out.argmax()
-            name = list(part)[np.searchsorted(np.cumsum(counts), first, side="right")]
-            value = float(values[first])
-            raise ValueOutOfRangeError(f"value {value!r} of feature {name}{where} is not within +/-{MAX_MAGNITUDE:g} ms")
+    sources = itertools.repeat("") if sources is None else iter(sources)
+    for part in parts:
+        batch = part if isinstance(part, Features) else Features.of(part)
+        _check(batch, list(itertools.islice(sources, batch.sessions)))
+        seen = np.zeros(len(batch.names), bool)
+        seen[batch.fid] = True
+        names = list(itertools.compress(batch.names, seen.tolist()))
+        fids = np.zeros(len(batch.names), np.int64)
+        fids[seen] = np.fromiter(map(ids.setdefault, names, numbers), np.int64, len(names))
+        start, end = bounds[-1], bounds[-1] + batch.durations.size
         if end > table.size:
             # resize zero-fills the new tail, so the table grows by a quarter, not twofold
             table.resize(end + end // 4 + 4096, refcheck=False)  # no view of the table exists while it grows
-        table.real[start:end], table.imag[start:end] = np.repeat(fids, counts), values
-        bounds.append(end)
+        table.real[start:end] = np.repeat(fids[batch.fid], np.diff(batch.edges))
+        table.imag[start:end] = batch.durations
+        bounds.extend((start + batch.bounds()[1:]).tolist())
     table.resize(bounds[-1], refcheck=False)
     names = sorted(ids)
     renumber = np.empty(next(numbers), np.int64)

@@ -9,9 +9,9 @@ import pytest
 from keydyn import cli, features
 from keydyn.cli import load_config_file, main
 from keydyn.ingest import CSV_HEADER, pair_events, read_corpus, serialize_corpus
-from keydyn.matrix import ALL_SCORERS
+from keydyn.matrix import ALL_SCORERS, score_matrices
 from keydyn.synth import SynthSpec, generate_corpus
-from keydyn.verifiers import session_runs
+from keydyn.verifiers import prepare_profile, session_runs
 
 from test_cli_fuzz import INVALID, PARSER, VALID
 from test_ingest import child_env
@@ -243,17 +243,52 @@ def test_extract_output_name_not_a_plain_unique_file_is_data_error(tmp_path, cap
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["corpus.csv", "in"]  # nothing written, no --out
 
 
-def test_extract_pairs_each_session_once(corpus_dir, tmp_path, monkeypatch, capsys):
-    paired = []
+def test_extract_pairs_each_session_once(tmp_path, monkeypatch, capsys):
+    # sessions are paired a batch at a time: far fewer calls than sessions, each session in one of them
+    assert main(["--seed", "25", "synth", "--out-dir", str(tmp_path / "in"), "--users", "26"]) == 0
+    calls = []
 
-    def counting(real):
-        return lambda log: paired.append(log.session_key) or real(log)
+    def counting(*logs):
+        calls.append([log.session_key for log in logs])
+        return pair_events(*logs)
 
-    monkeypatch.setattr(cli, "pair_events", counting(cli.pair_events))
-    monkeypatch.setattr(features, "pair_events", counting(features.pair_events))
-    assert main(["extract", str(corpus_dir / "corpus.csv"), "--out", str(tmp_path / "profiles")]) == 0
-    assert len(paired) == len(set(paired)) == 4 * 3 * 6
+    monkeypatch.setattr(features, "pair_events", counting)
+    assert main(["extract", str(tmp_path / "in"), "--out", str(tmp_path / "profiles")]) == 0
+    paired = [key for call in calls for key in call]
+    assert len(paired) == len(set(paired)) == 26 * 3 * 6
+    assert paired == sorted(paired)  # each batch is consecutive sessions in key order
+    assert len(calls) <= len(paired) // 8
     assert "keystrokes:" in capsys.readouterr().out
+
+
+def test_extract_kinds_write_those_lists_of_the_all_kinds_profile(corpus_dir, tmp_path):
+    assert main(["extract", str(corpus_dir), "--out", str(tmp_path / "all")]) == 0
+    assert main(["extract", str(corpus_dir), "--kinds", "D,W", "--out", str(tmp_path / "dw")]) == 0
+    names = sorted(path.name for path in (tmp_path / "all").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "dw").iterdir()) and len(names) == 4 * 3 * 6
+    for name in names:
+        doc = json.loads((tmp_path / "all" / name).read_text(encoding="utf-8"))
+        doc["features"] = {key: values for key, values in doc["features"].items() if key[:2] in ("D:", "W:")}
+        assert (tmp_path / "dw" / name).read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_score_kinds_score_runs_built_from_those_features_only(corpus_dir, tmp_path):
+    out = tmp_path / "out"
+    args = ["score", str(corpus_dir), "--scenario", "cross:F:I", "--kinds", "U,W", "--formats", "json", "--out"]
+    assert main([*args, str(out)]) == 0
+    corpus, _ = read_corpus(corpus_dir)
+    sides = [(user, platform) for platform in "FI" for user in corpus.roster]
+    maps = [
+        {name: values for name, values in features.session_features(log).items() if name[0] in "UW"}
+        for user, platform in sides
+        for log in (corpus.sessions[user, platform, session] for session in range(1, 7))
+    ]
+    runs, _ = session_runs(maps)
+    profiles = [prepare_profile(runs[6 * i : 6 * i + 6]) for i in range(len(sides))]
+    enroll, probe = dict(zip(corpus.roster, profiles)), dict(zip(corpus.roster, profiles[len(corpus.roster) :]))
+    for label, matrix in score_matrices(enroll, probe, ALL_SCORERS).items():
+        doc = json.loads((out / f"F-I_{label}.json").read_text(encoding="utf-8"))
+        assert doc["roster"] == corpus.roster and doc["values"] == matrix.values.tolist(), label
 
 
 def test_evaluate_default_grid(corpus_dir, tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""The columnar pairing, extractors and parser against their row-at-a-time oracles, bit for bit."""
+"""The columnar pairing, extractors and parser against their row-at-a-time oracles, bit for bit,
+and pairing and extraction a batch of sessions at a time against one session at a time."""
 
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -10,10 +12,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from keydyn import ingest
 from keydyn.errors import EmptyInputError, MalformedRowError
-from keydyn.features import extract_digraphs, extract_unigraphs, extract_wordholds
-from keydyn.ingest import pair_events, parse_log, read_corpus
+from keydyn.features import extract_digraphs, extract_unigraphs, extract_wordholds, profile_to_json, session_features
+from keydyn.ingest import Corpus, pair_events, parse_log, read_corpus, serialize_corpus
+from keydyn.verifiers import session_runs
 
+from columns import digraph_key as D
 from columns import event_rows, keystroke_rows, keystrokes, session_log
+from columns import unigraph_key as U
+from columns import wordhold_key as W
 from oracles import (
     extract_digraphs_oracle,
     extract_unigraphs_oracle,
@@ -92,6 +98,85 @@ def test_extractors_match_oracles(raw, in_time_order):
         want = exact_features(oracle(rows))
         assert exact_features(extract(columns)) == want  # keys in occurrence order, values too
         assert exact_features(extract(keystrokes(rows))) == want  # the oracle's pairs, as columns
+
+
+# -- a batch of sessions at a time -------------------------------------------------
+
+# tie-heavy sessions: "1", "2|3" and "1|2", "3" name one digraph, D:1|2|3; " " and
+# SPACE end words, and -0.0 gives holds and latencies of -0.0
+batch_events = st.lists(
+    st.tuples(
+        st.sampled_from(("1", "2|3", "1|2", "3", "a", " ", "SPACE")),
+        st.sampled_from(("P", "R")),
+        st.sampled_from((0.0, -0.0, 1.0, 2.0, 2.5, 7.0)),
+    ),
+    max_size=14,
+)
+
+
+def typed(*keys):
+    return [(key, action, float(i)) for i, key in enumerate(keys) for action in "PR"]
+
+
+def cuts(n):
+    """Every way to cut ``range(n)`` into runs of consecutive indexes."""
+    for mask in range(2 ** (n - 1)):
+        edges = [0] + [i + 1 for i in range(n - 1) if mask >> i & 1] + [n]
+        yield [range(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def oracle_features(log):
+    pairs = pair_events_oracle(event_rows(log))[0]
+    return {**extract_unigraphs_oracle(pairs), **extract_digraphs_oracle(pairs), **extract_wordholds_oracle(pairs)}
+
+
+def oracle_profile(log):
+    doc = {"features": oracle_features(log), "platforms": [log.platform], "sessions": [log.session_id], "user": log.user_id}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def batched(logs, cut):
+    """The drops, runs and profile texts of ``logs``, paired and extracted in the batches ``cut`` makes."""
+    drops, parts, texts = [], [], []
+    for indexes in cut:
+        batch = [logs[i] for i in indexes]
+        pairing = pair_events(*batch)
+        features = session_features(*batch, pairs=pairing.pairs)
+        drops.extend(map(tuple, pairing.dropped.tolist()))
+        parts.append(features)
+        texts.extend(profile_to_json(log, features, i) for i, log in enumerate(batch))
+    runs, names = session_runs(parts)
+    return drops, [run.tobytes() for run in runs], names, texts
+
+
+@settings(max_examples=60, deadline=None)
+@example([typed("1", "2|3"), typed("1|2", "3")], False)
+@example([typed("a", "1"), [("a", "P", 0.0), ("a", "R", -0.0), ("1", "R", 1.0), ("3", "P", 2.0), ("3", "P", 2.0)]], True)
+@example([typed("a", "1"), [], typed("3", " ", "a")], True)
+@given(st.lists(batch_events, min_size=2, max_size=6), st.booleans())
+def test_any_cut_into_batches_gives_each_sessions_pairs_features_and_profile(raw, parsed):
+    logs = [session_log(sorted(events, key=lambda e: e[2]), "u", "F", s) for s, events in enumerate(raw, 1)]
+    if parsed and all(raw):  # sessions of one parse share its key names; a parse keeps no empty session
+        logs = parse_log(serialize_corpus(Corpus.from_logs(logs))).sessions
+    oracles = [pair_events_oracle(event_rows(log)) for log in logs]
+    want_runs, want_names = session_runs([oracle_features(log) for log in logs])
+    want = ([tuple(counts) for _, *counts in oracles], [run.tobytes() for run in want_runs], want_names)
+    for cut in cuts(len(logs)):
+        drops, runs, names, texts = batched(logs, cut)
+        assert (drops, runs, names) == want, cut
+        assert texts == [oracle_profile(log) for log in logs], cut
+
+
+def test_no_digraph_or_word_spans_two_sessions_of_a_batch():
+    # one batch: "a" ends session 1 and "b" starts session 2, as one keystroke run across the bound
+    logs = [session_log(typed("x", "a"), session=1), session_log(typed("b", "y"), session=2)]
+    features = session_features(*logs)
+    assert D("a", "b") not in features and W("xaby") not in features
+    assert [features.session(s)[W(word)] for s, word in ((0, "xa"), (1, "by"))] == [[1.0], [1.0]]
+    assert [list(features.session(s)) for s in (0, 1)] == [
+        [U("x"), U("a"), D("x", "a"), W("xa")],
+        [U("b"), U("y"), D("b", "y"), W("by")],
+    ]
 
 
 # -- parsing across block edges ----------------------------------------------------

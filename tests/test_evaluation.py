@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from keydyn import evaluation
+from keydyn import evaluation, features
 from keydyn.errors import (
     DuplicateScenarioError,
     KOutOfRangeError,
@@ -497,14 +497,14 @@ def test_report_round_trip_and_csv(small_synth_corpus):
 
 @pytest.fixture
 def extracted(monkeypatch):
-    """Session keys in the order ``build_scenario_data`` extracts them."""
+    """Session keys in the order ``build_scenario_data`` extracts them, a batch at a time."""
     keys = []
 
-    def counting_extract(log, kinds):
-        keys.append(log.session_key)
-        return session_features(log, kinds)
+    def counting_extract(*logs, **kwargs):
+        keys.extend(log.session_key for log in logs)
+        return session_features(*logs, **kwargs)
 
-    monkeypatch.setattr(evaluation, "session_features", counting_extract)
+    monkeypatch.setattr(features, "session_features", counting_extract)
     return keys
 
 

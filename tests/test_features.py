@@ -1,20 +1,24 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from keydyn import features as features_module
 from keydyn.features import (
     Kind,
     extract_digraphs,
     extract_features,
     extract_unigraphs,
     extract_wordholds,
+    extract_batches,
     profile_to_json,
     session_features,
 )
+from keydyn.synth import SynthSpec, generate_corpus
 from keydyn.verifiers import prepare_profile, session_runs
 
 from columns import digraph_key, keystrokes, unigraph_key, wordhold_key
@@ -170,6 +174,31 @@ def test_feature_ids_ascend_in_the_name_order_profiles_are_written_in():
         written = list(json.loads(profile_to_json(log, fd))["features"])
         assert written == session_runs([fd])[1] == [name for name in names if name in fd]
     assert abs(itad_score(enroll, probe) - oracle_itad(enroll, probe)) <= 1e-12
+
+
+# -- a batch at a time ------------------------------------------------------
+
+# a batch's pairing, features and one session's profile text, at most (about 130 measured)
+BATCH_BYTES_PER_EVENT = 200
+
+
+def test_a_batch_is_worked_in_memory_bounded_by_its_own_events():
+    # the corpus is about ten batches: the columns of all its features at once take
+    # about 380 bytes per event of the largest batch
+    logs = list(generate_corpus(SynthSpec(seed=3, n_users=8)))
+    assert sum(log.times.size for log in logs) >= 8 * features_module._BATCH_EVENTS
+    largest = 0
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for batch, _, features in extract_batches(logs):
+            largest = max(largest, sum(log.times.size for log in batch))
+            for session, log in enumerate(batch):
+                profile_to_json(log, features, session)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= BATCH_BYTES_PER_EVENT * largest, f"{peak / largest:.0f} bytes per event of the largest batch"
 
 
 # -- serialization -----------------------------------------------------------
